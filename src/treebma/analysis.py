@@ -30,6 +30,12 @@ __all__ = [
 ARMS = ("all_vars", "dropped", "filtered", "dropped_noise")
 
 
+def _mean_std(values) -> tuple[float, float]:
+    """Mean and sample standard deviation (0 for a single value)."""
+    a = np.asarray(values, dtype=np.float64)
+    return float(a.mean()), (float(a.std(ddof=1)) if a.size > 1 else 0.0)
+
+
 def variable_importance(ensemble: Ensemble, m: int | None = None,
                         per_tree: bool = False) -> np.ndarray:
     """Posterior usage probability per variable.
@@ -40,11 +46,13 @@ def variable_importance(ensemble: Ensemble, m: int | None = None,
     (entries then need not sum to 1).
     """
     used = [t.variables_used() for t in ensemble.trees]
+    top = max((v for vs in used for v in vs), default=None)
     if m is None:
-        flat = [v for vs in used for v in vs]
-        if not flat:
+        if top is None:
             raise ValueError("cannot infer arity from an ensemble of single leaves")
-        m = max(flat) + 1
+        m = top + 1
+    elif top is not None and top >= m:
+        raise ValueError(f"ensemble splits on variable {top}, beyond the {m} variables")
     imp = np.zeros(m)
     if per_tree:
         for vs in used:
@@ -103,20 +111,16 @@ class ComparisonReport:
 
     def arm_summary(self, arm: str) -> tuple[float, float, float, float]:
         """(performance mean, performance std, entropy mean, entropy std) over folds."""
-        perf = np.array([r.performance_pct for r in self.reports[arm]])
-        ent = np.array([r.entropy_bits for r in self.reports[arm]])
-        sd = (lambda a: float(a.std(ddof=1)) if a.size > 1 else 0.0)
-        return float(perf.mean()), sd(perf), float(ent.mean()), sd(ent)
+        return (*_mean_std([r.performance_pct for r in self.reports[arm]]),
+                *_mean_std([r.entropy_bits for r in self.reports[arm]]))
 
     def deltas(self, arm: str, baseline: str = "all_vars") -> dict[str, tuple[float, float]]:
         """Paired per-fold differences (arm - baseline), mean and std."""
-        dp = np.array([a.performance_pct - b.performance_pct
-                       for a, b in zip(self.reports[arm], self.reports[baseline])])
-        de = np.array([a.entropy_bits - b.entropy_bits
-                       for a, b in zip(self.reports[arm], self.reports[baseline])])
-        sd = (lambda a: float(a.std(ddof=1)) if a.size > 1 else 0.0)
-        return {"performance_pct": (float(dp.mean()), sd(dp)),
-                "entropy_bits": (float(de.mean()), sd(de))}
+        pairs = list(zip(self.reports[arm], self.reports[baseline]))
+        return {"performance_pct": _mean_std([a.performance_pct - b.performance_pct
+                                              for a, b in pairs]),
+                "entropy_bits": _mean_std([a.entropy_bits - b.entropy_bits
+                                           for a, b in pairs])}
 
 
 def run_comparison(data: Dataset, config: ChainConfig, weakest: int | None = None,
@@ -141,16 +145,12 @@ def run_comparison(data: Dataset, config: ChainConfig, weakest: int | None = Non
         cfg = dc_replace(config, seed=derive_seed(config.seed, f, 0))
         arm_a_ensembles.append(run_chain(train, cfg))
 
-    if weakest is None:
-        pooled = np.zeros(data.m)
-        for ens in arm_a_ensembles:
-            pooled += variable_importance(ens, m=data.m)
-        pooled /= k
-        weakest = int(np.argmin(pooled))
     importance = np.zeros(data.m)
     for ens in arm_a_ensembles:
         importance += variable_importance(ens, m=data.m)
     importance /= k
+    if weakest is None:
+        weakest = int(np.argmin(importance))
 
     dropped = drop_variable(data, weakest)
     dropped_noise = drop_variable(noised, weakest)

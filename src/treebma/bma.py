@@ -183,6 +183,8 @@ def load_ensemble(path, meta_path=None) -> Ensemble:
                 raise ValueError(f"{path}:{lineno}: {e}") from e
             if ll is None:
                 raise ValueError(f"{path}:{lineno}: tree record missing loglik")
+            if any(nd.counts is None and nd.is_leaf for nd in tree.nodes.values()):
+                raise ValueError(f"{path}:{lineno}: leaf without class counts")
             trees.append(tree)
             logliks.append(ll)
     meta = {}

@@ -80,6 +80,16 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace, inputs: list[Path],
     return path
 
 
+def _prepare(args, *inputs) -> tuple[Path, list[Path]]:
+    """Create the output directory; list the input files, plus ``--schema`` if given."""
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = [Path(p) for p in inputs]
+    if getattr(args, "schema", None):
+        paths.append(Path(args.schema))
+    return out, paths
+
+
 def _load(args) -> tuple:
     schema = Schema.from_file(args.schema) if args.schema else trauma_schema()
     data = load_csv(args.data, schema)
@@ -119,8 +129,7 @@ def _print_diagnostics(ensemble) -> None:
 
 
 def cmd_synth(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out, inputs = _prepare(args)
     irrelevant = frozenset(int(s) for s in args.irrelevant.split(",")) \
         if args.irrelevant else frozenset()
     data = synth_trauma(args.rows, args.seed, irrelevant)
@@ -128,29 +137,26 @@ def cmd_synth(args) -> int:
     save_csv(data, data_path)
     schema_path.write_text(data.schema.to_json(), encoding="utf-8")
     (out / "provenance.txt").write_text(data.provenance + "\n", encoding="utf-8")
-    _write_manifest(out, args, [], [data_path, schema_path, out / "provenance.txt"])
+    _write_manifest(out, args, inputs, [data_path, schema_path, out / "provenance.txt"])
     print(f"wrote {data.n} rows x {data.m} variables to {data_path}")
     return 0
 
 
 def cmd_train(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out, inputs = _prepare(args, args.data)
     data, _ = _load(args)
     config = _chain_config(args)
     ensemble = run_chain(data, config)
     ens_path, meta_path = out / "ensemble.jsonl", out / "metadata.json"
     save_ensemble(ensemble, ens_path, meta_path)
-    _write_manifest(out, args, [Path(args.data)] + ([Path(args.schema)] if args.schema else []),
-                    [ens_path, meta_path], config)
+    _write_manifest(out, args, inputs, [ens_path, meta_path], config)
     _print_diagnostics(ensemble)
     print(f"wrote {len(ensemble)} trees to {ens_path}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out, inputs = _prepare(args, args.data)
     data, _ = _load(args)
     config = _chain_config(args, desk_default=True)
     folds = make_folds(data, args.folds, seed=args.seed)
@@ -164,31 +170,26 @@ def cmd_eval(args) -> int:
     txt_path.write_text(
         eval_reports_table(reports, title=f"{args.folds}-fold cross-validation"),
         encoding="utf-8")
-    _write_manifest(out, args, [Path(args.data)] + ([Path(args.schema)] if args.schema else []),
-                    [csv_path, txt_path], config)
+    _write_manifest(out, args, inputs, [csv_path, txt_path], config)
     print(txt_path.read_text(encoding="utf-8"))
     return 0
 
 
 def cmd_importance(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out, inputs = _prepare(args, args.ensemble)
     schema = Schema.from_file(args.schema) if args.schema else trauma_schema()
     ensemble = load_ensemble(args.ensemble)
     imp = variable_importance(ensemble, m=schema.m, per_tree=args.per_tree)
     csv_path, txt_path = out / "importance.csv", out / "importance.txt"
     csv_path.write_text(importance_csv(schema.names, imp), encoding="utf-8")
     txt_path.write_text(importance_bar_chart(schema.names, imp), encoding="utf-8")
-    _write_manifest(out, args,
-                    [Path(args.ensemble)] + ([Path(args.schema)] if args.schema else []),
-                    [csv_path, txt_path])
+    _write_manifest(out, args, inputs, [csv_path, txt_path])
     print(txt_path.read_text(encoding="utf-8"))
     return 0
 
 
 def cmd_filter(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out, inputs = _prepare(args, args.ensemble, args.data)
     data, _ = _load(args)
     ensemble = load_ensemble(args.ensemble)
     result = filter_ensemble(ensemble, args.variable)
@@ -203,17 +204,13 @@ def cmd_filter(args) -> int:
         + eval_reports_table([before], title="original ensemble")
         + "\n" + eval_reports_table([after], title="selected ensemble"),
         encoding="utf-8")
-    _write_manifest(out, args,
-                    [Path(args.ensemble), Path(args.data)]
-                    + ([Path(args.schema)] if args.schema else []),
-                    [ens_path, txt_path])
+    _write_manifest(out, args, inputs, [ens_path, txt_path])
     print(txt_path.read_text(encoding="utf-8"))
     return 0
 
 
 def cmd_compare(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out, inputs = _prepare(args, args.data)
     data, schema = _load(args)
     config = _chain_config(args, desk_default=True)
     report = run_comparison(data, config, weakest=args.variable,
@@ -223,8 +220,7 @@ def cmd_compare(args) -> int:
     txt_path.write_text(comparison_table(report, schema.names), encoding="utf-8")
     imp_path = out / "importance.csv"
     imp_path.write_text(importance_csv(schema.names, report.importance), encoding="utf-8")
-    _write_manifest(out, args, [Path(args.data)] + ([Path(args.schema)] if args.schema else []),
-                    [csv_path, txt_path, imp_path], config)
+    _write_manifest(out, args, inputs, [csv_path, txt_path, imp_path], config)
     print(txt_path.read_text(encoding="utf-8"))
     return 0
 

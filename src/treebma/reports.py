@@ -6,7 +6,7 @@ import io
 
 import numpy as np
 
-from .analysis import ARMS, ComparisonReport
+from .analysis import ARMS, ComparisonReport, _mean_std
 from .bma import EvalReport
 
 HEADER_NOTE = (
@@ -14,11 +14,6 @@ HEADER_NOTE = (
     "likelihood; entropy column: predictive entropy in bits SUMMED over test "
     "rows (mean per row in parentheses)"
 )
-
-
-def _mean_std(values) -> tuple[float, float]:
-    a = np.asarray(values, dtype=np.float64)
-    return float(a.mean()), (float(a.std(ddof=1)) if a.size > 1 else 0.0)
 
 
 def eval_reports_csv(reports: list[EvalReport]) -> str:

@@ -1,10 +1,13 @@
 """Reversible-jump MCMC over classification trees.
 
 The chain targets the product of the Dirichlet-multinomial marginal likelihood
-and a size-uniform structural prior: every split count 0..s_max is a priori
-equally probable, and within a size each split's (variable, rule) pair carries
-weight 1/(m * L_var), i.e. variable drawn uniformly over the m features and
-rule uniformly over that variable's candidate set. Four moves are proposed:
+and the structural prior P(T) proportional to the product, over the splits of
+T, of 1/(m * L_var): each split's variable is uniform over the m features and
+its rule uniform over that variable's L_var candidate rules, and every tree
+shape with s splits (left and right children told apart) weighs the same. The
+prior is therefore not uniform over sizes: before ``s_max`` and ``min_leaf``
+cut it, the mass on s splits grows like the Catalan numbers 1, 1, 2, 5, 14, ...
+(times (m'/m)**s when only m' variables admit a rule). Four moves are proposed:
 birth, death, change_split, change_rule. Birth/death are mutually reverse
 dimension changes; the change moves rework one split in place.
 
@@ -27,10 +30,11 @@ from .tree import (
     SplitRule,
     TreeNode,
     TreePrior,
-    annotate,
     candidate_rules,
     leaf_log_marginal,
     log_marginal_likelihood,
+    partition_rows,
+    prunable_ids,
 )
 
 __all__ = [
@@ -109,10 +113,14 @@ class ChainState:
 
 @dataclass(frozen=True)
 class Proposal:
-    """A candidate tree plus the log ratios entering the acceptance probability."""
+    """A candidate tree plus the log ratios entering the acceptance probability.
+
+    ``nodes`` is the candidate's node dict over the chain's root, built fresh
+    for this proposal; :func:`mh_step` adopts it as is on acceptance.
+    """
 
     kind: str
-    candidate: DecisionTree
+    nodes: dict[int, TreeNode]
     log_proposal_ratio: float
     log_prior_ratio: float
     loglik: float
@@ -129,24 +137,6 @@ def _contrib(counts: tuple[int, int], alpha: float) -> float:
     return leaf_log_marginal(counts[0], counts[1], alpha)
 
 
-def _partition(nodes: dict[int, TreeNode], start: int, X: np.ndarray,
-               rows: np.ndarray) -> dict[int, np.ndarray]:
-    out: dict[int, np.ndarray] = {}
-    stack = [(start, rows)]
-    while stack:
-        nid, idx = stack.pop()
-        node = nodes[nid]
-        if node.is_leaf:
-            out[nid] = idx
-        else:
-            col = X[idx, node.split.variable]
-            go_left = col == node.split.level if node.split.is_categorical \
-                else col <= node.split.threshold
-            stack.append((node.left, idx[go_left]))
-            stack.append((node.right, idx[~go_left]))
-    return out
-
-
 def _leaves_under(nodes: dict[int, TreeNode], start: int) -> list[int]:
     out, stack = [], [start]
     while stack:
@@ -157,14 +147,6 @@ def _leaves_under(nodes: dict[int, TreeNode], start: int) -> list[int]:
         else:
             stack.extend((node.left, node.right))
     return out
-
-
-def _prunable_count(nodes: dict[int, TreeNode]) -> int:
-    return sum(
-        1
-        for nd in nodes.values()
-        if not nd.is_leaf and nodes[nd.left].is_leaf and nodes[nd.right].is_leaf
-    )
 
 
 def init_chain(data: Dataset, config: ChainConfig,
@@ -193,8 +175,7 @@ def init_chain(data: Dataset, config: ChainConfig,
         if not cands:
             continue
         rule = cands[int(rng.integers(len(cands)))]
-        col = data.X[:, var]
-        go_left = col == rule.level if rule.is_categorical else col <= rule.threshold
+        go_left = rule.goes_left(data.X[:, var])
         left_rows, right_rows = all_rows[go_left], all_rows[~go_left]
         if min(left_rows.size, right_rows.size) < config.min_leaf:
             continue
@@ -246,8 +227,7 @@ def _propose_birth(state: ChainState, rng) -> Proposal | None:
     rule = cands[int(rng.integers(len(cands)))]
 
     rows = state.leaf_rows[pick]
-    col = state.data.X[rows, var]
-    go_left = col == rule.level if rule.is_categorical else col <= rule.threshold
+    go_left = rule.goes_left(state.data.X[rows, var])
     left_rows, right_rows = rows[go_left], rows[~go_left]
     alpha = state.prior.dirichlet_alpha
     lc = _leaf_counts(state.data.y, left_rows)
@@ -268,13 +248,13 @@ def _propose_birth(state: ChainState, rng) -> Proposal | None:
     cand_rows[l_id] = left_rows
     cand_rows[r_id] = right_rows
 
-    d_after = _prunable_count(cand_nodes)
+    d_after = len(prunable_ids(cand_nodes))
     p_birth, p_death = state.move_probs[0], state.move_probs[1]
     ml = log(m) + log(len(cands))
     log_q = log(p_death) - log(p_birth) + log(k) + ml - log(d_after)
     return Proposal(
         kind="birth",
-        candidate=DecisionTree(cand_nodes, state.root),
+        nodes=cand_nodes,
         log_proposal_ratio=log_q,
         log_prior_ratio=-ml,
         loglik=loglik,
@@ -284,11 +264,7 @@ def _propose_birth(state: ChainState, rng) -> Proposal | None:
 
 
 def _propose_death(state: ChainState, rng) -> Proposal | None:
-    prunable = [
-        nid
-        for nid, nd in state.nodes.items()
-        if not nd.is_leaf and state.nodes[nd.left].is_leaf and state.nodes[nd.right].is_leaf
-    ]
+    prunable = prunable_ids(state.nodes)
     if not prunable:
         return None
     d = len(prunable)
@@ -318,7 +294,7 @@ def _propose_death(state: ChainState, rng) -> Proposal | None:
     log_q = log(p_birth) - log(p_death) + log(d) - log(k_after) - ml
     return Proposal(
         kind="death",
-        candidate=DecisionTree(cand_nodes, state.root),
+        nodes=cand_nodes,
         log_proposal_ratio=log_q,
         log_prior_ratio=ml,
         loglik=loglik,
@@ -347,7 +323,7 @@ def _propose_change(state: ChainState, rng, redraw_variable: bool) -> Proposal |
 
     cand_nodes = dict(state.nodes)
     cand_nodes[pick] = replace(state.nodes[pick], split=rule)
-    new_parts = _partition(cand_nodes, pick, state.data.X, sub_rows)
+    new_parts = partition_rows(cand_nodes, pick, state.data.X, sub_rows)
 
     alpha = state.prior.dirichlet_alpha
     loglik = state.current_loglik
@@ -369,7 +345,7 @@ def _propose_change(state: ChainState, rng, redraw_variable: bool) -> Proposal |
         log_q = 0.0
     return Proposal(
         kind="change_split" if redraw_variable else "change_rule",
-        candidate=DecisionTree(cand_nodes, state.root),
+        nodes=cand_nodes,
         log_proposal_ratio=log_q,
         log_prior_ratio=-log_q,
         loglik=loglik,
@@ -394,7 +370,7 @@ def mh_step(state: ChainState, rng: np.random.Generator,
         log_alpha = (prop.loglik - state.current_loglik) \
             + prop.log_prior_ratio + prop.log_proposal_ratio
         if log_alpha >= 0 or rng.random() < np.exp(log_alpha):
-            state.nodes = dict(prop.candidate.nodes)
+            state.nodes = prop.nodes
             state.leaf_rows = prop.leaf_rows
             state.current_loglik = prop.loglik
             state.next_id = max(state.nodes) + 1

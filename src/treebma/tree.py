@@ -22,6 +22,8 @@ __all__ = [
     "DecisionTree",
     "TreePrior",
     "route",
+    "partition_rows",
+    "prunable_ids",
     "leaf_rows",
     "annotate",
     "log_marginal_likelihood",
@@ -48,12 +50,15 @@ class SplitRule:
     def __post_init__(self):
         if (self.threshold is None) == (self.level is None):
             raise ValueError("exactly one of threshold/level must be set")
+        if self.variable < 0:
+            raise ValueError(f"negative variable index {self.variable}")
 
     @property
     def is_categorical(self) -> bool:
         return self.level is not None
 
-    def goes_left(self, value: float) -> bool:
+    def goes_left(self, value):
+        """The rule's test, elementwise: a scalar gives a bool, a column a boolean mask."""
         if self.level is not None:
             return value == self.level
         return value <= self.threshold
@@ -112,11 +117,7 @@ class DecisionTree:
 
     def prunable_ids(self) -> list[int]:
         """Split nodes whose both children are leaves (candidates for a death move)."""
-        return [
-            nid
-            for nid, nd in self.nodes.items()
-            if not nd.is_leaf and self.nodes[nd.left].is_leaf and self.nodes[nd.right].is_leaf
-        ]
+        return prunable_ids(self.nodes)
 
     @property
     def k_leaves(self) -> int:
@@ -159,25 +160,39 @@ def route(tree: DecisionTree, x) -> int:
     return nid
 
 
-def leaf_rows(tree: DecisionTree, X: np.ndarray, subtree_root: int | None = None,
-              rows: np.ndarray | None = None) -> dict[int, np.ndarray]:
-    """Partition row indices by leaf. Optionally restricted to a subtree."""
-    start = tree.root if subtree_root is None else subtree_root
-    idx0 = np.arange(X.shape[0]) if rows is None else rows
+def prunable_ids(nodes: dict[int, TreeNode]) -> list[int]:
+    """Split nodes of a node dict whose both children are leaves, in dict order."""
+    return [
+        nid
+        for nid, nd in nodes.items()
+        if not nd.is_leaf and nodes[nd.left].is_leaf and nodes[nd.right].is_leaf
+    ]
+
+
+def partition_rows(nodes: dict[int, TreeNode], start: int, X: np.ndarray,
+                   rows: np.ndarray) -> dict[int, np.ndarray]:
+    """Route ``rows`` of X down the subtree at ``start``; returns leaf id -> row indices.
+
+    Leaves come out in depth-first order, right child first. Callers sum
+    per-leaf terms in that order, so it is part of the output's bytes.
+    """
     out: dict[int, np.ndarray] = {}
-    stack = [(start, idx0)]
+    stack = [(start, rows)]
     while stack:
         nid, idx = stack.pop()
-        node = tree.nodes[nid]
+        node = nodes[nid]
         if node.is_leaf:
             out[nid] = idx
         else:
-            col = X[idx, node.split.variable]
-            go_left = col == node.split.level if node.split.is_categorical \
-                else col <= node.split.threshold
+            go_left = node.split.goes_left(X[idx, node.split.variable])
             stack.append((node.left, idx[go_left]))
             stack.append((node.right, idx[~go_left]))
     return out
+
+
+def leaf_rows(tree: DecisionTree, X: np.ndarray) -> dict[int, np.ndarray]:
+    """Partition the row indices of X by the leaf they reach."""
+    return partition_rows(tree.nodes, tree.root, X, np.arange(X.shape[0]))
 
 
 def annotate(tree: DecisionTree, data: Dataset) -> DecisionTree:
@@ -276,7 +291,14 @@ def deserialize(line: str) -> tuple[DecisionTree, float | None]:
             nid = rec["id"]
             if "leaf" in rec:
                 counts = rec["leaf"]
-                nodes[nid] = TreeNode(nid, counts=tuple(counts) if counts is not None else None)
+                if counts is not None:
+                    if not (type(counts) is list and len(counts) == 2
+                            and type(counts[0]) is int and type(counts[1]) is int
+                            and min(counts) >= 0):
+                        raise TreeFormatError(f"leaf {nid} counts {counts!r} are not "
+                                              "two non-negative integers")
+                    counts = tuple(counts)
+                nodes[nid] = TreeNode(nid, counts=counts)
             elif "split" in rec:
                 rule = rec["split"]
                 if "thr" in rule:

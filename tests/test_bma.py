@@ -154,6 +154,13 @@ class TestEnsembleIO:
         with pytest.raises(ValueError, match=r"e\.jsonl:2"):
             load_ensemble(p)
 
+    def test_leaf_without_counts_rejected(self, tmp_path):
+        p = tmp_path / "e.jsonl"
+        good = '{"nodes":[{"id":0,"leaf":[1,1]}],"root":0,"loglik":-1.0}\n'
+        p.write_text(good + '{"nodes":[{"id":0,"leaf":null}],"root":0,"loglik":-1.0}\n')
+        with pytest.raises(ValueError, match=r"e\.jsonl:2: leaf without class counts"):
+            load_ensemble(p)
+
     def test_blank_lines_ignored(self, tmp_path):
         p = tmp_path / "e.jsonl"
         p.write_text('{"nodes":[{"id":0,"leaf":[1,1]}],"root":0,"loglik":-1.0}\n\n')

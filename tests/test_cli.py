@@ -12,6 +12,14 @@ from treebma.cli import main
 FAST = ["--burn-in", "400", "--collect", "40", "--thin", "1", "--min-leaf", "8"]
 
 
+def stump_line(right_leaf=(60, 30), split=None) -> str:
+    """One ensemble line: a stump (default split: variable 2 == 1) with the given right leaf."""
+    split = split or {"var": 2, "level": 1}
+    return json.dumps({"nodes": [{"id": 0, "split": split, "left": 1, "right": 2},
+                                 {"id": 1, "leaf": [10, 20]}, {"id": 2, "leaf": right_leaf}],
+                       "root": 0, "loglik": -70.0}) + "\n"
+
+
 @pytest.fixture(scope="module")
 def synth_dir(tmp_path_factory) -> Path:
     out = tmp_path_factory.mktemp("synth")
@@ -122,4 +130,19 @@ class TestExitCodes:
     def test_bad_irrelevant_index(self, tmp_path):
         rc = main(["synth", "--rows", "50", "--irrelevant", "99",
                    "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+
+    @pytest.mark.parametrize("leaf", [None, [3], [-2, 5], [1, 2, 3], ["a", "b"]])
+    def test_malformed_ensemble_leaf(self, synth_dir, tmp_path, leaf):
+        ens = tmp_path / "bad.jsonl"
+        ens.write_text(stump_line() + stump_line(right_leaf=leaf))
+        rc = main(["filter", "--ensemble", str(ens), "--variable", "8",
+                   "--data", str(synth_dir / "data.csv"), "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+
+    @pytest.mark.parametrize("variable", [40, -1])
+    def test_importance_split_outside_schema(self, tmp_path, variable):
+        ens = tmp_path / "wide.jsonl"
+        ens.write_text(stump_line(split={"var": variable, "thr": 1.5}))
+        rc = main(["importance", "--ensemble", str(ens), "--out-dir", str(tmp_path / "o")])
         assert rc == 1

@@ -80,14 +80,14 @@ class TestProposals:
         while birth is None or not birth.min_leaf_ok:
             birth = propose(state, "birth", rng)
         before_nodes = set(state.nodes)
-        state.nodes = dict(birth.candidate.nodes)
+        state.nodes = dict(birth.nodes)
         state.leaf_rows = birth.leaf_rows
         state.current_loglik = birth.loglik
         state.next_id = max(state.nodes) + 1
         # draw deaths until the one pruning the just-born split comes up
         for attempt in range(500):
             death = propose(state, "death", np.random.default_rng(attempt))
-            if death is not None and set(death.candidate.nodes) == before_nodes:
+            if death is not None and set(death.nodes) == before_nodes:
                 assert death.log_prior_ratio == pytest.approx(-birth.log_prior_ratio)
                 assert death.log_proposal_ratio == pytest.approx(-birth.log_proposal_ratio)
                 break

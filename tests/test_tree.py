@@ -239,6 +239,11 @@ class TestSerialization:
         with pytest.raises(TreeFormatError, match="malformed tree record"):
             deserialize('{"nodes": [{"id": 0, "leaf": [1, 1]}]}')
 
+    @pytest.mark.parametrize("leaf", ["[3]", "[-2, 5]", "[1, 2, 3]", '["a", "b"]'])
+    def test_leaf_counts_must_be_two_nonnegative_integers(self, leaf):
+        with pytest.raises(TreeFormatError, match="two non-negative integers"):
+            deserialize('{"nodes": [{"id": 0, "leaf": %s}], "root": 0}' % leaf)
+
     def test_node_neither_split_nor_leaf(self):
         with pytest.raises(TreeFormatError, match="neither split nor leaf"):
             deserialize('{"nodes": [{"id": 0}], "root": 0}')
