@@ -20,8 +20,6 @@ from .tree import (
     DecisionTree,
     SplitRule,
     TreeNode,
-    TreePrior,
-    annotate,
     candidate_rules,
     deserialize,
     leaf_predictive,

@@ -13,8 +13,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset
-from .tree import DecisionTree, TreePrior, deserialize, leaf_rows, leaf_predictive, serialize
+from .dataset import Dataset, Schema
+from .tree import (
+    DecisionTree,
+    TreeFormatError,
+    check_schema,
+    deserialize,
+    leaf_predictive,
+    leaf_rows,
+    serialize,
+)
 
 __all__ = [
     "Ensemble",
@@ -46,13 +54,13 @@ class Ensemble:
     def __len__(self) -> int:
         return len(self.trees)
 
-    def prior(self) -> TreePrior:
-        cfg = self.meta.get("config", {})
-        return TreePrior(
-            s_max=self.meta.get("s_max", 1),
-            min_leaf=cfg.get("min_leaf", 3),
-            dirichlet_alpha=cfg.get("dirichlet_alpha", 1.0),
-        )
+    @property
+    def dirichlet_alpha(self) -> float:
+        """The leaf prior's alpha from the chain metadata; 1.0 when there is none."""
+        alpha = self.meta.get("config", {}).get("dirichlet_alpha", 1.0)
+        if not alpha > 0:
+            raise ValueError(f"dirichlet_alpha {alpha!r} in the metadata is not positive")
+        return alpha
 
 
 @dataclass(frozen=True)
@@ -87,14 +95,14 @@ def predict_batch(ensemble: Ensemble, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be 2-d")
-    prior = ensemble.prior()
+    alpha = ensemble.dirichlet_alpha
     arity = max((v for t in ensemble.trees for v in t.variables_used()), default=-1)
     if arity >= X.shape[1]:
         raise ValueError(f"feature arity {X.shape[1]} too small for ensemble splits")
     acc = np.zeros((X.shape[0], 2))
     for tree in ensemble.trees:
         for nid, idx in leaf_rows(tree, X).items():
-            acc[idx] += leaf_predictive(tree.nodes[nid].counts, prior)
+            acc[idx] += leaf_predictive(tree.nodes[nid].counts, alpha)
     return acc / len(ensemble)
 
 
@@ -170,8 +178,12 @@ def save_ensemble(ensemble: Ensemble, path, meta_path=None) -> None:
         )
 
 
-def load_ensemble(path, meta_path=None) -> Ensemble:
-    """Read an ensemble file (and optionally its metadata sidecar)."""
+def load_ensemble(path, meta_path=None, schema: Schema | None = None) -> Ensemble:
+    """Read an ensemble file (and optionally its metadata sidecar).
+
+    With a ``schema``, every split must fit it (:func:`treebma.tree.check_schema`).
+    A malformed record raises TreeFormatError naming ``path:line``.
+    """
     trees, logliks = [], []
     with Path(path).open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -179,12 +191,14 @@ def load_ensemble(path, meta_path=None) -> Ensemble:
                 continue
             try:
                 tree, ll = deserialize(line)
+                if schema is not None:
+                    check_schema(tree, schema)
             except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from e
+                raise TreeFormatError(f"{path}:{lineno}: {e}") from e
             if ll is None:
-                raise ValueError(f"{path}:{lineno}: tree record missing loglik")
+                raise TreeFormatError(f"{path}:{lineno}: tree record missing loglik")
             if any(nd.counts is None and nd.is_leaf for nd in tree.nodes.values()):
-                raise ValueError(f"{path}:{lineno}: leaf without class counts")
+                raise TreeFormatError(f"{path}:{lineno}: leaf without class counts")
             trees.append(tree)
             logliks.append(ll)
     meta = {}

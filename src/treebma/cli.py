@@ -178,7 +178,7 @@ def cmd_eval(args) -> int:
 def cmd_importance(args) -> int:
     out, inputs = _prepare(args, args.ensemble)
     schema = Schema.from_file(args.schema) if args.schema else trauma_schema()
-    ensemble = load_ensemble(args.ensemble)
+    ensemble = load_ensemble(args.ensemble, schema=schema)
     imp = variable_importance(ensemble, m=schema.m, per_tree=args.per_tree)
     csv_path, txt_path = out / "importance.csv", out / "importance.txt"
     csv_path.write_text(importance_csv(schema.names, imp), encoding="utf-8")
@@ -190,8 +190,8 @@ def cmd_importance(args) -> int:
 
 def cmd_filter(args) -> int:
     out, inputs = _prepare(args, args.ensemble, args.data)
-    data, _ = _load(args)
-    ensemble = load_ensemble(args.ensemble)
+    data, schema = _load(args)
+    ensemble = load_ensemble(args.ensemble, schema=schema)
     result = filter_ensemble(ensemble, args.variable)
     before = evaluate(ensemble, data)
     after = evaluate(result.kept, data)

@@ -7,9 +7,10 @@ its rule uniform over that variable's L_var candidate rules, and every tree
 shape with s splits (left and right children told apart) weighs the same. The
 prior is therefore not uniform over sizes: before ``s_max`` and ``min_leaf``
 cut it, the mass on s splits grows like the Catalan numbers 1, 1, 2, 5, 14, ...
-(times (m'/m)**s when only m' variables admit a rule). Four moves are proposed:
-birth, death, change_split, change_rule. Birth/death are mutually reverse
-dimension changes; the change moves rework one split in place.
+(times (m'/m)**s when only m' variables admit a rule). Each step proposes one
+of four equiprobable moves: birth, death, change_split, change_rule.
+Birth/death are mutually reverse dimension changes; the change moves rework
+one split in place. The chain starts with a birth from the single-leaf tree.
 
 Proposals that are inapplicable (death on a single leaf, birth past s_max,
 empty candidate list) or that produce a leaf below ``min_leaf`` count as
@@ -29,7 +30,6 @@ from .tree import (
     DecisionTree,
     SplitRule,
     TreeNode,
-    TreePrior,
     candidate_rules,
     leaf_log_marginal,
     log_marginal_likelihood,
@@ -63,18 +63,18 @@ class ChainConfig:
     min_leaf: int = 3
     s_max: int | None = None  # None: floor(n / min_leaf) - 1, resolved at init
     seed: int = 0
-    move_probs: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
     dirichlet_alpha: float = 1.0
     debug: bool = False
 
     def __post_init__(self):
-        p = np.asarray(self.move_probs, dtype=np.float64)
-        if p.shape != (4,) or (p < 0).any() or abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError("move_probs must be 4 nonnegative values summing to 1")
         if self.thin < 1 or self.collect_count < 1 or self.burn_in_steps < 0:
             raise ValueError("invalid chain schedule")
         if self.min_leaf < 1:
             raise ValueError("min_leaf must be at least 1")
+        if self.s_max is not None and self.s_max < 1:
+            raise ValueError("s_max must be at least 1")
+        if not self.dirichlet_alpha > 0:
+            raise ValueError("dirichlet_alpha must be positive")
 
 
 def default_s_max(n: int, min_leaf: int) -> int:
@@ -86,13 +86,13 @@ def default_s_max(n: int, min_leaf: int) -> int:
 class ChainState:
     """Mutable chain position plus cached per-leaf row partition.
 
+    ``config`` is the run's configuration with ``s_max`` resolved.
     ``current_loglik`` always equals log_marginal_likelihood of the current
     tree; moves update it incrementally from the affected leaves only.
     """
 
     data: Dataset
-    prior: TreePrior
-    move_probs: tuple[float, float, float, float]
+    config: ChainConfig
     candidates: list[list[SplitRule]]
     nodes: dict[int, TreeNode]
     root: int
@@ -151,55 +151,34 @@ def _leaves_under(nodes: dict[int, TreeNode], start: int) -> list[int]:
 
 def init_chain(data: Dataset, config: ChainConfig,
                rng: np.random.Generator | None = None) -> ChainState:
-    """Start the chain from a one-split tree with randomly drawn parameters.
+    """Start the chain with a birth from the single-leaf tree.
 
-    Draws (variable, rule) uniformly from the priors, retrying up to a bound
-    until the split satisfies ``min_leaf``; falls back to a single-leaf tree
-    if no valid draw is found.
+    Retries the birth move up to a bound until its split satisfies
+    ``min_leaf``; stays at the single leaf if no valid draw is found.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    alpha = config.dirichlet_alpha
-    s_max = config.s_max if config.s_max is not None else default_s_max(data.n, config.min_leaf)
-    prior = TreePrior(s_max=s_max, min_leaf=config.min_leaf, dirichlet_alpha=alpha)
+    if config.s_max is None:
+        config = replace(config, s_max=default_s_max(data.n, config.min_leaf))
     candidates = [candidate_rules(data, j) for j in range(data.m)]
     if not any(candidates):
         raise ValueError("no variable admits any split rule")
 
     all_rows = np.arange(data.n)
     root_counts = _leaf_counts(data.y, all_rows)
-
-    for _ in range(100):
-        var = int(rng.integers(data.m))
-        cands = candidates[var]
-        if not cands:
-            continue
-        rule = cands[int(rng.integers(len(cands)))]
-        go_left = rule.goes_left(data.X[:, var])
-        left_rows, right_rows = all_rows[go_left], all_rows[~go_left]
-        if min(left_rows.size, right_rows.size) < config.min_leaf:
-            continue
-        lc = _leaf_counts(data.y, left_rows)
-        rc = _leaf_counts(data.y, right_rows)
-        nodes = {
-            0: TreeNode(0, split=rule, left=1, right=2),
-            1: TreeNode(1, counts=lc),
-            2: TreeNode(2, counts=rc),
-        }
-        loglik = _contrib(lc, alpha) + _contrib(rc, alpha)
-        return ChainState(
-            data=data, prior=prior, move_probs=config.move_probs, candidates=candidates,
-            nodes=nodes, root=0, leaf_rows={1: left_rows, 2: right_rows},
-            current_loglik=loglik, next_id=3,
-        )
-
-    # no valid initial split: a single leaf is always legal
-    nodes = {0: TreeNode(0, counts=root_counts)}
-    return ChainState(
-        data=data, prior=prior, move_probs=config.move_probs, candidates=candidates,
-        nodes=nodes, root=0, leaf_rows={0: all_rows},
-        current_loglik=_contrib(root_counts, alpha), next_id=1,
+    state = ChainState(
+        data=data, config=config, candidates=candidates,
+        nodes={0: TreeNode(0, counts=root_counts)}, root=0, leaf_rows={0: all_rows},
+        current_loglik=_contrib(root_counts, config.dirichlet_alpha), next_id=1,
     )
+    for _ in range(100):
+        birth = _propose_birth(state, rng)
+        if birth is not None and birth.min_leaf_ok:
+            # birth.loglik is (root - root) + left + right, which is left + right exactly
+            state.nodes, state.leaf_rows = birth.nodes, birth.leaf_rows
+            state.current_loglik, state.next_id = birth.loglik, max(birth.nodes) + 1
+            break
+    return state
 
 
 def propose(state: ChainState, kind: str, rng: np.random.Generator) -> Proposal | None:
@@ -214,7 +193,7 @@ def propose(state: ChainState, kind: str, rng: np.random.Generator) -> Proposal 
 
 
 def _propose_birth(state: ChainState, rng) -> Proposal | None:
-    if state.n_splits() >= state.prior.s_max:
+    if state.n_splits() >= state.config.s_max:
         return None
     m = state.data.m
     leaves = [nid for nid, nd in state.nodes.items() if nd.is_leaf]
@@ -229,7 +208,7 @@ def _propose_birth(state: ChainState, rng) -> Proposal | None:
     rows = state.leaf_rows[pick]
     go_left = rule.goes_left(state.data.X[rows, var])
     left_rows, right_rows = rows[go_left], rows[~go_left]
-    alpha = state.prior.dirichlet_alpha
+    alpha = state.config.dirichlet_alpha
     lc = _leaf_counts(state.data.y, left_rows)
     rc = _leaf_counts(state.data.y, right_rows)
 
@@ -249,9 +228,8 @@ def _propose_birth(state: ChainState, rng) -> Proposal | None:
     cand_rows[r_id] = right_rows
 
     d_after = len(prunable_ids(cand_nodes))
-    p_birth, p_death = state.move_probs[0], state.move_probs[1]
     ml = log(m) + log(len(cands))
-    log_q = log(p_death) - log(p_birth) + log(k) + ml - log(d_after)
+    log_q = log(k) + ml - log(d_after)
     return Proposal(
         kind="birth",
         nodes=cand_nodes,
@@ -259,7 +237,7 @@ def _propose_birth(state: ChainState, rng) -> Proposal | None:
         log_prior_ratio=-ml,
         loglik=loglik,
         leaf_rows=cand_rows,
-        min_leaf_ok=min(left_rows.size, right_rows.size) >= state.prior.min_leaf,
+        min_leaf_ok=min(left_rows.size, right_rows.size) >= state.config.min_leaf,
     )
 
 
@@ -270,7 +248,7 @@ def _propose_death(state: ChainState, rng) -> Proposal | None:
     d = len(prunable)
     pick = prunable[int(rng.integers(d))]
     node = state.nodes[pick]
-    alpha = state.prior.dirichlet_alpha
+    alpha = state.config.dirichlet_alpha
     lc = state.nodes[node.left].counts
     rc = state.nodes[node.right].counts
     merged = (lc[0] + rc[0], lc[1] + rc[1])
@@ -289,9 +267,8 @@ def _propose_death(state: ChainState, rng) -> Proposal | None:
     k_after = sum(1 for nd in cand_nodes.values() if nd.is_leaf)
     m = state.data.m
     L = len(state.candidates[node.split.variable])
-    p_birth, p_death = state.move_probs[0], state.move_probs[1]
     ml = log(m) + log(L)
-    log_q = log(p_birth) - log(p_death) + log(d) - log(k_after) - ml
+    log_q = log(d) - log(k_after) - ml
     return Proposal(
         kind="death",
         nodes=cand_nodes,
@@ -325,7 +302,7 @@ def _propose_change(state: ChainState, rng, redraw_variable: bool) -> Proposal |
     cand_nodes[pick] = replace(state.nodes[pick], split=rule)
     new_parts = partition_rows(cand_nodes, pick, state.data.X, sub_rows)
 
-    alpha = state.prior.dirichlet_alpha
+    alpha = state.config.dirichlet_alpha
     loglik = state.current_loglik
     min_size = None
     cand_rows = dict(state.leaf_rows)
@@ -350,7 +327,7 @@ def _propose_change(state: ChainState, rng, redraw_variable: bool) -> Proposal |
         log_prior_ratio=-log_q,
         loglik=loglik,
         leaf_rows=cand_rows,
-        min_leaf_ok=min_size >= state.prior.min_leaf,
+        min_leaf_ok=min_size >= state.config.min_leaf,
     )
 
 
@@ -362,7 +339,7 @@ def mh_step(state: ChainState, rng: np.random.Generator,
     log_proposal_ratio)); inapplicable or min_leaf-violating proposals are
     rejections.
     """
-    kind = MOVES[int(rng.choice(4, p=np.asarray(state.move_probs)))]
+    kind = MOVES[int(4 * rng.random())]
     state.propose_counts[kind] += 1
     prop = propose(state, kind, rng)
     state.step += 1
@@ -376,7 +353,7 @@ def mh_step(state: ChainState, rng: np.random.Generator,
             state.next_id = max(state.nodes) + 1
             state.accept_counts[kind] += 1
     if debug and state.step % 1000 == 0:
-        recomputed = log_marginal_likelihood(state.current, state.prior)
+        recomputed = log_marginal_likelihood(state.current, state.config.dirichlet_alpha)
         if abs(recomputed - state.current_loglik) > 1e-8 * max(1.0, abs(recomputed)):
             raise AssertionError(
                 f"cached loglik {state.current_loglik} drifted from {recomputed}"
@@ -406,7 +383,7 @@ def run_chain(data: Dataset, config: ChainConfig) -> Ensemble:
         "seed": config.seed,
         "n": data.n,
         "m": data.m,
-        "s_max": state.prior.s_max,
+        "s_max": state.config.s_max,
         "provenance": data.provenance,
         "acceptance": {
             "overall": accepted / proposed if proposed else 0.0,

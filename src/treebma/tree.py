@@ -8,28 +8,27 @@ the leaf predictive probabilities are computed from.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from math import lgamma, log
+from dataclasses import dataclass
+from math import isfinite, lgamma
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, Schema
 
 __all__ = [
     "TreeFormatError",
     "SplitRule",
     "TreeNode",
     "DecisionTree",
-    "TreePrior",
     "route",
     "partition_rows",
     "prunable_ids",
     "leaf_rows",
-    "annotate",
     "log_marginal_likelihood",
     "leaf_log_marginal",
     "leaf_predictive",
     "candidate_rules",
+    "check_schema",
     "serialize",
     "deserialize",
 ]
@@ -115,10 +114,6 @@ class DecisionTree:
     def split_ids(self) -> list[int]:
         return [nid for nid, nd in self.nodes.items() if not nd.is_leaf]
 
-    def prunable_ids(self) -> list[int]:
-        """Split nodes whose both children are leaves (candidates for a death move)."""
-        return prunable_ids(self.nodes)
-
     @property
     def k_leaves(self) -> int:
         return sum(1 for nd in self.nodes.values() if nd.is_leaf)
@@ -129,19 +124,6 @@ class DecisionTree:
 
     def variables_used(self) -> list[int]:
         return [self.nodes[s].split.variable for s in self.split_ids()]
-
-
-@dataclass(frozen=True)
-class TreePrior:
-    """Structural and leaf-probability prior hyperparameters."""
-
-    s_max: int
-    min_leaf: int = 3
-    dirichlet_alpha: float = 1.0
-
-    def __post_init__(self):
-        if self.s_max < 1 or self.min_leaf < 1 or self.dirichlet_alpha <= 0:
-            raise ValueError("invalid prior hyperparameters")
 
 
 def route(tree: DecisionTree, x) -> int:
@@ -195,19 +177,6 @@ def leaf_rows(tree: DecisionTree, X: np.ndarray) -> dict[int, np.ndarray]:
     return partition_rows(tree.nodes, tree.root, X, np.arange(X.shape[0]))
 
 
-def annotate(tree: DecisionTree, data: Dataset) -> DecisionTree:
-    """Return a copy whose every leaf carries its (n0, n1) training class counts."""
-    split_vars = tree.variables_used()
-    if split_vars and max(split_vars) >= data.m:
-        raise ValueError("tree splits on a variable beyond the dataset arity")
-    parts = leaf_rows(tree, data.X)
-    nodes = dict(tree.nodes)
-    for nid, idx in parts.items():
-        n1 = int(data.y[idx].sum())
-        nodes[nid] = replace(nodes[nid], counts=(idx.size - n1, n1))
-    return DecisionTree(nodes, tree.root)
-
-
 def leaf_log_marginal(n0: int, n1: int, alpha: float) -> float:
     """log[ B(n0+a, n1+a) / B(a, a) ], the one-leaf Dirichlet-multinomial marginal."""
     return (
@@ -216,25 +185,24 @@ def leaf_log_marginal(n0: int, n1: int, alpha: float) -> float:
     )
 
 
-def log_marginal_likelihood(tree: DecisionTree, prior: TreePrior) -> float:
-    """Sum of per-leaf Dirichlet-multinomial log marginals over an annotated tree."""
+def log_marginal_likelihood(tree: DecisionTree, alpha: float) -> float:
+    """Sum of per-leaf Dirichlet-multinomial log marginals over a tree with leaf counts."""
     total = 0.0
     for nid in tree.leaf_ids():
         counts = tree.nodes[nid].counts
         if counts is None:
             raise ValueError(f"leaf {nid} is not annotated")
-        total += leaf_log_marginal(counts[0], counts[1], prior.dirichlet_alpha)
+        total += leaf_log_marginal(counts[0], counts[1], alpha)
     return total
 
 
-def leaf_predictive(counts: tuple[int, int], prior: TreePrior) -> tuple[float, float]:
-    """Posterior-mean class probabilities ((n0+a)/(n+2a), (n1+a)/(n+2a))."""
+def leaf_predictive(counts: tuple[int, int], alpha: float) -> tuple[float, float]:
+    """Posterior-mean class probabilities ((n0+a)/(n+2a), (n1+a)/(n+2a)), a = alpha."""
     n0, n1 = counts
     if n0 < 0 or n1 < 0:
         raise ValueError("leaf counts must be nonnegative")
-    a = prior.dirichlet_alpha
-    denom = n0 + n1 + 2 * a
-    return ((n0 + a) / denom, (n1 + a) / denom)
+    denom = n0 + n1 + 2 * alpha
+    return ((n0 + alpha) / denom, (n1 + alpha) / denom)
 
 
 def candidate_rules(data: Dataset, variable: int) -> list[SplitRule]:
@@ -254,6 +222,25 @@ def candidate_rules(data: Dataset, variable: int) -> list[SplitRule]:
     if var.is_categorical:
         return [SplitRule(variable, level=int(v)) for v in values]
     return [SplitRule(variable, threshold=float(v)) for v in values[:-1]]
+
+
+def check_schema(tree: DecisionTree, schema: Schema) -> None:
+    """Raise TreeFormatError unless every split of the tree fits the schema.
+
+    A split must name one of the schema's variables; a level split must name a
+    categorical variable and one of its declared levels.
+    """
+    for nd in tree.nodes.values():
+        sp = nd.split
+        if sp is None:
+            continue
+        if sp.variable >= schema.m:
+            raise TreeFormatError(f"split on variable {sp.variable}, but the schema "
+                                  f"has {schema.m} variables")
+        var = schema.variables[sp.variable]
+        if sp.level is not None and sp.level not in (var.levels or ()):
+            raise TreeFormatError(f"split on level {sp.level} of variable {sp.variable} "
+                                  f"({var.name!r}), which the schema does not declare")
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +288,14 @@ def deserialize(line: str) -> tuple[DecisionTree, float | None]:
                 nodes[nid] = TreeNode(nid, counts=counts)
             elif "split" in rec:
                 rule = rec["split"]
-                if "thr" in rule:
-                    sp = SplitRule(rule["var"], threshold=float(rule["thr"]))
-                else:
-                    sp = SplitRule(rule["var"], level=int(rule["level"]))
+                var, thr, level = rule["var"], rule.get("thr"), rule.get("level")
+                if not (type(var) is int and (
+                        type(level) is int if thr is None
+                        else type(thr) in (int, float) and isfinite(thr))):
+                    raise TreeFormatError(f"split {nid} rule {rule!r} needs an integer var "
+                                          "and a finite thr or an integer level")
+                sp = SplitRule(var, level=level) if thr is None \
+                    else SplitRule(var, threshold=float(thr))
                 nodes[nid] = TreeNode(nid, split=sp, left=rec["left"], right=rec["right"])
             else:
                 raise TreeFormatError(f"node record {i} is neither split nor leaf")

@@ -31,7 +31,6 @@ from treebma.tree import (
     candidate_rules,
     leaf_log_marginal,
     leaf_predictive,
-    TreePrior,
 )
 
 
@@ -264,7 +263,7 @@ def test_criterion_7_metric_units(small_ensemble):
         abs(leaf_log_marginal(0, 0, 1.0) - 0.0),
     ]
     pred_err = max(abs(a - b) for a, b in
-                   zip(leaf_predictive((3, 1), TreePrior(s_max=1)), (4 / 6, 2 / 6)))
+                   zip(leaf_predictive((3, 1), 1.0), (4 / 6, 2 / 6)))
 
     ok = (max_norm_err < 1e-12 and det_entropy == 0.0
           and abs(uniform_entropy - 63.0) < 1e-9

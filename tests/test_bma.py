@@ -18,6 +18,7 @@ from treebma import (
     save_ensemble,
 )
 from treebma.dataset import Dataset, Schema, VariableSpec
+from treebma.tree import TreeFormatError
 
 
 def leaf_tree(counts) -> DecisionTree:
@@ -47,8 +48,12 @@ class TestEnsemble:
     def test_prior_read_from_meta(self):
         ens = Ensemble(trees=[leaf_tree((1, 1))], logliks=[-1.0],
                        meta={"s_max": 9, "config": {"min_leaf": 4, "dirichlet_alpha": 2.0}})
-        prior = ens.prior()
-        assert (prior.s_max, prior.min_leaf, prior.dirichlet_alpha) == (9, 4, 2.0)
+        assert ens.dirichlet_alpha == 2.0
+        assert Ensemble(trees=[leaf_tree((1, 1))], logliks=[-1.0]).dirichlet_alpha == 1.0
+        bad = Ensemble(trees=[leaf_tree((1, 1))], logliks=[-1.0],
+                       meta={"config": {"dirichlet_alpha": 0.0}})
+        with pytest.raises(ValueError, match="not positive"):
+            bad.dirichlet_alpha
 
 
 class TestPrediction:
@@ -160,6 +165,16 @@ class TestEnsembleIO:
         p.write_text(good + '{"nodes":[{"id":0,"leaf":null}],"root":0,"loglik":-1.0}\n')
         with pytest.raises(ValueError, match=r"e\.jsonl:2: leaf without class counts"):
             load_ensemble(p)
+
+    def test_split_outside_schema_reports_lineno(self, tmp_path, tiny_schema):
+        p = tmp_path / "e.jsonl"
+        good = '{"nodes":[{"id":0,"leaf":[1,1]}],"root":0,"loglik":-1.0}\n'
+        stump = ('{"nodes":[{"id":0,"split":{"var":1,"level":7},"left":1,"right":2},'
+                 '{"id":1,"leaf":[1,0]},{"id":2,"leaf":[0,1]}],"root":0,"loglik":-1.0}\n')
+        p.write_text(good + stump)
+        assert len(load_ensemble(p)) == 2
+        with pytest.raises(TreeFormatError, match=r"e\.jsonl:2: split on level 7"):
+            load_ensemble(p, schema=tiny_schema)
 
     def test_blank_lines_ignored(self, tmp_path):
         p = tmp_path / "e.jsonl"

@@ -146,3 +146,23 @@ class TestExitCodes:
         ens.write_text(stump_line(split={"var": variable, "thr": 1.5}))
         rc = main(["importance", "--ensemble", str(ens), "--out-dir", str(tmp_path / "o")])
         assert rc == 1
+
+    @pytest.mark.parametrize("split", [{"var": 1.0, "thr": 0.5}, {"var": True, "level": 1}],
+                             ids=["float-var", "bool-var"])
+    def test_malformed_split_rule(self, synth_dir, tmp_path, split):
+        ens = tmp_path / "bad.jsonl"
+        ens.write_text(stump_line(split=split))
+        rc = main(["filter", "--ensemble", str(ens), "--variable", "8",
+                   "--data", str(synth_dir / "data.csv"), "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+
+    @pytest.mark.parametrize("command", ["filter", "importance"])
+    @pytest.mark.parametrize("split", [{"var": 1, "level": 7}, {"var": 0, "level": 1}],
+                             ids=["undeclared-level", "level-on-continuous"])
+    def test_split_level_outside_schema(self, synth_dir, tmp_path, command, split):
+        ens = tmp_path / "levels.jsonl"
+        ens.write_text(stump_line(split=split))
+        args = ["--variable", "8", "--data", str(synth_dir / "data.csv")] \
+            if command == "filter" else []
+        rc = main([command, "--ensemble", str(ens), *args, "--out-dir", str(tmp_path / "o")])
+        assert rc == 1

@@ -1,4 +1,7 @@
 """Chain mechanics: configuration, proposals, MH stepping, collection, diagnostics."""
+from collections import Counter
+from math import exp, log
+
 import numpy as np
 import pytest
 
@@ -10,18 +13,16 @@ from treebma import (
     propose,
     run_chain,
 )
+from treebma.dataset import Dataset, Schema, VariableSpec
 from treebma.sampler import MOVES, default_s_max
-from treebma.tree import log_marginal_likelihood, serialize
+from treebma.tree import candidate_rules, leaf_log_marginal, log_marginal_likelihood, serialize
 
 
 class TestChainConfig:
-    def test_move_probs_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="move_probs"):
-            ChainConfig(move_probs=(0.5, 0.5, 0.5, 0.5))
-
-    def test_move_probs_nonnegative(self):
-        with pytest.raises(ValueError, match="move_probs"):
-            ChainConfig(move_probs=(1.5, -0.5, 0.0, 0.0))
+    def test_invalid_hyperparameters(self):
+        for kwargs in ({"s_max": 0}, {"min_leaf": 0}, {"dirichlet_alpha": 0.0}):
+            with pytest.raises(ValueError):
+                ChainConfig(**kwargs)
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
@@ -40,9 +41,11 @@ class TestInitChain:
     def test_starts_from_one_split(self, small_data):
         state = init_chain(small_data, ChainConfig(seed=0))
         assert state.n_splits() == 1
-        assert state.current_loglik == pytest.approx(
-            log_marginal_likelihood(state.current, state.prior)
-        )
+        # exact: the stored logliks of every chain start from this sum
+        assert state.current_loglik == \
+            log_marginal_likelihood(state.current, state.config.dirichlet_alpha)
+        assert state.config.s_max == default_s_max(small_data.n, state.config.min_leaf)
+        assert sum(state.propose_counts.values()) == 0  # the initial birth is not a step
 
     def test_deterministic(self, small_data):
         a = init_chain(small_data, ChainConfig(seed=5))
@@ -103,7 +106,7 @@ class TestMhStep:
         for _ in range(3000):
             mh_step(state, rng, debug=True)  # raises if the cached loglik drifts
         assert state.current_loglik == pytest.approx(
-            log_marginal_likelihood(state.current, state.prior)
+            log_marginal_likelihood(state.current, state.config.dirichlet_alpha)
         )
 
     def test_counters_accumulate(self, small_data):
@@ -148,11 +151,74 @@ class TestRunChain:
         assert meta["duration_s"] > 0
 
     def test_logliks_match_recomputation(self, small_data, small_ensemble):
-        from treebma import annotate
-
-        prior = small_ensemble.prior()
+        alpha = small_ensemble.dirichlet_alpha
         for t, ll in list(zip(small_ensemble.trees, small_ensemble.logliks))[:20]:
-            assert ll == pytest.approx(log_marginal_likelihood(t, prior))
+            assert ll == pytest.approx(log_marginal_likelihood(t, alpha))
+
+
+def _shape(nodes, nid):
+    """A tree as nested (rule, left, right) tuples, None for a leaf: equal for equal trees."""
+    node = nodes[nid]
+    if node.is_leaf:
+        return None
+    return (node.split, _shape(nodes, node.left), _shape(nodes, node.right))
+
+
+def test_two_split_posterior_oracle():
+    """Sampled frequencies of every tree with up to 2 splits vs exact enumeration.
+
+    On criterion 1's 12 rows with min_leaf 1 and s_max 2 there are 55 ordered
+    trees; each weighs exp(loglik) times the product over its splits of
+    1/(m * L_var), the prior stated in the sampler's docstring.
+    """
+    schema = Schema(
+        (VariableSpec("v0", "continuous"), VariableSpec("v1", "categorical", (0, 1, 2))),
+        "y",
+    )
+    X = np.array([
+        [1.0, 0], [1.0, 1], [2.0, 0], [2.0, 2], [3.0, 1], [3.0, 0],
+        [4.0, 2], [4.0, 1], [1.0, 2], [2.0, 1], [3.0, 2], [4.0, 0],
+    ])
+    y = np.array([0, 0, 0, 1, 1, 0, 1, 1, 0, 1, 0, 1])
+    data = Dataset(schema, X, y, provenance="two-split-oracle")
+    alpha = 1.0
+    cands = [candidate_rules(data, j) for j in range(data.m)]
+    rules = [(r, -log(data.m * len(c))) for c in cands for r in c]
+
+    def leaf(rows):
+        n1 = int(y[rows].sum())
+        return leaf_log_marginal(rows.size - n1, n1, alpha)
+
+    def split(rule, rows):
+        left = rule.goes_left(X[rows, rule.variable])
+        return rows[left], rows[~left]
+
+    rows = np.arange(data.n)
+    log_w = {None: leaf(rows)}
+    for r1, p1 in rules:
+        left, right = split(r1, rows)
+        if not (left.size and right.size):
+            continue
+        log_w[(r1, None, None)] = p1 + leaf(left) + leaf(right)
+        for r2, p2 in rules:
+            ll, lr = split(r2, left)
+            if ll.size and lr.size:
+                log_w[(r1, (r2, None, None), None)] = p1 + p2 + leaf(ll) + leaf(lr) + leaf(right)
+            rl, rr = split(r2, right)
+            if rl.size and rr.size:
+                log_w[(r1, None, (r2, None, None))] = p1 + p2 + leaf(left) + leaf(rl) + leaf(rr)
+    assert len(log_w) == 55
+    top = max(log_w.values())
+    z = sum(exp(v - top) for v in log_w.values())
+    exact = {k: exp(v - top) / z for k, v in log_w.items()}
+
+    cfg = ChainConfig(burn_in_steps=5000, collect_count=100_000, thin=1,
+                      min_leaf=1, s_max=2, seed=0)
+    ens = run_chain(data, cfg)
+    freq = Counter(_shape(t.nodes, t.root) for t in ens.trees)
+    assert set(freq) <= set(exact)
+    tv = 0.5 * sum(abs(p - freq[k] / len(ens)) for k, p in exact.items())
+    assert tv < 0.05, f"total variation {tv:.4f} over {len(exact)} trees"
 
 
 class TestChainDiagnostics:

@@ -11,8 +11,6 @@ from treebma import (
     DecisionTree,
     SplitRule,
     TreeNode,
-    TreePrior,
-    annotate,
     candidate_rules,
     deserialize,
     leaf_predictive,
@@ -20,7 +18,13 @@ from treebma import (
     route,
     serialize,
 )
-from treebma.tree import TreeFormatError, leaf_log_marginal, leaf_rows
+from treebma.tree import (
+    TreeFormatError,
+    check_schema,
+    leaf_log_marginal,
+    leaf_rows,
+    prunable_ids,
+)
 
 
 def two_split_tree() -> DecisionTree:
@@ -91,7 +95,7 @@ class TestDecisionTree:
         t = two_split_tree()
         assert sorted(t.leaf_ids()) == [1, 3, 4]
         assert sorted(t.split_ids()) == [0, 2]
-        assert t.prunable_ids() == [2]
+        assert prunable_ids(t.nodes) == [2]
         assert t.k_leaves == 3 and t.n_splits == 2
         assert sorted(t.variables_used()) == [0, 1]
 
@@ -120,28 +124,6 @@ class TestRouting:
                 assert route(t, X[i]) == nid
 
 
-class TestAnnotate:
-    def test_counts_by_hand(self, tiny_data):
-        t = DecisionTree(
-            {0: TreeNode(0, split=SplitRule(0, threshold=2.5), left=1, right=2),
-             1: TreeNode(1, counts=None), 2: TreeNode(2, counts=None)},
-            0,
-        )
-        at = annotate(t, tiny_data)
-        # rows with x0 <= 2.5: 4 rows, all label 0; rest: 4 rows, all label 1
-        assert at.nodes[1].counts == (4, 0)
-        assert at.nodes[2].counts == (0, 4)
-
-    def test_arity_mismatch(self, tiny_data):
-        t = DecisionTree(
-            {0: TreeNode(0, split=SplitRule(7, threshold=1.0), left=1, right=2),
-             1: TreeNode(1), 2: TreeNode(2)},
-            0,
-        )
-        with pytest.raises(ValueError, match="beyond the dataset arity"):
-            annotate(t, tiny_data)
-
-
 class TestMarginalLikelihood:
     def test_closed_form_cases(self):
         # B(3,1)/B(1,1) = 1/3 ; B(2,2)/B(1,1) = 1/6 ; empty leaf = 1
@@ -161,35 +143,41 @@ class TestMarginalLikelihood:
 
     def test_tree_loglik_is_sum_over_leaves(self):
         t = two_split_tree()
-        prior = TreePrior(s_max=5)
         expected = sum(
             leaf_log_marginal(*t.nodes[nid].counts, 1.0) for nid in t.leaf_ids()
         )
-        assert log_marginal_likelihood(t, prior) == pytest.approx(expected)
+        assert log_marginal_likelihood(t, 1.0) == pytest.approx(expected)
 
     def test_unannotated_leaf_rejected(self):
         t = DecisionTree({0: TreeNode(0, counts=None)}, 0)
         with pytest.raises(ValueError, match="not annotated"):
-            log_marginal_likelihood(t, TreePrior(s_max=1))
+            log_marginal_likelihood(t, 1.0)
 
 
 class TestLeafPredictive:
     def test_posterior_mean(self):
-        prior = TreePrior(s_max=1, dirichlet_alpha=1.0)
-        assert leaf_predictive((3, 1), prior) == pytest.approx((4 / 6, 2 / 6), abs=1e-12)
-        assert leaf_predictive((0, 0), prior) == pytest.approx((0.5, 0.5), abs=1e-12)
+        assert leaf_predictive((3, 1), 1.0) == pytest.approx((4 / 6, 2 / 6), abs=1e-12)
+        assert leaf_predictive((0, 0), 1.0) == pytest.approx((0.5, 0.5), abs=1e-12)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            leaf_predictive((-1, 0), TreePrior(s_max=1))
+            leaf_predictive((-1, 0), 1.0)
 
 
-class TestTreePrior:
-    def test_invalid_hyperparameters(self):
-        for kwargs in ({"s_max": 0}, {"s_max": 1, "min_leaf": 0},
-                       {"s_max": 1, "dirichlet_alpha": 0.0}):
-            with pytest.raises(ValueError):
-                TreePrior(**kwargs)
+class TestCheckSchema:
+    def test_declared_splits_pass(self, tiny_schema):
+        check_schema(two_split_tree(), tiny_schema)
+
+    @pytest.mark.parametrize("rule, match", [
+        (SplitRule(1, level=7), "does not declare"),    # undeclared level of x1
+        (SplitRule(0, level=1), "does not declare"),    # level split on continuous x0
+        (SplitRule(2, threshold=1.0), "has 2 variables"),
+    ])
+    def test_split_outside_schema(self, tiny_schema, rule, match):
+        t = DecisionTree({0: TreeNode(0, split=rule, left=1, right=2),
+                          1: TreeNode(1, counts=(1, 0)), 2: TreeNode(2, counts=(0, 1))}, 0)
+        with pytest.raises(TreeFormatError, match=match):
+            check_schema(t, tiny_schema)
 
 
 class TestCandidateRules:
@@ -243,6 +231,15 @@ class TestSerialization:
     def test_leaf_counts_must_be_two_nonnegative_integers(self, leaf):
         with pytest.raises(TreeFormatError, match="two non-negative integers"):
             deserialize('{"nodes": [{"id": 0, "leaf": %s}], "root": 0}' % leaf)
+
+    @pytest.mark.parametrize("rule", ['{"var": 1.0, "thr": 0.5}', '{"var": true, "level": 1}',
+                                      '{"var": 1, "level": 1.5}', '{"var": 0, "thr": "2"}',
+                                      '{"var": 0, "thr": NaN}', '{"var": 0}'])
+    def test_split_rule_types_checked(self, rule):
+        with pytest.raises(TreeFormatError, match="needs an integer var"):
+            deserialize('{"nodes": [{"id": 0, "split": %s, "left": 1, "right": 2}, '
+                        '{"id": 1, "leaf": [1, 0]}, {"id": 2, "leaf": [0, 1]}], "root": 0}'
+                        % rule)
 
     def test_node_neither_split_nor_leaf(self):
         with pytest.raises(TreeFormatError, match="neither split nor leaf"):
