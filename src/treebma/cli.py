@@ -178,7 +178,8 @@ def cmd_eval(args) -> int:
 def cmd_importance(args) -> int:
     out, inputs = _prepare(args, args.ensemble)
     schema = Schema.from_file(args.schema) if args.schema else trauma_schema()
-    ensemble = load_ensemble(args.ensemble, schema=schema)
+    sidecar = Path(args.ensemble).with_name("metadata.json")  # holds the chain's alpha
+    ensemble = load_ensemble(args.ensemble, sidecar, schema=schema)
     imp = variable_importance(ensemble, m=schema.m, per_tree=args.per_tree)
     csv_path, txt_path = out / "importance.csv", out / "importance.txt"
     csv_path.write_text(importance_csv(schema.names, imp), encoding="utf-8")
@@ -191,12 +192,15 @@ def cmd_importance(args) -> int:
 def cmd_filter(args) -> int:
     out, inputs = _prepare(args, args.ensemble, args.data)
     data, schema = _load(args)
-    ensemble = load_ensemble(args.ensemble, schema=schema)
+    sidecar = Path(args.ensemble).with_name("metadata.json")  # holds the chain's alpha
+    ens_path, meta_path = out / "filtered_ensemble.jsonl", out / "metadata.json"
+    if meta_path.resolve() == sidecar.resolve():
+        raise ValueError(f"--out-dir {out} would overwrite the ensemble's own metadata.json")
+    ensemble = load_ensemble(args.ensemble, sidecar, schema=schema)
     result = filter_ensemble(ensemble, args.variable)
     before = evaluate(ensemble, data)
     after = evaluate(result.kept, data)
-    ens_path = out / "filtered_ensemble.jsonl"
-    save_ensemble(result.kept, ens_path)
+    save_ensemble(result.kept, ens_path, meta_path)
     txt_path = out / "report.txt"
     txt_path.write_text(
         f"excluded variable: {args.variable}\n"
@@ -204,7 +208,7 @@ def cmd_filter(args) -> int:
         + eval_reports_table([before], title="original ensemble")
         + "\n" + eval_reports_table([after], title="selected ensemble"),
         encoding="utf-8")
-    _write_manifest(out, args, inputs, [ens_path, txt_path])
+    _write_manifest(out, args, inputs, [ens_path, meta_path, txt_path])
     print(txt_path.read_text(encoding="utf-8"))
     return 0
 

@@ -14,13 +14,17 @@ one split in place. The chain starts with a birth from the single-leaf tree.
 
 Proposals that are inapplicable (death on a single leaf, birth past s_max,
 empty candidate list) or that produce a leaf below ``min_leaf`` count as
-automatic rejections, keeping the per-step proposal distribution fixed.
+automatic rejections, keeping the per-step proposal distribution fixed. A
+proposal is a delta over the chain state (row bitsets and an id index, see
+:class:`ChainState`), committed in place only on acceptance.
 """
 from __future__ import annotations
 
 import time
+from bisect import insort
 from dataclasses import dataclass, field, replace, asdict
 from math import log
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,22 +86,41 @@ def default_s_max(n: int, min_leaf: int) -> int:
     return max(1, n // min_leaf - 1)
 
 
+def _bits(mask: np.ndarray) -> int:
+    """A boolean row mask as a Python int whose bit i is row i."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
 @dataclass
 class ChainState:
-    """Mutable chain position plus cached per-leaf row partition.
+    """The chain's position: one tree, changed in place on each accepted move.
 
-    ``config`` is the run's configuration with ``s_max`` resolved.
-    ``current_loglik`` always equals log_marginal_likelihood of the current
-    tree; moves update it incrementally from the affected leaves only.
+    ``nodes`` stays in ascending id order (a replaced node keeps its slot, new
+    ids are appended), so the i-th id of the sorted lists ``leaves``,
+    ``splits`` and ``prunable`` (splits with two leaf children) is the i-th
+    such node of the dict; ``parent`` maps each non-root id to its parent.
+    Row sets are bitsets: ``rows`` holds every node's, ``masks[j][i]`` the
+    rows that ``candidates[j][i]`` sends left, ``node_mask`` that mask for each
+    split's rule, ``ones`` the rows with y = 1. ``terms`` memoises
+    :func:`leaf_log_marginal` by leaf counts (n0, n1). ``config`` has
+    ``s_max`` resolved; ``current_loglik`` is the current tree's loglik.
     """
 
     data: Dataset
     config: ChainConfig
     candidates: list[list[SplitRule]]
+    masks: list[list[int]]
+    ones: int
     nodes: dict[int, TreeNode]
     root: int
-    leaf_rows: dict[int, np.ndarray]
-    current_loglik: float
+    rows: dict[int, int]
+    leaves: list[int]
+    current_loglik: float = 0.0
+    splits: list[int] = field(default_factory=list)
+    prunable: list[int] = field(default_factory=list)
+    parent: dict[int, int] = field(default_factory=dict)
+    node_mask: dict[int, int] = field(default_factory=dict)
+    terms: dict[tuple[int, int], float] = field(default_factory=dict)
     step: int = 0
     next_id: int = 0
     propose_counts: dict[str, int] = field(default_factory=lambda: {mv: 0 for mv in MOVES})
@@ -107,46 +130,47 @@ class ChainState:
     def current(self) -> DecisionTree:
         return DecisionTree(dict(self.nodes), self.root)
 
-    def n_splits(self) -> int:
-        return sum(1 for nd in self.nodes.values() if not nd.is_leaf)
 
+class Proposal(NamedTuple):
+    """A move's log ratios and candidate loglik, plus the delta that commits it.
 
-@dataclass(frozen=True)
-class Proposal:
-    """A candidate tree plus the log ratios entering the acceptance probability.
-
-    ``nodes`` is the candidate's node dict over the chain's root, built fresh
-    for this proposal; :func:`mh_step` adopts it as is on acceptance.
+    ``delta`` is (node id, new rule, its left-row mask, new (id, rows) pairs,
+    new leaf (id, counts) pairs), with no rule or mask for a death. It fits
+    only the unchanged state that it was drawn from.
     """
 
     kind: str
-    nodes: dict[int, TreeNode]
     log_proposal_ratio: float
     log_prior_ratio: float
     loglik: float
-    leaf_rows: dict[int, np.ndarray]
     min_leaf_ok: bool
+    delta: tuple | None
 
 
-def _leaf_counts(y: np.ndarray, idx: np.ndarray) -> tuple[int, int]:
-    n1 = int(y[idx].sum())
-    return idx.size - n1, n1
+# Returned as soon as a child falls below min_leaf, before any count or marginal.
+_REJECTED = {mv: Proposal(mv, 0.0, 0.0, 0.0, False, None) for mv in MOVES}
 
 
-def _contrib(counts: tuple[int, int], alpha: float) -> float:
-    return leaf_log_marginal(counts[0], counts[1], alpha)
+def _term(state: ChainState, counts: tuple[int, int]) -> float:
+    """leaf_log_marginal(n0, n1, alpha), memoised per chain: a hit is the same float."""
+    if counts not in state.terms:
+        state.terms[counts] = leaf_log_marginal(*counts, state.config.dirichlet_alpha)
+    return state.terms[counts]
 
 
-def _leaves_under(nodes: dict[int, TreeNode], start: int) -> list[int]:
-    out, stack = [], [start]
-    while stack:
-        nid = stack.pop()
-        node = nodes[nid]
-        if node.is_leaf:
-            out.append(nid)
-        else:
-            stack.extend((node.left, node.right))
-    return out
+def _counts(state: ChainState, rows: int, n: int) -> tuple[int, int]:
+    n1 = (rows & state.ones).bit_count()
+    return n - n1, n1
+
+
+def _loglik(state: ChainState, old: list, new: list) -> float:
+    """current_loglik - the ``old`` leaf terms + the ``new`` ones, one at a time in order."""
+    loglik = state.current_loglik
+    for counts in old:
+        loglik -= _term(state, counts)
+    for counts in new:
+        loglik += _term(state, counts)
+    return loglik
 
 
 def init_chain(data: Dataset, config: ChainConfig,
@@ -164,19 +188,19 @@ def init_chain(data: Dataset, config: ChainConfig,
     if not any(candidates):
         raise ValueError("no variable admits any split rule")
 
-    all_rows = np.arange(data.n)
-    root_counts = _leaf_counts(data.y, all_rows)
-    state = ChainState(
-        data=data, config=config, candidates=candidates,
-        nodes={0: TreeNode(0, counts=root_counts)}, root=0, leaf_rows={0: all_rows},
-        current_loglik=_contrib(root_counts, config.dirichlet_alpha), next_id=1,
-    )
+    masks = [[_bits(rule.goes_left(data.X[:, j])) for rule in cands]
+             for j, cands in enumerate(candidates)]
+    all_rows = (1 << data.n) - 1
+    state = ChainState(data, config, candidates, masks, _bits(data.y == 1), nodes={}, root=0,
+                       rows={0: all_rows}, leaves=[0], next_id=1)
+    root_counts = _counts(state, all_rows, data.n)
+    state.nodes[0] = TreeNode(0, counts=root_counts)
+    state.current_loglik = _term(state, root_counts)
     for _ in range(100):
         birth = _propose_birth(state, rng)
         if birth is not None and birth.min_leaf_ok:
             # birth.loglik is (root - root) + left + right, which is left + right exactly
-            state.nodes, state.leaf_rows = birth.nodes, birth.leaf_rows
-            state.current_loglik, state.next_id = birth.loglik, max(birth.nodes) + 1
+            _apply(state, birth)
             break
     return state
 
@@ -193,142 +217,140 @@ def propose(state: ChainState, kind: str, rng: np.random.Generator) -> Proposal 
 
 
 def _propose_birth(state: ChainState, rng) -> Proposal | None:
-    if state.n_splits() >= state.config.s_max:
+    if len(state.splits) >= state.config.s_max:
         return None
-    m = state.data.m
-    leaves = [nid for nid, nd in state.nodes.items() if nd.is_leaf]
-    k = len(leaves)
-    pick = leaves[int(rng.integers(k))]
+    m, k = state.data.m, len(state.leaves)
+    pick = state.leaves[int(rng.integers(k))]
     var = int(rng.integers(m))
     cands = state.candidates[var]
     if not cands:
         return None
-    rule = cands[int(rng.integers(len(cands)))]
+    i = int(rng.integers(len(cands)))
 
-    rows = state.leaf_rows[pick]
-    go_left = rule.goes_left(state.data.X[rows, var])
-    left_rows, right_rows = rows[go_left], rows[~go_left]
-    alpha = state.config.dirichlet_alpha
-    lc = _leaf_counts(state.data.y, left_rows)
-    rc = _leaf_counts(state.data.y, right_rows)
+    left = state.rows[pick] & state.masks[var][i]
+    right = state.rows[pick] ^ left
+    n_left, n_right = left.bit_count(), right.bit_count()
+    if min(n_left, n_right) < state.config.min_leaf:
+        return _REJECTED["birth"]
+    lc, rc = _counts(state, left, n_left), _counts(state, right, n_right)
+    loglik = _loglik(state, [state.nodes[pick].counts], [lc, rc])
 
-    l_id, r_id = state.next_id, state.next_id + 1
-    cand_nodes = dict(state.nodes)
-    cand_nodes[pick] = TreeNode(pick, split=rule, left=l_id, right=r_id)
-    cand_nodes[l_id] = TreeNode(l_id, counts=lc)
-    cand_nodes[r_id] = TreeNode(r_id, counts=rc)
-
-    old_counts = state.nodes[pick].counts
-    loglik = state.current_loglik - _contrib(old_counts, alpha) \
-        + _contrib(lc, alpha) + _contrib(rc, alpha)
-
-    cand_rows = dict(state.leaf_rows)
-    del cand_rows[pick]
-    cand_rows[l_id] = left_rows
-    cand_rows[r_id] = right_rows
-
-    d_after = len(prunable_ids(cand_nodes))
+    # pick becomes prunable; its parent stops being prunable if it was
+    d_after = len(state.prunable) + 1 - (state.parent.get(pick) in state.prunable)
     ml = log(m) + log(len(cands))
     log_q = log(k) + ml - log(d_after)
-    return Proposal(
-        kind="birth",
-        nodes=cand_nodes,
-        log_proposal_ratio=log_q,
-        log_prior_ratio=-ml,
-        loglik=loglik,
-        leaf_rows=cand_rows,
-        min_leaf_ok=min(left_rows.size, right_rows.size) >= state.config.min_leaf,
-    )
+    l_id, r_id = state.next_id, state.next_id + 1
+    return Proposal("birth", log_q, -ml, loglik, True, (pick, cands[i], state.masks[var][i],
+                    ((l_id, left), (r_id, right)), ((l_id, lc), (r_id, rc))))
 
 
 def _propose_death(state: ChainState, rng) -> Proposal | None:
-    prunable = prunable_ids(state.nodes)
-    if not prunable:
+    if not state.prunable:
         return None
-    d = len(prunable)
-    pick = prunable[int(rng.integers(d))]
+    d = len(state.prunable)
+    pick = state.prunable[int(rng.integers(d))]
     node = state.nodes[pick]
-    alpha = state.config.dirichlet_alpha
-    lc = state.nodes[node.left].counts
-    rc = state.nodes[node.right].counts
+    lc, rc = state.nodes[node.left].counts, state.nodes[node.right].counts
     merged = (lc[0] + rc[0], lc[1] + rc[1])
-    merged_rows = np.concatenate((state.leaf_rows[node.left], state.leaf_rows[node.right]))
+    loglik = _loglik(state, [lc, rc], [merged])
 
-    cand_nodes = dict(state.nodes)
-    del cand_nodes[node.left], cand_nodes[node.right]
-    cand_nodes[pick] = TreeNode(pick, counts=merged)
-    loglik = state.current_loglik - _contrib(lc, alpha) - _contrib(rc, alpha) \
-        + _contrib(merged, alpha)
-
-    cand_rows = dict(state.leaf_rows)
-    del cand_rows[node.left], cand_rows[node.right]
-    cand_rows[pick] = merged_rows
-
-    k_after = sum(1 for nd in cand_nodes.values() if nd.is_leaf)
-    m = state.data.m
-    L = len(state.candidates[node.split.variable])
-    ml = log(m) + log(L)
+    k_after = len(state.leaves) - 1
+    ml = log(state.data.m) + log(len(state.candidates[node.split.variable]))
     log_q = log(d) - log(k_after) - ml
-    return Proposal(
-        kind="death",
-        nodes=cand_nodes,
-        log_proposal_ratio=log_q,
-        log_prior_ratio=ml,
-        loglik=loglik,
-        leaf_rows=cand_rows,
-        min_leaf_ok=True,
-    )
+    return Proposal("death", log_q, ml, loglik, True, (pick, None, None, (), ((pick, merged),)))
 
 
 def _propose_change(state: ChainState, rng, redraw_variable: bool) -> Proposal | None:
-    splits = [nid for nid, nd in state.nodes.items() if not nd.is_leaf]
-    if not splits:
+    kind = "change_split" if redraw_variable else "change_rule"
+    if not state.splits:
         return None
-    pick = splits[int(rng.integers(len(splits)))]
-    old_rule = state.nodes[pick].split
-    if redraw_variable:
-        var = int(rng.integers(state.data.m))
-    else:
-        var = old_rule.variable
+    nodes = state.nodes
+    pick = state.splits[int(rng.integers(len(state.splits)))]
+    old_var = nodes[pick].split.variable
+    var = int(rng.integers(state.data.m)) if redraw_variable else old_var
     cands = state.candidates[var]
     if not cands:
         return None
-    rule = cands[int(rng.integers(len(cands)))]
+    i = int(rng.integers(len(cands)))
+    mask = state.masks[var][i]
 
-    sub_leaves = _leaves_under(state.nodes, pick)
-    sub_rows = np.concatenate([state.leaf_rows[nid] for nid in sub_leaves])
+    # Walk the subtree depth-first, right child first, as partition_rows does;
+    # the loglik sums the old, then the new leaf terms in that order.
+    stack, sub_rows, sub_leaves = [(pick, state.rows[pick])], [], []
+    while stack:
+        nid, rows = stack.pop()
+        n = rows.bit_count()
+        if n < state.config.min_leaf:
+            return _REJECTED[kind]
+        sub_rows.append((nid, rows))
+        node = nodes[nid]
+        if node.split is None:
+            sub_leaves.append((nid, rows, n))
+        else:
+            left = rows & (mask if nid == pick else state.node_mask[nid])
+            stack += ((node.left, left), (node.right, rows ^ left))
 
-    cand_nodes = dict(state.nodes)
-    cand_nodes[pick] = replace(state.nodes[pick], split=rule)
-    new_parts = partition_rows(cand_nodes, pick, state.data.X, sub_rows)
+    leaf_counts = [(nid, _counts(state, rows, n)) for nid, rows, n in sub_leaves]
+    loglik = _loglik(state, [nodes[nid].counts for nid, _ in leaf_counts],
+                     [counts for _, counts in leaf_counts])
+    log_q = log(len(cands)) - log(len(state.candidates[old_var])) if redraw_variable else 0.0
+    return Proposal(kind, log_q, -log_q, loglik, True,
+                    (pick, cands[i], mask, sub_rows, leaf_counts))
 
-    alpha = state.config.dirichlet_alpha
-    loglik = state.current_loglik
-    min_size = None
-    cand_rows = dict(state.leaf_rows)
-    for nid in sub_leaves:
-        loglik -= _contrib(state.nodes[nid].counts, alpha)
-    for nid, idx in new_parts.items():
-        counts = _leaf_counts(state.data.y, idx)
-        cand_nodes[nid] = replace(cand_nodes[nid], counts=counts)
-        cand_rows[nid] = idx
-        loglik += _contrib(counts, alpha)
-        min_size = idx.size if min_size is None else min(min_size, idx.size)
 
-    if redraw_variable:
-        L_new, L_old = len(cands), len(state.candidates[old_rule.variable])
-        log_q = log(L_new) - log(L_old)
+def _apply(state: ChainState, prop: Proposal) -> None:
+    """Commit an accepted proposal's delta to the state, in place."""
+    nodes = state.nodes
+    pick, rule, mask, sub_rows, leaf_counts = prop.delta
+    if prop.kind == "death":
+        node, up = nodes[pick], nodes.get(state.parent.get(pick))
+        for child in (node.left, node.right):
+            del nodes[child], state.rows[child], state.parent[child]
+            state.leaves.remove(child)
+        del state.node_mask[pick]
+        insort(state.leaves, pick)
+        state.splits.remove(pick)
+        state.prunable.remove(pick)
+        if up is not None and nodes[up.right if up.left == pick else up.left].is_leaf:
+            insort(state.prunable, up.node_id)  # pick's sibling is a leaf
+    elif prop.kind == "birth":
+        if state.parent.get(pick) in state.prunable:
+            state.prunable.remove(state.parent[pick])
+        (left, _), (right, _) = leaf_counts
+        state.parent[left] = state.parent[right] = pick
+        state.leaves.remove(pick)
+        state.leaves += (left, right)
+        insort(state.splits, pick)
+        insort(state.prunable, pick)
     else:
-        log_q = 0.0
-    return Proposal(
-        kind="change_split" if redraw_variable else "change_rule",
-        nodes=cand_nodes,
-        log_proposal_ratio=log_q,
-        log_prior_ratio=-log_q,
-        loglik=loglik,
-        leaf_rows=cand_rows,
-        min_leaf_ok=min_size >= state.config.min_leaf,
-    )
+        left, right = nodes[pick].left, nodes[pick].right
+    if rule is not None:
+        nodes[pick] = TreeNode(pick, split=rule, left=left, right=right)
+        state.node_mask[pick] = mask
+    state.rows.update(sub_rows)
+    for nid, counts in leaf_counts:
+        nodes[nid] = TreeNode(nid, counts=counts)
+    state.next_id = next(reversed(nodes)) + 1  # a death can free the top ids
+    state.current_loglik = prop.loglik
+
+
+def _check_state(state: ChainState) -> None:
+    """Recompute the loglik, the id index and each leaf's rows and counts from the node dict."""
+    nodes, data = state.nodes, state.data
+    recomputed = log_marginal_likelihood(state.current, state.config.dirichlet_alpha)
+    if abs(recomputed - state.current_loglik) > 1e-8 * max(1.0, abs(recomputed)):
+        raise AssertionError(f"cached loglik {state.current_loglik} drifted from {recomputed}")
+    splits = [nid for nid, nd in nodes.items() if not nd.is_leaf]
+    index = ([nid for nid, nd in nodes.items() if nd.is_leaf], splits, prunable_ids(nodes),
+             {c: s for s in splits for c in (nodes[s].left, nodes[s].right)}, max(nodes) + 1)
+    cached = (state.leaves, state.splits, state.prunable, state.parent, state.next_id)
+    if cached != index:
+        raise AssertionError(f"id index {cached} differs from {index}")
+    for nid, idx in partition_rows(nodes, state.root, data.X, np.arange(data.n)).items():
+        n1 = int(data.y[idx].sum())
+        if (state.rows[nid], nodes[nid].counts) != \
+                (sum(1 << int(i) for i in idx), (idx.size - n1, n1)):
+            raise AssertionError(f"leaf {nid}: rows or counts differ from partition_rows")
 
 
 def mh_step(state: ChainState, rng: np.random.Generator,
@@ -337,7 +359,7 @@ def mh_step(state: ChainState, rng: np.random.Generator,
 
     Accepts with probability min(1, exp(dloglik + log_prior_ratio +
     log_proposal_ratio)); inapplicable or min_leaf-violating proposals are
-    rejections.
+    rejections. ``debug`` runs :func:`_check_state` every 1000 steps.
     """
     kind = MOVES[int(4 * rng.random())]
     state.propose_counts[kind] += 1
@@ -347,17 +369,10 @@ def mh_step(state: ChainState, rng: np.random.Generator,
         log_alpha = (prop.loglik - state.current_loglik) \
             + prop.log_prior_ratio + prop.log_proposal_ratio
         if log_alpha >= 0 or rng.random() < np.exp(log_alpha):
-            state.nodes = prop.nodes
-            state.leaf_rows = prop.leaf_rows
-            state.current_loglik = prop.loglik
-            state.next_id = max(state.nodes) + 1
+            _apply(state, prop)
             state.accept_counts[kind] += 1
     if debug and state.step % 1000 == 0:
-        recomputed = log_marginal_likelihood(state.current, state.config.dirichlet_alpha)
-        if abs(recomputed - state.current_loglik) > 1e-8 * max(1.0, abs(recomputed)):
-            raise AssertionError(
-                f"cached loglik {state.current_loglik} drifted from {recomputed}"
-            )
+        _check_state(state)
     return state
 
 

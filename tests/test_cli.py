@@ -6,7 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from treebma import load_ensemble, trauma_schema
+from treebma import (
+    ChainConfig,
+    evaluate,
+    load_csv,
+    load_ensemble,
+    run_chain,
+    save_ensemble,
+    trauma_schema,
+)
 from treebma.cli import main
 
 FAST = ["--burn-in", "400", "--collect", "40", "--thin", "1", "--min-leaf", "8"]
@@ -102,6 +110,35 @@ class TestEvalImportanceFilterCompare:
         kept = load_ensemble(out / "filtered_ensemble.jsonl")
         assert all(8 not in t.variables_used() for t in kept.trees)
         assert "excluded variable: 8" in (out / "report.txt").read_text()
+
+    def test_filter_keeps_ensemble_alpha(self, synth_dir, tmp_path):
+        """filter scores with the alpha in metadata.json and writes it beside its output."""
+        data = load_csv(synth_dir / "data.csv", trauma_schema())
+        cfg = ChainConfig(burn_in_steps=400, collect_count=40, thin=1, min_leaf=8, seed=1,
+                          dirichlet_alpha=5.0)
+        ens_path, meta_path = tmp_path / "ensemble.jsonl", tmp_path / "metadata.json"
+        save_ensemble(run_chain(data, cfg), ens_path, meta_path)
+        expected = evaluate(load_ensemble(ens_path, meta_path), data).entropy_bits
+        out = tmp_path / "filt"
+        rc = main(["filter", "--ensemble", str(ens_path), "--variable", "8",
+                   "--data", str(synth_dir / "data.csv"), "--out-dir", str(out)])
+        assert rc == 0
+        original = (out / "report.txt").read_text().split("selected ensemble")[0]
+        assert f"{expected:>10.2f}" in original
+        kept = load_ensemble(out / "filtered_ensemble.jsonl", out / "metadata.json")
+        assert kept.dirichlet_alpha == 5.0
+
+    def test_filter_keeps_input_metadata(self, synth_dir, trained_dir, tmp_path):
+        """filter into the ensemble's own directory exits 1 and leaves its metadata.json."""
+        model = tmp_path / "model"
+        model.mkdir()
+        for name in ("ensemble.jsonl", "metadata.json"):
+            (model / name).write_bytes((trained_dir / name).read_bytes())
+        rc = main(["filter", "--ensemble", str(model / "ensemble.jsonl"), "--variable", "8",
+                   "--data", str(synth_dir / "data.csv"), "--out-dir", str(model)])
+        assert rc == 1
+        assert (model / "metadata.json").read_bytes() == \
+            (trained_dir / "metadata.json").read_bytes()
 
     def test_compare_writes_all_arms(self, synth_dir, tmp_path):
         out = tmp_path / "cmp"

@@ -2,12 +2,12 @@
 
 Every other determinism test compares two runs of the same code, so none of
 them notices when a change alters the random draw sequence, the node ids or
-the order of a floating-point sum. This test runs ``train``, ``compare`` and
-``eval`` on fixed inputs, then ``importance`` and ``filter`` on the trained
-ensemble, and compares the sha256 of their outputs with constants
-recorded from an earlier commit. A change that alters the chain's output on
-purpose updates the constants below and says so in CHANGES.md; any other
-mismatch is a regression.
+the order of a floating-point sum. This test runs ``train`` (twice: shallow
+and deep trees), ``compare`` and ``eval`` on fixed inputs, then ``importance``
+and ``filter`` on the trained ensemble, and compares the sha256 of their
+outputs with constants recorded from an earlier commit. A change that alters
+the chain's output on purpose updates the constants below and says so in
+CHANGES.md; any other mismatch is a regression.
 """
 import hashlib
 
@@ -18,6 +18,9 @@ from treebma.cli import main
 
 TRAIN = ["--seed", "1", "--burn-in", "3000", "--collect", "100", "--thin", "5",
          "--min-leaf", "5", "--s-max", "8"]
+# deep trees (about 26 leaves): change moves re-partition many leaves at once
+TRAIN_DEEP = ["--seed", "1", "--burn-in", "3000", "--collect", "100", "--thin", "5",
+              "--min-leaf", "1", "--s-max", "30"]
 COMPARE = ["--seed", "3", "--folds", "3", "--variable", "1", "--burn-in", "600",
            "--collect", "60", "--thin", "2", "--min-leaf", "8", "--s-max", "6"]
 EVAL = ["--seed", "2", "--folds", "3", "--burn-in", "600", "--collect", "60", "--thin", "2",
@@ -26,6 +29,8 @@ FILTER = ["--variable", "11"]  # used by 26 of the 100 trained trees
 
 PINNED = {
     "train/ensemble.jsonl": "54e412d8f65e9498883e742ee2393583f19e2e2dd3d311618d92b77b55acb841",
+    "train_deep/ensemble.jsonl":
+        "1a13e706a0a41795c43a3cd916e739959bd63fbb56c693f677e32f101724a9ba",
     "compare/compare.csv": "d8c77f44a6af96951ca659cceb1b74771007e4c94f695b6e14b8eb7793a73f2a",
     "compare/importance.csv": "a62e49d49131a94238c00b7ce6d370145b34e8860e219192c037539cda4ffc51",
     "eval/report.csv": "3fc7443aa4b3d4a93c562a55ae004f8871ea3ccb49ba9cfc0683b936e0ca160b",
@@ -42,6 +47,8 @@ def outputs(tmp_path_factory, small_data):
     data = root / "data.csv"
     save_csv(small_data, data)
     assert main(["train", "--data", str(data), *TRAIN, "--out-dir", str(root / "train")]) == 0
+    assert main(["train", "--data", str(data), *TRAIN_DEEP,
+                 "--out-dir", str(root / "train_deep")]) == 0
     assert main(["compare", "--data", str(data), *COMPARE,
                  "--out-dir", str(root / "compare")]) == 0
     assert main(["eval", "--data", str(data), *EVAL, "--out-dir", str(root / "eval")]) == 0

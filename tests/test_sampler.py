@@ -14,7 +14,7 @@ from treebma import (
     run_chain,
 )
 from treebma.dataset import Dataset, Schema, VariableSpec
-from treebma.sampler import MOVES, default_s_max
+from treebma.sampler import MOVES, _apply, default_s_max
 from treebma.tree import candidate_rules, leaf_log_marginal, log_marginal_likelihood, serialize
 
 
@@ -40,7 +40,7 @@ class TestChainConfig:
 class TestInitChain:
     def test_starts_from_one_split(self, small_data):
         state = init_chain(small_data, ChainConfig(seed=0))
-        assert state.n_splits() == 1
+        assert len(state.splits) == 1
         # exact: the stored logliks of every chain start from this sum
         assert state.current_loglik == \
             log_marginal_likelihood(state.current, state.config.dirichlet_alpha)
@@ -55,7 +55,7 @@ class TestInitChain:
     def test_falls_back_to_single_leaf(self, small_data):
         # min_leaf equal to n: no split can ever be valid
         state = init_chain(small_data, ChainConfig(min_leaf=small_data.n))
-        assert state.n_splits() == 0
+        assert len(state.splits) == 0
 
 
 class TestProposals:
@@ -82,15 +82,11 @@ class TestProposals:
         birth = None
         while birth is None or not birth.min_leaf_ok:
             birth = propose(state, "birth", rng)
-        before_nodes = set(state.nodes)
-        state.nodes = dict(birth.nodes)
-        state.leaf_rows = birth.leaf_rows
-        state.current_loglik = birth.loglik
-        state.next_id = max(state.nodes) + 1
+        _apply(state, birth)
         # draw deaths until the one pruning the just-born split comes up
         for attempt in range(500):
             death = propose(state, "death", np.random.default_rng(attempt))
-            if death is not None and set(death.nodes) == before_nodes:
+            if death is not None and death.delta[0] == birth.delta[0]:
                 assert death.log_prior_ratio == pytest.approx(-birth.log_prior_ratio)
                 assert death.log_proposal_ratio == pytest.approx(-birth.log_proposal_ratio)
                 break
@@ -108,6 +104,16 @@ class TestMhStep:
         assert state.current_loglik == pytest.approx(
             log_marginal_likelihood(state.current, state.config.dirichlet_alpha)
         )
+
+    @pytest.mark.parametrize("min_leaf", [1, 3, 25])
+    def test_debug_index_check(self, small_data, min_leaf):
+        """The cached id index, leaf rows and counts match the node dict over 5k steps."""
+        cfg = ChainConfig(seed=6, min_leaf=min_leaf)
+        rng = np.random.default_rng(cfg.seed)
+        state = init_chain(small_data, cfg, rng)
+        for _ in range(5000):
+            mh_step(state, rng, debug=True)  # raises on the first mismatch
+        assert sum(state.accept_counts.values()) > 0
 
     def test_counters_accumulate(self, small_data):
         cfg = ChainConfig(seed=3)
