@@ -4,6 +4,19 @@ Predictions are the unweighted mean over trees of each tree's leaf predictive
 probabilities; sampled trees are posterior draws, so equal weights are the
 Monte Carlo estimate of the predictive distribution. Probability pairs are
 indexed by label value: p[0] is the probability of class 0.
+
+A chain that rejects a move keeps its tree, so an ensemble holds runs of
+identical consecutive trees. A run is one shared ``DecisionTree`` object at
+consecutive positions: :func:`~treebma.sampler.run_chain` and
+:func:`load_ensemble` build one object per run, and the read path does its
+work once per run (``tree is not prev``). :func:`save_ensemble` serializes a
+run once. :func:`predict_batch` compiles the first tree of each run into flat
+node arrays (rule index, child slots, leaf pair; a leaf points at itself),
+builds one boolean row mask per distinct split rule with
+:meth:`~treebma.tree.SplitRule.goes_left`, and routes all (tree, row) pairs
+of ``PREDICT_CHUNK`` runs at once, one tree level per pass. It then adds
+each tree's leaf pairs in ensemble order, so every sum is bit-identical to
+routing the trees one by one.
 """
 from __future__ import annotations
 
@@ -16,11 +29,11 @@ import numpy as np
 from .dataset import Dataset, Schema
 from .tree import (
     DecisionTree,
+    SplitRule,
     TreeFormatError,
     check_schema,
     deserialize,
     leaf_predictive,
-    leaf_rows,
     serialize,
 )
 
@@ -90,19 +103,82 @@ def _entropy_bits(p: np.ndarray) -> np.ndarray:
     return terms.sum(axis=-1)
 
 
+PREDICT_CHUNK = 128  # runs routed together; bounds the (trees x rows) arrays
+
+
+def _runs(trees: list[DecisionTree]) -> tuple[list[DecisionTree], list[int]]:
+    """The first tree of each run of one object at consecutive positions, and the run lengths."""
+    firsts, lengths = [], []
+    for tree in trees:
+        if firsts and tree is firsts[-1]:
+            lengths[-1] += 1
+        else:
+            firsts.append(tree)
+            lengths.append(1)
+    return firsts, lengths
+
+
+def _compile(trees: list[DecisionTree], alpha: float):
+    """The trees as flat node arrays, one slot per node, stacked in order.
+
+    Returns ``rules`` (each distinct split rule once) and, per slot, ``rule``
+    (the split's index in ``rules``, -1 for a leaf), ``kids`` (the right
+    then the left child's slot at 2 * slot and 2 * slot + 1; a leaf points
+    at itself) and ``leaf_p`` (the leaf's :func:`leaf_predictive` pair,
+    zeros for a split), plus each tree's root slot.
+    """
+    rule_ids: dict[SplitRule, int] = {}  # in first-seen order
+    rule, kids, leaf_p, roots = [], [], [], []
+    for tree in trees:
+        slot = dict(zip(tree.nodes, range(len(rule), len(rule) + len(tree.nodes))))
+        roots.append(slot[tree.root])
+        for nid, nd in tree.nodes.items():
+            if nd.split is None:
+                rule.append(-1)
+                kids += (slot[nid], slot[nid])
+                leaf_p += leaf_predictive(nd.counts, alpha)
+            else:
+                rule.append(rule_ids.setdefault(nd.split, len(rule_ids)))
+                kids += (slot[nd.right], slot[nd.left])
+                leaf_p += (0.0, 0.0)
+    return (list(rule_ids), np.array(rule, dtype=np.intp), np.array(kids, dtype=np.intp),
+            np.array(leaf_p).reshape(-1, 2), np.array(roots, dtype=np.intp))
+
+
 def predict_batch(ensemble: Ensemble, X: np.ndarray) -> np.ndarray:
     """Averaged class probabilities for each row of X; shape (n, 2)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be 2-d")
     alpha = ensemble.dirichlet_alpha
-    arity = max((v for t in ensemble.trees for v in t.variables_used()), default=-1)
-    if arity >= X.shape[1]:
+    firsts, lengths = _runs(ensemble.trees)
+    rules, rule, kids, leaf_p, roots = _compile(firsts, alpha)
+    if max((r.variable for r in rules), default=-1) >= X.shape[1]:
         raise ValueError(f"feature arity {X.shape[1]} too small for ensemble splits")
-    acc = np.zeros((X.shape[0], 2))
-    for tree in ensemble.trees:
-        for nid, idx in leaf_rows(tree, X).items():
-            acc[idx] += leaf_predictive(tree.nodes[nid].counts, alpha)
+    n = X.shape[0]
+    masks = np.empty((len(rules), n), dtype=bool)
+    for r, rl in enumerate(rules):
+        masks[r] = rl.goes_left(X[:, rl.variable])
+    masks = masks.ravel()  # masks[r * n + i]: rule r sends row i left
+    offset, is_split = rule * n, rule >= 0
+
+    acc = np.zeros((n, 2))
+    for start in range(0, len(firsts), PREDICT_CHUNK):
+        chunk = roots[start:start + PREDICT_CHUNK]
+        pos = np.repeat(chunk, n)  # pair (run j, row i) of the chunk sits at pos[j * n + i]
+        rows = np.tile(np.arange(n), chunk.size)
+        keep = is_split[pos]
+        active, rows = np.flatnonzero(keep), rows[keep]
+        while active.size:  # one tree level per pass, over the pairs still at a split
+            s = pos[active]
+            nxt = kids[2 * s + masks[offset[s] + rows]]
+            pos[active] = nxt
+            keep = is_split[nxt]
+            active, rows = active[keep], rows[keep]
+        probs = leaf_p[pos].reshape(chunk.size, n, 2)
+        for j, k in enumerate(lengths[start:start + PREDICT_CHUNK]):
+            for _ in range(k):  # one add per tree, in ensemble order
+                acc += probs[j]
     return acc / len(ensemble)
 
 
@@ -169,9 +245,12 @@ def max_loglikelihood(ensemble: Ensemble) -> float:
 def save_ensemble(ensemble: Ensemble, path, meta_path=None) -> None:
     """Write trees as JSON lines; chain metadata goes to the sidecar file."""
     path = Path(path)
+    line, prev_tree, prev_ll = "", None, None
     with path.open("w", encoding="utf-8") as fh:
         for tree, ll in zip(ensemble.trees, ensemble.logliks):
-            fh.write(serialize(tree, loglik=ll) + "\n")
+            if tree is not prev_tree or ll is not prev_ll:  # else the run goes on
+                line, prev_tree, prev_ll = serialize(tree, loglik=ll) + "\n", tree, ll
+            fh.write(line)
     if meta_path is not None:
         Path(meta_path).write_text(
             json.dumps(ensemble.meta, indent=2, sort_keys=True), encoding="utf-8"
@@ -182,11 +261,18 @@ def load_ensemble(path, meta_path=None, schema: Schema | None = None) -> Ensembl
     """Read an ensemble file (and optionally its metadata sidecar).
 
     With a ``schema``, every split must fit it (:func:`treebma.tree.check_schema`).
-    A malformed record raises TreeFormatError naming ``path:line``.
+    A malformed record raises TreeFormatError naming ``path:line``. A line
+    identical to the record before it is not parsed again: it shares that
+    record's tree object and loglik (identical text passes the same checks).
     """
     trees, logliks = [], []
+    prev = None
     with Path(path).open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if line == prev:  # same text as the record before: share its tree
+                trees.append(trees[-1])
+                logliks.append(logliks[-1])
+                continue
             if not line.strip():
                 continue
             try:
@@ -201,6 +287,7 @@ def load_ensemble(path, meta_path=None, schema: Schema | None = None) -> Ensembl
                 raise TreeFormatError(f"{path}:{lineno}: leaf without class counts")
             trees.append(tree)
             logliks.append(ll)
+            prev = line
     meta = {}
     if meta_path is not None and Path(meta_path).exists():
         meta = json.loads(Path(meta_path).read_text(encoding="utf-8"))

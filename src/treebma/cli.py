@@ -81,8 +81,17 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace, inputs: list[Path],
 
 
 def _prepare(args, *inputs) -> tuple[Path, list[Path]]:
-    """Create the output directory; list the input files, plus ``--schema`` if given."""
+    """Create the output directory; list the input files, plus ``--schema`` if given.
+
+    An ``--out-dir`` that is the ``--ensemble``'s own directory is refused: the
+    run would replace the model's ``manifest.json`` (and ``filter`` its
+    ``metadata.json``).
+    """
     out = Path(args.out_dir)
+    ensemble = getattr(args, "ensemble", None)
+    if ensemble is not None and out.resolve() == Path(ensemble).resolve().parent:
+        raise ValueError(f"--out-dir {out} is the ensemble's own directory; "
+                         "its manifest.json and metadata.json would be overwritten")
     out.mkdir(parents=True, exist_ok=True)
     paths = [Path(p) for p in inputs]
     if getattr(args, "schema", None):
@@ -194,8 +203,6 @@ def cmd_filter(args) -> int:
     data, schema = _load(args)
     sidecar = Path(args.ensemble).with_name("metadata.json")  # holds the chain's alpha
     ens_path, meta_path = out / "filtered_ensemble.jsonl", out / "metadata.json"
-    if meta_path.resolve() == sidecar.resolve():
-        raise ValueError(f"--out-dir {out} would overwrite the ensemble's own metadata.json")
     ensemble = load_ensemble(args.ensemble, sidecar, schema=schema)
     result = filter_ensemble(ensemble, args.variable)
     before = evaluate(ensemble, data)

@@ -91,6 +91,16 @@ def _bits(mask: np.ndarray) -> int:
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
+def _rule_masks(rules: list[SplitRule], column: np.ndarray) -> list[int]:
+    """Each rule's left-row mask over ``column`` as :func:`_bits` gives it, packed in one call."""
+    if not rules:
+        return []
+    packed = np.packbits(np.stack([rule.goes_left(column) for rule in rules]),
+                         axis=1, bitorder="little")
+    buf, w = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(buf[i * w:(i + 1) * w], "little") for i in range(len(rules))]
+
+
 @dataclass
 class ChainState:
     """The chain's position: one tree, changed in place on each accepted move.
@@ -188,8 +198,7 @@ def init_chain(data: Dataset, config: ChainConfig,
     if not any(candidates):
         raise ValueError("no variable admits any split rule")
 
-    masks = [[_bits(rule.goes_left(data.X[:, j])) for rule in cands]
-             for j, cands in enumerate(candidates)]
+    masks = [_rule_masks(cands, data.X[:, j]) for j, cands in enumerate(candidates)]
     all_rows = (1 << data.n) - 1
     state = ChainState(data, config, candidates, masks, _bits(data.y == 1), nodes={}, root=0,
                        rows={0: all_rows}, leaves=[0], next_id=1)
@@ -377,7 +386,11 @@ def mh_step(state: ChainState, rng: np.random.Generator,
 
 
 def run_chain(data: Dataset, config: ChainConfig) -> Ensemble:
-    """Burn in, then collect a thinned sample of trees. Deterministic given seed."""
+    """Burn in, then collect a thinned sample of trees. Deterministic given seed.
+
+    A collection with no accepted move since the one before repeats that
+    tree object, so a run of identical trees is one shared object.
+    """
     rng = np.random.default_rng(config.seed)
     state = init_chain(data, config, rng)
     t0 = time.perf_counter()
@@ -385,9 +398,11 @@ def run_chain(data: Dataset, config: ChainConfig) -> Ensemble:
         mh_step(state, rng, debug=config.debug)
     trees, logliks = [], []
     while len(trees) < config.collect_count:
+        accepted = sum(state.accept_counts.values())
         for _ in range(config.thin):
             mh_step(state, rng, debug=config.debug)
-        trees.append(state.current)
+        unchanged = trees and sum(state.accept_counts.values()) == accepted
+        trees.append(trees[-1] if unchanged else state.current)
         logliks.append(state.current_loglik)
     elapsed = time.perf_counter() - t0
 

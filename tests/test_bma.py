@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treebma import (
     DecisionTree,
@@ -17,8 +19,9 @@ from treebma import (
     predict_batch,
     save_ensemble,
 )
+from treebma.bma import PREDICT_CHUNK
 from treebma.dataset import Dataset, Schema, VariableSpec
-from treebma.tree import TreeFormatError
+from treebma.tree import TreeFormatError, leaf_predictive, route, serialize
 
 
 def leaf_tree(counts) -> DecisionTree:
@@ -106,6 +109,72 @@ class TestPredict:
             predict_batch(ens, np.zeros(3))
 
 
+GRID = (0.0, 0.5, 1.0, 1.5, 2.0)  # column-0 values and thresholds: rows hit thresholds
+LEVELS = (0, 1, 2)  # column-1 levels
+
+
+@st.composite
+def random_trees(draw, max_depth=4):
+    """A tree of continuous (column 0) and categorical (column 1) splits, ids in post-order."""
+    nodes = {}
+
+    def build(depth):
+        if depth == 0 or draw(st.booleans()):
+            nid = len(nodes)
+            nodes[nid] = TreeNode(nid, counts=(draw(st.integers(0, 9)), draw(st.integers(0, 9))))
+            return nid
+        rule = SplitRule(0, threshold=draw(st.sampled_from(GRID))) if draw(st.booleans()) \
+            else SplitRule(1, level=draw(st.sampled_from(LEVELS)))
+        left, right = build(depth - 1), build(depth - 1)
+        nid = len(nodes)
+        nodes[nid] = TreeNode(nid, split=rule, left=left, right=right)
+        return nid
+
+    root = build(max_depth)
+    return DecisionTree(nodes, root)
+
+
+def routed_oracle(ensemble, X):
+    """Per tree and per row, the leaf route reaches: leaf_predictive summed in tree order."""
+    acc = np.zeros((X.shape[0], 2))
+    for tree in ensemble.trees:
+        for i, x in enumerate(X):
+            acc[i] += leaf_predictive(tree.nodes[route(tree, x)].counts,
+                                      ensemble.dirichlet_alpha)
+    return acc / len(ensemble)
+
+
+def grid_rows(rng, n):
+    return np.column_stack([rng.choice(GRID, n), rng.choice(LEVELS, n)]).astype(np.float64)
+
+
+class TestPredictBatchExact:
+    @settings(max_examples=60, deadline=None)
+    @given(pool=st.lists(random_trees(), min_size=1, max_size=5),
+           picks=st.lists(st.integers(0, 4), min_size=1, max_size=40),
+           alpha=st.sampled_from([1.0, 0.5, 2.5]),
+           n_rows=st.integers(0, 12), seed=st.integers(0, 2**16))
+    def test_matches_route_oracle(self, pool, picks, alpha, n_rows, seed):
+        """Bit-identical to the per-row oracle: consecutive and scattered repeats of one object."""
+        trees = [pool[i % len(pool)] for i in picks]
+        ens = Ensemble(trees=trees, logliks=[-1.0] * len(trees),
+                       meta={"config": {"dirichlet_alpha": alpha}})
+        X = grid_rows(np.random.default_rng(seed), n_rows)
+        assert np.array_equal(predict_batch(ens, X), routed_oracle(ens, X))
+
+    @settings(max_examples=5, deadline=None)
+    @given(pool=st.lists(random_trees(), min_size=2, max_size=6),
+           lengths=st.lists(st.integers(1, 3), min_size=150, max_size=150))
+    def test_longer_than_one_chunk(self, pool, lengths):
+        """150 runs (150 to 450 trees), more than PREDICT_CHUNK: single leaves, far repeats."""
+        pool.append(leaf_tree((4, 1)))
+        trees = [pool[i % len(pool)] for i, k in enumerate(lengths) for _ in range(k)]
+        ens = Ensemble(trees=trees, logliks=[-1.0] * len(trees))
+        assert sum(a is not b for a, b in zip(trees, [None] + trees)) > PREDICT_CHUNK
+        X = grid_rows(np.random.default_rng(len(trees)), 30)
+        assert np.array_equal(predict_batch(ens, X), routed_oracle(ens, X))
+
+
 class TestEvaluate:
     @pytest.fixture
     def one_var_data(self):
@@ -175,6 +244,35 @@ class TestEnsembleIO:
         assert len(load_ensemble(p)) == 2
         with pytest.raises(TreeFormatError, match=r"e\.jsonl:2: split on level 7"):
             load_ensemble(p, schema=tiny_schema)
+
+    def test_repeated_line_shares_one_tree(self, tmp_path):
+        """A line equal to the one before shares its object; a later repeat is parsed again."""
+        p = tmp_path / "e.jsonl"
+        a = serialize(stump(1.5, (2, 0), (0, 2)), loglik=-1.0) + "\n"
+        b = serialize(leaf_tree((1, 3)), loglik=-2.0) + "\n"
+        p.write_text(a + a + b + a)
+        ens = load_ensemble(p)
+        assert ens.trees[1] is ens.trees[0] and ens.logliks[1] is ens.logliks[0]
+        assert ens.trees[2] is not ens.trees[1]
+        assert ens.trees[3] is not ens.trees[0] and ens.trees[3] == ens.trees[0]
+        assert ens.logliks == [-1.0, -1.0, -2.0, -1.0]
+
+    def test_malformed_line_after_a_run_reports_lineno(self, tmp_path):
+        p = tmp_path / "e.jsonl"
+        good = '{"nodes":[{"id":0,"leaf":[1,1]}],"root":0,"loglik":-1.0}\n'
+        p.write_text(good * 3 + '{"nodes":[{"id":0,"leaf":[1,1]}],"root":0}\n')
+        with pytest.raises(ValueError, match=r"e\.jsonl:4: tree record missing loglik"):
+            load_ensemble(p)
+
+    def test_save_writes_a_run_line_per_tree(self, tmp_path):
+        t, u = stump(1.5, (2, 0), (0, 2)), leaf_tree((1, 3))
+        ll, ll_u = -1.0, -2.0
+        ens = Ensemble(trees=[t, t, t, u, t], logliks=[ll, ll, ll, ll_u, ll])
+        p = tmp_path / "e.jsonl"
+        save_ensemble(ens, p)
+        lines = p.read_text().splitlines()
+        assert lines == [serialize(x, loglik=v) for x, v in zip(ens.trees, ens.logliks)]
+        assert lines[0] == lines[1] == lines[2] == lines[4] != lines[3]
 
     def test_blank_lines_ignored(self, tmp_path):
         p = tmp_path / "e.jsonl"

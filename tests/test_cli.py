@@ -140,6 +140,19 @@ class TestEvalImportanceFilterCompare:
         assert (model / "metadata.json").read_bytes() == \
             (trained_dir / "metadata.json").read_bytes()
 
+    def test_importance_keeps_model_manifest(self, trained_dir, tmp_path):
+        """importance into the ensemble's own directory exits 1 and leaves train's manifest."""
+        model = tmp_path / "model"
+        model.mkdir()
+        for name in ("ensemble.jsonl", "metadata.json", "manifest.json"):
+            (model / name).write_bytes((trained_dir / name).read_bytes())
+        rc = main(["importance", "--ensemble", str(model / "ensemble.jsonl"),
+                   "--out-dir", str(tmp_path / "model" / ".." / "model")])
+        assert rc == 1
+        assert (model / "manifest.json").read_bytes() == \
+            (trained_dir / "manifest.json").read_bytes()
+        assert not (model / "importance.csv").exists()
+
     def test_compare_writes_all_arms(self, synth_dir, tmp_path):
         out = tmp_path / "cmp"
         rc = main(["compare", "--data", str(synth_dir / "data.csv"), "--folds", "3",

@@ -4,7 +4,7 @@ Every other determinism test compares two runs of the same code, so none of
 them notices when a change alters the random draw sequence, the node ids or
 the order of a floating-point sum. This test runs ``train`` (twice: shallow
 and deep trees), ``compare`` and ``eval`` on fixed inputs, then ``importance``
-and ``filter`` on the trained ensemble, and compares the sha256 of their
+and ``filter`` on the trained ensembles, and compares the sha256 of their
 outputs with constants recorded from an earlier commit. A change that alters
 the chain's output on purpose updates the constants below and says so in
 CHANGES.md; any other mismatch is a regression.
@@ -26,6 +26,7 @@ COMPARE = ["--seed", "3", "--folds", "3", "--variable", "1", "--burn-in", "600",
 EVAL = ["--seed", "2", "--folds", "3", "--burn-in", "600", "--collect", "60", "--thin", "2",
         "--min-leaf", "8", "--s-max", "6"]
 FILTER = ["--variable", "11"]  # used by 26 of the 100 trained trees
+FILTER_DEEP = ["--variable", "10"]  # used by 20 of the 100 deep trees
 
 PINNED = {
     "train/ensemble.jsonl": "54e412d8f65e9498883e742ee2393583f19e2e2dd3d311618d92b77b55acb841",
@@ -38,6 +39,9 @@ PINNED = {
     "filter/filtered_ensemble.jsonl":
         "6a8ba05aae83e3c3e653edd8d35b517a24edab01989214ae36ff866bbb611a54",
     "filter/report.txt": "5c18b48add0d495dde82df8621916e04aa3c8cf92d0d3b033f0fcfb8023bf446",
+    "filter_deep/filtered_ensemble.jsonl":
+        "a42bc9092fc5624e5191b0c02d86763be8c393ab159fd5d5eb5927c447f92cd8",
+    "filter_deep/report.txt": "6f18a4af038b24135eed8c45439ee9c24be94d415f89e19a7a1a518a3537fb32",
 }
 
 
@@ -57,6 +61,9 @@ def outputs(tmp_path_factory, small_data):
                  "--out-dir", str(root / "importance")]) == 0
     assert main(["filter", "--ensemble", ensemble, *FILTER, "--data", str(data),
                  "--out-dir", str(root / "filter")]) == 0
+    deep = str(root / "train_deep" / "ensemble.jsonl")
+    assert main(["filter", "--ensemble", deep, *FILTER_DEEP, "--data", str(data),
+                 "--out-dir", str(root / "filter_deep")]) == 0
     return root
 
 

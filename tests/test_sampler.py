@@ -14,7 +14,7 @@ from treebma import (
     run_chain,
 )
 from treebma.dataset import Dataset, Schema, VariableSpec
-from treebma.sampler import MOVES, _apply, default_s_max
+from treebma.sampler import MOVES, _apply, _bits, default_s_max
 from treebma.tree import candidate_rules, leaf_log_marginal, log_marginal_likelihood, serialize
 
 
@@ -115,6 +115,17 @@ class TestMhStep:
             mh_step(state, rng, debug=True)  # raises on the first mismatch
         assert sum(state.accept_counts.values()) > 0
 
+    def test_rule_masks_match_goes_left(self, small_data):
+        """Each packed left-row mask is the rule's own goes_left column, bit for bit."""
+        state = init_chain(small_data, ChainConfig(seed=1), np.random.default_rng(1))
+        kinds = {small_data.schema.variables[j].is_categorical
+                 for j, cands in enumerate(state.candidates) if cands}
+        assert kinds == {True, False}
+        assert [len(ms) for ms in state.masks] == [len(cs) for cs in state.candidates]
+        for j, cands in enumerate(state.candidates):
+            for i, rule in enumerate(cands):
+                assert state.masks[j][i] == _bits(rule.goes_left(small_data.X[:, j]))
+
     def test_counters_accumulate(self, small_data):
         cfg = ChainConfig(seed=3)
         rng = np.random.default_rng(cfg.seed)
@@ -137,6 +148,23 @@ class TestRunChain:
         a, b = run_chain(small_data, cfg), run_chain(small_data, cfg)
         assert [serialize(t) for t in a.trees] == [serialize(t) for t in b.trees]
         assert a.logliks == b.logliks
+
+    def test_repeats_share_objects_only_without_acceptance(self, small_data):
+        """A collected tree repeats the object before it iff no move was accepted in between."""
+        cfg = ChainConfig(burn_in_steps=200, collect_count=300, thin=2, min_leaf=5, seed=8)
+        ens = run_chain(small_data, cfg)
+        rng = np.random.default_rng(cfg.seed)
+        state = init_chain(small_data, cfg, rng)
+        for _ in range(cfg.burn_in_steps):
+            mh_step(state, rng)
+        accepted = []
+        for _ in range(cfg.collect_count):
+            for _ in range(cfg.thin):
+                mh_step(state, rng)
+            accepted.append(sum(state.accept_counts.values()))
+        shared = [a is b for a, b in zip(ens.trees[1:], ens.trees)]
+        assert shared == [a == b for a, b in zip(accepted[1:], accepted)]
+        assert 0 < sum(shared) < len(shared)
 
     def test_stored_trees_respect_constraints(self, small_data):
         cfg = ChainConfig(burn_in_steps=1000, collect_count=100, thin=2,
