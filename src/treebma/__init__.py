@@ -19,12 +19,10 @@ from .dataset import (
 from .tree import (
     DecisionTree,
     SplitRule,
-    TreeNode,
     candidate_rules,
     deserialize,
     leaf_predictive,
     log_marginal_likelihood,
-    route,
     serialize,
 )
 from .bma import (

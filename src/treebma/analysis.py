@@ -43,9 +43,11 @@ def variable_importance(ensemble: Ensemble, m: int | None = None,
     Default: split-node proportions (counts of split nodes testing variable j,
     normalized by total split nodes; entries sum to 1). With ``per_tree=True``,
     the fraction of trees containing at least one split on the variable
-    (entries then need not sum to 1).
+    (entries then need not sum to 1). A run of one tree object counts once,
+    weighted by its length; the counts are integers, so the sums are exact.
     """
-    used = [t.variables_used() for t in ensemble.trees]
+    firsts, lengths = ensemble.runs()
+    used = [t.variables_used() for t in firsts]
     top = max((v for vs in used for v in vs), default=None)
     if m is None:
         if top is None:
@@ -55,15 +57,15 @@ def variable_importance(ensemble: Ensemble, m: int | None = None,
         raise ValueError(f"ensemble splits on variable {top}, beyond the {m} variables")
     imp = np.zeros(m)
     if per_tree:
-        for vs in used:
+        for vs, k in zip(used, lengths):
             for v in set(vs):
-                imp[v] += 1
+                imp[v] += k
         return imp / len(ensemble)
     total = 0
-    for vs in used:
-        total += len(vs)
+    for vs, k in zip(used, lengths):
+        total += len(vs) * k
         for v in vs:
-            imp[v] += 1
+            imp[v] += k
     if total == 0:
         raise ValueError("importance undefined: no split nodes in the ensemble")
     return imp / total
@@ -79,9 +81,10 @@ class SelectionResult:
 
 
 def filter_ensemble(ensemble: Ensemble, variable: int) -> SelectionResult:
-    """Keep only trees with zero splits on ``variable``, preserving order."""
-    keep_idx = [i for i, t in enumerate(ensemble.trees)
-                if variable not in t.variables_used()]
+    """Keep only trees with zero splits on ``variable``, preserving order (and runs)."""
+    firsts, lengths = ensemble.runs()
+    keep = np.repeat([variable not in t.variables_used() for t in firsts], lengths)
+    keep_idx = np.flatnonzero(keep).tolist()
     omitted = len(ensemble) - len(keep_idx)
     if not keep_idx:
         raise ValueError(f"every tree splits on variable {variable}; nothing kept")

@@ -9,19 +9,20 @@ A chain that rejects a move keeps its tree, so an ensemble holds runs of
 identical consecutive trees. A run is one shared ``DecisionTree`` object at
 consecutive positions: :func:`~treebma.sampler.run_chain` and
 :func:`load_ensemble` build one object per run, and the read path does its
-work once per run (``tree is not prev``). :func:`save_ensemble` serializes a
-run once. :func:`predict_batch` compiles the first tree of each run into flat
-node arrays (rule index, child slots, leaf pair; a leaf points at itself),
-builds one boolean row mask per distinct split rule with
-:meth:`~treebma.tree.SplitRule.goes_left`, and routes all (tree, row) pairs
-of ``PREDICT_CHUNK`` runs at once, one tree level per pass. It then adds
-each tree's leaf pairs in ensemble order, so every sum is bit-identical to
-routing the trees one by one.
+work once per run (:meth:`Ensemble.runs`). :func:`save_ensemble` serializes
+a run once. :func:`predict_batch` stacks the flat records of the first tree
+of each run into one set of slot arrays (each tree's child slots shifted by
+the slots of the trees before it), builds one boolean row mask per distinct
+split rule with :meth:`~treebma.tree.SplitRule.goes_left`, and routes all
+(tree, row) pairs of ``PREDICT_CHUNK`` runs at once, one tree level per
+pass. It then adds each tree's leaf pairs in ensemble order, so every sum is
+bit-identical to routing the trees one by one.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +30,7 @@ import numpy as np
 from .dataset import Dataset, Schema
 from .tree import (
     DecisionTree,
-    SplitRule,
     TreeFormatError,
-    check_schema,
     deserialize,
     leaf_predictive,
     serialize,
@@ -66,6 +65,11 @@ class Ensemble:
 
     def __len__(self) -> int:
         return len(self.trees)
+
+    def runs(self) -> tuple[list[DecisionTree], list[int]]:
+        """The first tree of each run of one object at consecutive positions, and run lengths."""
+        starts = [i for i, t in enumerate(self.trees) if i == 0 or t is not self.trees[i - 1]]
+        return [self.trees[i] for i in starts], np.diff([*starts, len(self.trees)]).tolist()
 
     @property
     def dirichlet_alpha(self) -> float:
@@ -106,43 +110,31 @@ def _entropy_bits(p: np.ndarray) -> np.ndarray:
 PREDICT_CHUNK = 128  # runs routed together; bounds the (trees x rows) arrays
 
 
-def _runs(trees: list[DecisionTree]) -> tuple[list[DecisionTree], list[int]]:
-    """The first tree of each run of one object at consecutive positions, and the run lengths."""
-    firsts, lengths = [], []
-    for tree in trees:
-        if firsts and tree is firsts[-1]:
-            lengths[-1] += 1
-        else:
-            firsts.append(tree)
-            lengths.append(1)
-    return firsts, lengths
-
-
-def _compile(trees: list[DecisionTree], alpha: float):
-    """The trees as flat node arrays, one slot per node, stacked in order.
+def _stack(trees: list[DecisionTree], alpha: float):
+    """The trees' records stacked into flat slot arrays, tree after tree.
 
     Returns ``rules`` (each distinct split rule once) and, per slot, ``rule``
     (the split's index in ``rules``, -1 for a leaf), ``kids`` (the right
-    then the left child's slot at 2 * slot and 2 * slot + 1; a leaf points
-    at itself) and ``leaf_p`` (the leaf's :func:`leaf_predictive` pair,
-    zeros for a split), plus each tree's root slot.
+    then the left child's slot at 2 * slot and 2 * slot + 1; unused for a
+    leaf) and ``leaf_p`` (the leaf's :func:`leaf_predictive` pair, zeros for
+    a split), plus each tree's root slot.
     """
-    rule_ids: dict[SplitRule, int] = {}  # in first-seen order
-    rule, kids, leaf_p, roots = [], [], [], []
-    for tree in trees:
-        slot = dict(zip(tree.nodes, range(len(rule), len(rule) + len(tree.nodes))))
-        roots.append(slot[tree.root])
-        for nid, nd in tree.nodes.items():
-            if nd.split is None:
-                rule.append(-1)
-                kids += (slot[nid], slot[nid])
-                leaf_p += leaf_predictive(nd.counts, alpha)
-            else:
-                rule.append(rule_ids.setdefault(nd.split, len(rule_ids)))
-                kids += (slot[nd.right], slot[nd.left])
-                leaf_p += (0.0, 0.0)
-    return (list(rule_ids), np.array(rule, dtype=np.intp), np.array(kids, dtype=np.intp),
-            np.array(leaf_p).reshape(-1, 2), np.array(roots, dtype=np.intp))
+    sizes = [len(t.ids) for t in trees]
+    total = sum(sizes)
+    starts = np.cumsum([0, *sizes[:-1]])
+    rule_ids: dict = {}  # in first-seen order
+    rule = np.fromiter((-1 if r is None else rule_ids.setdefault(r, len(rule_ids))
+                        for t in trees for r in t.rules), np.intp, total)
+    kids = np.column_stack([np.fromiter(chain.from_iterable(getattr(t, side) for t in trees),
+                                        np.intp, total) for side in ("right", "left")])
+    kids += np.repeat(starts, sizes)[:, None]  # each tree's slots follow the trees before it
+    pairs: dict = {}  # distinct leaf counts, in first-seen order
+    pair = np.fromiter((pairs.setdefault(c, len(pairs)) for t in trees
+                        for r, c in zip(t.rules, t.counts) if r is None), np.intp)
+    leaf_p = np.zeros((total, 2))
+    leaf_p[rule < 0] = np.array([leaf_predictive(c, alpha) for c in pairs])[pair]
+    roots = starts + np.array([t.root for t in trees], dtype=np.intp)
+    return list(rule_ids), rule, kids.ravel(), leaf_p, roots
 
 
 def predict_batch(ensemble: Ensemble, X: np.ndarray) -> np.ndarray:
@@ -151,8 +143,8 @@ def predict_batch(ensemble: Ensemble, X: np.ndarray) -> np.ndarray:
     if X.ndim != 2:
         raise ValueError("X must be 2-d")
     alpha = ensemble.dirichlet_alpha
-    firsts, lengths = _runs(ensemble.trees)
-    rules, rule, kids, leaf_p, roots = _compile(firsts, alpha)
+    firsts, lengths = ensemble.runs()
+    rules, rule, kids, leaf_p, roots = _stack(firsts, alpha)
     if max((r.variable for r in rules), default=-1) >= X.shape[1]:
         raise ValueError(f"feature arity {X.shape[1]} too small for ensemble splits")
     n = X.shape[0]
@@ -260,13 +252,14 @@ def save_ensemble(ensemble: Ensemble, path, meta_path=None) -> None:
 def load_ensemble(path, meta_path=None, schema: Schema | None = None) -> Ensemble:
     """Read an ensemble file (and optionally its metadata sidecar).
 
-    With a ``schema``, every split must fit it (:func:`treebma.tree.check_schema`).
+    With a ``schema``, every split must fit it; each distinct rule of the
+    file is built and checked once (see :func:`treebma.tree.deserialize`).
     A malformed record raises TreeFormatError naming ``path:line``. A line
     identical to the record before it is not parsed again: it shares that
     record's tree object and loglik (identical text passes the same checks).
     """
     trees, logliks = [], []
-    prev = None
+    prev, rules = None, {}
     with Path(path).open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line == prev:  # same text as the record before: share its tree
@@ -276,14 +269,12 @@ def load_ensemble(path, meta_path=None, schema: Schema | None = None) -> Ensembl
             if not line.strip():
                 continue
             try:
-                tree, ll = deserialize(line)
-                if schema is not None:
-                    check_schema(tree, schema)
+                tree, ll = deserialize(line, schema, rules)
             except ValueError as e:
                 raise TreeFormatError(f"{path}:{lineno}: {e}") from e
             if ll is None:
                 raise TreeFormatError(f"{path}:{lineno}: tree record missing loglik")
-            if any(nd.counts is None and nd.is_leaf for nd in tree.nodes.values()):
+            if tree.counts.count(None) != tree.n_splits:  # a split's counts are None
                 raise TreeFormatError(f"{path}:{lineno}: leaf without class counts")
             trees.append(tree)
             logliks.append(ll)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 from bisect import insort
+from collections import namedtuple
 from dataclasses import dataclass, field, replace, asdict
 from math import log
 from typing import NamedTuple
@@ -33,11 +34,10 @@ from .bma import Ensemble
 from .tree import (
     DecisionTree,
     SplitRule,
-    TreeNode,
     candidate_rules,
     leaf_log_marginal,
+    leaf_rows,
     log_marginal_likelihood,
-    partition_rows,
     prunable_ids,
 )
 
@@ -101,6 +101,10 @@ def _rule_masks(rules: list[SplitRule], column: np.ndarray) -> list[int]:
     return [int.from_bytes(buf[i * w:(i + 1) * w], "little") for i in range(len(rules))]
 
 
+# The chain's node: a split (rule and child ids, counts None) or a leaf (class counts only).
+_Node = namedtuple("_Node", "split left right counts")
+
+
 @dataclass
 class ChainState:
     """The chain's position: one tree, changed in place on each accepted move.
@@ -121,7 +125,7 @@ class ChainState:
     candidates: list[list[SplitRule]]
     masks: list[list[int]]
     ones: int
-    nodes: dict[int, TreeNode]
+    nodes: dict[int, _Node]
     root: int
     rows: dict[int, int]
     leaves: list[int]
@@ -138,7 +142,12 @@ class ChainState:
 
     @property
     def current(self) -> DecisionTree:
-        return DecisionTree(dict(self.nodes), self.root)
+        """The tree as a record; valid by construction, so nothing is checked."""
+        slot = {nid: s for s, nid in enumerate(self.nodes)}
+        slot[None] = -1  # a leaf's children
+        rules, left, right, counts = zip(*self.nodes.values())
+        return DecisionTree(tuple(self.nodes), rules, tuple(map(slot.__getitem__, left)),
+                            tuple(map(slot.__getitem__, right)), counts, slot[self.root])
 
 
 class Proposal(NamedTuple):
@@ -203,7 +212,7 @@ def init_chain(data: Dataset, config: ChainConfig,
     state = ChainState(data, config, candidates, masks, _bits(data.y == 1), nodes={}, root=0,
                        rows={0: all_rows}, leaves=[0], next_id=1)
     root_counts = _counts(state, all_rows, data.n)
-    state.nodes[0] = TreeNode(0, counts=root_counts)
+    state.nodes[0] = _Node(None, None, None, root_counts)
     state.current_loglik = _term(state, root_counts)
     for _ in range(100):
         birth = _propose_birth(state, rng)
@@ -283,7 +292,7 @@ def _propose_change(state: ChainState, rng, redraw_variable: bool) -> Proposal |
     i = int(rng.integers(len(cands)))
     mask = state.masks[var][i]
 
-    # Walk the subtree depth-first, right child first, as partition_rows does;
+    # Walk the subtree depth-first, right child first, as leaf_rows does;
     # the loglik sums the old, then the new leaf terms in that order.
     stack, sub_rows, sub_leaves = [(pick, state.rows[pick])], [], []
     while stack:
@@ -320,8 +329,8 @@ def _apply(state: ChainState, prop: Proposal) -> None:
         insort(state.leaves, pick)
         state.splits.remove(pick)
         state.prunable.remove(pick)
-        if up is not None and nodes[up.right if up.left == pick else up.left].is_leaf:
-            insort(state.prunable, up.node_id)  # pick's sibling is a leaf
+        if up is not None and nodes[up.right if up.left == pick else up.left].split is None:
+            insort(state.prunable, state.parent[pick])  # pick's sibling is a leaf
     elif prop.kind == "birth":
         if state.parent.get(pick) in state.prunable:
             state.prunable.remove(state.parent[pick])
@@ -334,32 +343,31 @@ def _apply(state: ChainState, prop: Proposal) -> None:
     else:
         left, right = nodes[pick].left, nodes[pick].right
     if rule is not None:
-        nodes[pick] = TreeNode(pick, split=rule, left=left, right=right)
+        nodes[pick] = _Node(rule, left, right, None)
         state.node_mask[pick] = mask
     state.rows.update(sub_rows)
     for nid, counts in leaf_counts:
-        nodes[nid] = TreeNode(nid, counts=counts)
+        nodes[nid] = _Node(None, None, None, counts)
     state.next_id = next(reversed(nodes)) + 1  # a death can free the top ids
     state.current_loglik = prop.loglik
 
 
 def _check_state(state: ChainState) -> None:
-    """Recompute the loglik, the id index and each leaf's rows and counts from the node dict."""
-    nodes, data = state.nodes, state.data
-    recomputed = log_marginal_likelihood(state.current, state.config.dirichlet_alpha)
+    """Recompute the loglik, the id index and each leaf's rows and counts from the tree."""
+    tree, data = state.current, state.data
+    recomputed = log_marginal_likelihood(tree, state.config.dirichlet_alpha)
     if abs(recomputed - state.current_loglik) > 1e-8 * max(1.0, abs(recomputed)):
         raise AssertionError(f"cached loglik {state.current_loglik} drifted from {recomputed}")
-    splits = [nid for nid, nd in nodes.items() if not nd.is_leaf]
-    index = ([nid for nid, nd in nodes.items() if nd.is_leaf], splits, prunable_ids(nodes),
-             {c: s for s in splits for c in (nodes[s].left, nodes[s].right)}, max(nodes) + 1)
+    parent = {c: s for s, nd in state.nodes.items() if nd.split for c in (nd.left, nd.right)}
+    index = (tree.leaf_ids(), tree.split_ids(), prunable_ids(tree), parent, tree.ids[-1] + 1)
     cached = (state.leaves, state.splits, state.prunable, state.parent, state.next_id)
     if cached != index:
         raise AssertionError(f"id index {cached} differs from {index}")
-    for nid, idx in partition_rows(nodes, state.root, data.X, np.arange(data.n)).items():
+    for nid, idx in leaf_rows(tree, data.X).items():
         n1 = int(data.y[idx].sum())
-        if (state.rows[nid], nodes[nid].counts) != \
+        if (state.rows[nid], state.nodes[nid].counts) != \
                 (sum(1 << int(i) for i in idx), (idx.size - n1, n1)):
-            raise AssertionError(f"leaf {nid}: rows or counts differ from partition_rows")
+            raise AssertionError(f"leaf {nid}: rows or counts differ from leaf_rows")
 
 
 def mh_step(state: ChainState, rng: np.random.Generator,
@@ -453,7 +461,8 @@ def chain_diagnostics(ensemble: Ensemble) -> dict:
         drift_z = abs(second.mean() - first.mean()) / se if se > 0 else 0.0
     else:
         drift_z = 0.0
-    leaf_counts = np.array([t.k_leaves for t in ensemble.trees])
+    firsts, lengths = ensemble.runs()
+    leaf_counts = np.repeat([t.k_leaves for t in firsts], lengths)
     hist = {int(k): int(c) for k, c in zip(*np.unique(leaf_counts, return_counts=True))}
     return {
         "acceptance": ensemble.meta.get("acceptance", {}),

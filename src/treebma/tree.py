@@ -1,15 +1,21 @@
-"""Binary classification trees: routing, leaf statistics, marginal likelihood.
+"""Binary classification trees: structure, leaf statistics, marginal likelihood.
 
-A tree is an immutable value: a dict of nodes keyed by id plus a root id.
-Internal nodes hold a :class:`SplitRule`; leaves hold (optionally) the pair of
-training class counts that the Dirichlet-multinomial marginal likelihood and
-the leaf predictive probabilities are computed from.
+A tree is an immutable flat record, one slot per node in ascending node-id
+order: the node id, its :class:`SplitRule` (None for a leaf), the slots of
+its left and right children (-1 for a leaf) and its training class counts
+(None for a split, or for a leaf that was never annotated), plus the root's
+slot. The Dirichlet-multinomial marginal likelihood and the leaf predictive
+probabilities are computed from the leaf counts. A record is checked once,
+where it enters the program (:func:`deserialize`); the sampler builds its
+snapshots valid by construction.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import isfinite, lgamma
+from operator import itemgetter, lt
 
 import numpy as np
 
@@ -18,24 +24,20 @@ from .dataset import Dataset, Schema
 __all__ = [
     "TreeFormatError",
     "SplitRule",
-    "TreeNode",
     "DecisionTree",
-    "route",
-    "partition_rows",
     "prunable_ids",
     "leaf_rows",
     "log_marginal_likelihood",
     "leaf_log_marginal",
     "leaf_predictive",
     "candidate_rules",
-    "check_schema",
     "serialize",
     "deserialize",
 ]
 
 
 class TreeFormatError(ValueError):
-    """Raised when a serialized tree record is malformed."""
+    """Raised when a tree record is malformed."""
 
 
 @dataclass(frozen=True)
@@ -52,9 +54,12 @@ class SplitRule:
         if self.variable < 0:
             raise ValueError(f"negative variable index {self.variable}")
 
-    @property
-    def is_categorical(self) -> bool:
-        return self.level is not None
+    @cached_property  # once per rule object: rules are shared by the trees of a chain or file
+    def json_text(self) -> str:
+        """The rule as its ensemble-file record, as ``json.dumps`` writes it."""
+        return json.dumps({"var": self.variable, "level": self.level} if self.level is not None
+                          else {"var": self.variable, "thr": self.threshold},
+                          separators=(",", ":"))
 
     def goes_left(self, value):
         """The rule's test, elementwise: a scalar gives a bool, a column a boolean mask."""
@@ -64,117 +69,143 @@ class SplitRule:
 
 
 @dataclass(frozen=True)
-class TreeNode:
-    """Either a split node (rule + two child ids) or a leaf (class counts)."""
-
-    node_id: int
-    split: SplitRule | None = None
-    left: int | None = None
-    right: int | None = None
-    counts: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        is_split = self.split is not None
-        if is_split and (self.left is None or self.right is None):
-            raise ValueError("split node needs both children")
-        if not is_split and (self.left is not None or self.right is not None):
-            raise ValueError("leaf node may not have children")
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.split is None
-
-
-@dataclass(frozen=True)
 class DecisionTree:
-    """Immutable binary tree over feature indices."""
+    """Immutable binary tree over feature indices, one slot per node (see the module doc)."""
 
-    nodes: dict[int, TreeNode]
+    ids: tuple[int, ...]
+    rules: tuple[SplitRule | None, ...]
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+    counts: tuple[tuple[int, int] | None, ...]
     root: int
 
-    def __post_init__(self):
-        seen = set()
-        stack = [self.root]
-        while stack:
-            nid = stack.pop()
-            if nid in seen:
-                raise ValueError(f"node {nid} reachable twice (not a tree)")
-            seen.add(nid)
-            node = self.nodes.get(nid)
-            if node is None:
-                raise ValueError(f"dangling child id {nid}")
-            if not node.is_leaf:
-                stack.extend((node.left, node.right))
-        if seen != set(self.nodes):
-            raise ValueError("unreachable nodes present")
-
     def leaf_ids(self) -> list[int]:
-        return [nid for nid, nd in self.nodes.items() if nd.is_leaf]
+        return [nid for nid, rule in zip(self.ids, self.rules) if rule is None]
 
     def split_ids(self) -> list[int]:
-        return [nid for nid, nd in self.nodes.items() if not nd.is_leaf]
+        return [nid for nid, rule in zip(self.ids, self.rules) if rule is not None]
 
     @property
     def k_leaves(self) -> int:
-        return sum(1 for nd in self.nodes.values() if nd.is_leaf)
+        return len(self.rules) - self.n_splits
 
     @property
     def n_splits(self) -> int:
-        return len(self.nodes) - self.k_leaves
+        return sum(map(bool, self.rules))  # a rule is truthy, None is not
 
     def variables_used(self) -> list[int]:
-        return [self.nodes[s].split.variable for s in self.split_ids()]
+        return [rule.variable for rule in self.rules if rule is not None]
 
 
-def route(tree: DecisionTree, x) -> int:
-    """Route one feature vector to its leaf; returns the leaf node id."""
-    x = np.asarray(x, dtype=np.float64)
-    nid = tree.root
-    node = tree.nodes[nid]
-    while not node.is_leaf:
-        if node.split.variable >= x.shape[0]:
-            raise ValueError(
-                f"feature vector of arity {x.shape[0]} too short for split on "
-                f"variable {node.split.variable}"
-            )
-        nid = node.left if node.split.goes_left(x[node.split.variable]) else node.right
-        node = tree.nodes[nid]
-    return nid
-
-
-def prunable_ids(nodes: dict[int, TreeNode]) -> list[int]:
-    """Split nodes of a node dict whose both children are leaves, in dict order."""
-    return [
-        nid
-        for nid, nd in nodes.items()
-        if not nd.is_leaf and nodes[nd.left].is_leaf and nodes[nd.right].is_leaf
-    ]
-
-
-def partition_rows(nodes: dict[int, TreeNode], start: int, X: np.ndarray,
-                   rows: np.ndarray) -> dict[int, np.ndarray]:
-    """Route ``rows`` of X down the subtree at ``start``; returns leaf id -> row indices.
-
-    Leaves come out in depth-first order, right child first. Callers sum
-    per-leaf terms in that order, so it is part of the output's bytes.
-    """
-    out: dict[int, np.ndarray] = {}
-    stack = [(start, rows)]
-    while stack:
-        nid, idx = stack.pop()
-        node = nodes[nid]
-        if node.is_leaf:
-            out[nid] = idx
+def _tree(doc: dict, schema: Schema | None, rules: dict) -> DecisionTree:
+    """The tree of a decoded record. Ids must be distinct integers, a split's children and
+    the root must name nodes, every node must be reachable from the root exactly once, and
+    leaf counts must be None or two non-negative integers."""
+    recs = doc["nodes"]
+    ids = [rec["id"] for rec in recs]
+    if set(map(type, ids)) != {int}:
+        raise TreeFormatError(f"node ids {ids!r} are not a non-empty list of integers")
+    if not all(map(lt, ids, ids[1:])):
+        recs, ids = sorted(recs, key=itemgetter("id")), sorted(ids)
+        dup = next((a for a, b in zip(ids, ids[1:]) if a == b), None)
+        if dup is not None:
+            raise TreeFormatError(f"duplicate node id {dup}")
+    slot = dict(zip(ids, range(len(ids))))
+    nodes = []  # per slot: (rule, left slot, right slot, counts)
+    for nid, rec in zip(ids, recs):
+        if "leaf" in rec:
+            if len(rec) > 2 and ("left" in rec or "right" in rec):
+                raise TreeFormatError(f"leaf node {nid} may not have children")
+            c = rec["leaf"]
+            if c is not None:
+                if not (type(c) is list and len(c) == 2 and type(c[0]) is int
+                        and type(c[1]) is int and c[0] >= 0 and c[1] >= 0):
+                    raise TreeFormatError(f"leaf {nid} counts {c!r} are not two "
+                                          "non-negative integers")
+                c = (c[0], c[1])
+            nodes.append((None, -1, -1, c))
+        elif "split" in rec:
+            rule = _rule(rec["split"], nid, schema, rules)
+            kid_l, kid_r = rec.get("left"), rec.get("right")
+            if type(kid_l) is not int or type(kid_r) is not int:
+                raise TreeFormatError(f"split node {nid} needs both children as integer "
+                                      f"ids, not {kid_l!r} and {kid_r!r}")
+            if kid_l not in slot or kid_r not in slot:
+                raise TreeFormatError(f"dangling child id {kid_r if kid_l in slot else kid_l}")
+            nodes.append((rule, slot[kid_l], slot[kid_r], None))
         else:
-            go_left = node.split.goes_left(X[idx, node.split.variable])
-            stack.append((node.left, idx[go_left]))
-            stack.append((node.right, idx[~go_left]))
-    return out
+            raise TreeFormatError(f"node {nid} is neither split nor leaf")
+    root = doc["root"]
+    if type(root) is not int or root not in slot:
+        raise TreeFormatError(f"root id {root!r} is not a node")
+    root = slot[root]
+    node_rules, left, right, counts = zip(*nodes)
+    # Distinct children that exclude the root give each other node at most one
+    # parent, so the walk below reaches no node twice and always ends.
+    kids = [s for s in left + right if s >= 0]
+    if len(set(kids)) != len(kids) or root in kids:
+        twice = root if root in kids else next(s for s in kids if kids.count(s) > 1)
+        raise TreeFormatError(f"node {ids[twice]} reachable twice (not a tree)")
+    reached, stack = 0, [root]
+    while stack:
+        s = stack.pop()
+        reached += 1
+        if left[s] >= 0:
+            stack += (left[s], right[s])
+    if reached != len(ids):
+        raise TreeFormatError("unreachable nodes present")
+    return DecisionTree(tuple(ids), node_rules, left, right, counts, root)
+
+
+def _rule(doc: dict, nid: int, schema: Schema | None, rules: dict) -> SplitRule:
+    """The split rule of a decoded record, type-checked, then looked up in ``rules`` or
+    built, checked against ``schema`` (its variables and declared levels) and added."""
+    var, thr, level = doc["var"], doc.get("thr"), doc.get("level")
+    if "thr" in doc and "level" in doc:
+        raise TreeFormatError(f"split {nid} rule {doc!r} has both thr and level")
+    if not (type(var) is int and (type(level) is int if thr is None
+                                  else type(thr) in (int, float) and isfinite(thr))):
+        raise TreeFormatError(f"split {nid} rule {doc!r} needs an integer var "
+                              "and a finite thr or an integer level")
+    key = (var, repr(thr) if thr == 0 else thr, level)  # 1 != true (types checked); -0.0 != 0.0
+    rule = rules.get(key)
+    if rule is None:
+        rule = SplitRule(var, level=level) if thr is None \
+            else SplitRule(var, threshold=float(thr))
+        if schema is not None:
+            if var >= schema.m:
+                raise TreeFormatError(f"split on variable {var}, but the schema "
+                                      f"has {schema.m} variables")
+            spec = schema.variables[var]
+            if level is not None and level not in (spec.levels or ()):
+                raise TreeFormatError(f"split on level {level} of variable {var} "
+                                      f"({spec.name!r}), which the schema does not declare")
+        rules[key] = rule
+    return rule
+
+
+def prunable_ids(tree: DecisionTree) -> list[int]:
+    """Split nodes whose both children are leaves, in ascending id order."""
+    rules, left, right = tree.rules, tree.left, tree.right
+    return [nid for s, nid in enumerate(tree.ids)
+            if rules[s] is not None and rules[left[s]] is None and rules[right[s]] is None]
 
 
 def leaf_rows(tree: DecisionTree, X: np.ndarray) -> dict[int, np.ndarray]:
-    """Partition the row indices of X by the leaf they reach."""
-    return partition_rows(tree.nodes, tree.root, X, np.arange(X.shape[0]))
+    """Partition the row indices of X by the leaf they reach: leaf id -> row indices,
+    leaves in depth-first order, right child first."""
+    out: dict[int, np.ndarray] = {}
+    stack = [(tree.root, np.arange(X.shape[0]))]
+    while stack:
+        s, idx = stack.pop()
+        rule = tree.rules[s]
+        if rule is None:
+            out[tree.ids[s]] = idx
+        else:
+            go_left = rule.goes_left(X[idx, rule.variable])
+            stack.append((tree.left[s], idx[go_left]))
+            stack.append((tree.right[s], idx[~go_left]))
+    return out
 
 
 def leaf_log_marginal(n0: int, n1: int, alpha: float) -> float:
@@ -188,8 +219,9 @@ def leaf_log_marginal(n0: int, n1: int, alpha: float) -> float:
 def log_marginal_likelihood(tree: DecisionTree, alpha: float) -> float:
     """Sum of per-leaf Dirichlet-multinomial log marginals over a tree with leaf counts."""
     total = 0.0
-    for nid in tree.leaf_ids():
-        counts = tree.nodes[nid].counts
+    for nid, rule, counts in zip(tree.ids, tree.rules, tree.counts):
+        if rule is not None:
+            continue
         if counts is None:
             raise ValueError(f"leaf {nid} is not annotated")
         total += leaf_log_marginal(counts[0], counts[1], alpha)
@@ -224,84 +256,51 @@ def candidate_rules(data: Dataset, variable: int) -> list[SplitRule]:
     return [SplitRule(variable, threshold=float(v)) for v in values[:-1]]
 
 
-def check_schema(tree: DecisionTree, schema: Schema) -> None:
-    """Raise TreeFormatError unless every split of the tree fits the schema.
-
-    A split must name one of the schema's variables; a level split must name a
-    categorical variable and one of its declared levels.
-    """
-    for nd in tree.nodes.values():
-        sp = nd.split
-        if sp is None:
-            continue
-        if sp.variable >= schema.m:
-            raise TreeFormatError(f"split on variable {sp.variable}, but the schema "
-                                  f"has {schema.m} variables")
-        var = schema.variables[sp.variable]
-        if sp.level is not None and sp.level not in (var.levels or ()):
-            raise TreeFormatError(f"split on level {sp.level} of variable {sp.variable} "
-                                  f"({var.name!r}), which the schema does not declare")
-
-
 # ---------------------------------------------------------------------------
 # One-line JSON serialization (ensemble file format)
 # ---------------------------------------------------------------------------
 
 def serialize(tree: DecisionTree, loglik: float | None = None) -> str:
-    """Encode a tree as a single JSON line, optionally with its train loglik."""
-    nodes = []
-    for nid in sorted(tree.nodes):
-        nd = tree.nodes[nid]
-        if nd.is_leaf:
-            rec = {"id": nid, "leaf": list(nd.counts) if nd.counts is not None else None}
+    """Encode a tree as a single JSON line, optionally with its train loglik.
+
+    The line is what ``json.dumps`` with compact separators gives for
+    ``{"nodes": [...], "root": id, "loglik": x}``, nodes in ascending id order.
+    """
+    ids, parts = tree.ids, []
+    for nid, rule, left, right, counts in zip(ids, tree.rules, tree.left, tree.right,
+                                              tree.counts):
+        if rule is not None:
+            parts.append(f'{{"id":{nid},"split":{rule.json_text},"left":{ids[left]},'
+                         f'"right":{ids[right]}}}')
+        elif counts is None:
+            parts.append(f'{{"id":{nid},"leaf":null}}')
         else:
-            sp = nd.split
-            rule = {"var": sp.variable, "level": sp.level} if sp.is_categorical \
-                else {"var": sp.variable, "thr": sp.threshold}
-            rec = {"id": nid, "split": rule, "left": nd.left, "right": nd.right}
-        nodes.append(rec)
-    doc = {"nodes": nodes, "root": tree.root}
-    if loglik is not None:
-        doc["loglik"] = loglik
-    return json.dumps(doc, separators=(",", ":"))
+            parts.append(f'{{"id":{nid},"leaf":[{counts[0]},{counts[1]}]}}')
+    tail = "" if loglik is None else f',"loglik":{json.dumps(loglik)}'
+    return f'{{"nodes":[{",".join(parts)}],"root":{ids[tree.root]}{tail}}}'
 
 
-def deserialize(line: str) -> tuple[DecisionTree, float | None]:
-    """Decode one serialized tree line; returns (tree, loglik-or-None)."""
+def deserialize(line: str, schema: Schema | None = None,
+                rules: dict | None = None) -> tuple[DecisionTree, float | None]:
+    """Decode one serialized tree line; returns (tree, loglik-or-None).
+
+    ``rules`` interns split rules across the lines of one file: a rule is
+    type-checked on every occurrence, and built and checked against
+    ``schema`` (when given) only the first time.
+    """
     try:
         doc = json.loads(line)
     except json.JSONDecodeError as e:
         raise TreeFormatError(f"invalid JSON at position {e.pos}: {e.msg}") from e
+    except (RecursionError, ValueError) as e:  # nested too deep; an integer too long
+        raise TreeFormatError(f"invalid JSON: {e}") from None
     try:
-        nodes = {}
-        for i, rec in enumerate(doc["nodes"]):
-            nid = rec["id"]
-            if "leaf" in rec:
-                counts = rec["leaf"]
-                if counts is not None:
-                    if not (type(counts) is list and len(counts) == 2
-                            and type(counts[0]) is int and type(counts[1]) is int
-                            and min(counts) >= 0):
-                        raise TreeFormatError(f"leaf {nid} counts {counts!r} are not "
-                                              "two non-negative integers")
-                    counts = tuple(counts)
-                nodes[nid] = TreeNode(nid, counts=counts)
-            elif "split" in rec:
-                rule = rec["split"]
-                var, thr, level = rule["var"], rule.get("thr"), rule.get("level")
-                if not (type(var) is int and (
-                        type(level) is int if thr is None
-                        else type(thr) in (int, float) and isfinite(thr))):
-                    raise TreeFormatError(f"split {nid} rule {rule!r} needs an integer var "
-                                          "and a finite thr or an integer level")
-                sp = SplitRule(var, level=level) if thr is None \
-                    else SplitRule(var, threshold=float(thr))
-                nodes[nid] = TreeNode(nid, split=sp, left=rec["left"], right=rec["right"])
-            else:
-                raise TreeFormatError(f"node record {i} is neither split nor leaf")
-        tree = DecisionTree(nodes, doc["root"])
+        tree = _tree(doc, schema, {} if rules is None else rules)
+        loglik = doc.get("loglik")
+        if loglik is not None and not (type(loglik) in (int, float) and isfinite(loglik)):
+            raise TreeFormatError(f"loglik {loglik!r} is not a finite number")
     except TreeFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise TreeFormatError(f"malformed tree record: {e}") from e
-    return tree, doc.get("loglik")
+    return tree, loglik

@@ -26,12 +26,12 @@ from treebma.bma import Prediction
 from treebma.cli import main
 from treebma.dataset import Dataset, Schema, VariableSpec
 from treebma.tree import (
-    DecisionTree,
-    TreeNode,
     candidate_rules,
     leaf_log_marginal,
     leaf_predictive,
 )
+
+from helpers import make_tree
 
 
 def verdict(n: int, ok: bool, detail: str) -> None:
@@ -93,7 +93,7 @@ def test_criterion_1_stump_posterior_oracle():
         if t.n_splits == 0:
             freq[("leaf",)] += 1
         else:
-            sp = t.nodes[t.split_ids()[0]].split
+            sp = next(r for r in t.rules if r is not None)
             freq[("stump", sp.variable,
                   sp.threshold if sp.level is None else ("lv", sp.level))] += 1
     empirical = {k: c / len(ens.trees) for k, c in freq.items()}
@@ -249,7 +249,7 @@ def test_criterion_7_metric_units(small_ensemble):
 
     # entropy of a deterministic predictor is 0; 63-row uniform predictor is 63 bits
     det_entropy = Prediction((1.0, 0.0)).entropy_bits
-    uniform = Ensemble(trees=[DecisionTree({0: TreeNode(0, counts=(5, 5))}, 0)],
+    uniform = Ensemble(trees=[make_tree({0: (5, 5)}, 0)],
                        logliks=[-1.0])
     one_var = Schema((VariableSpec("x", "continuous"),), "y")
     test63 = Dataset(one_var, np.arange(63, dtype=float)[:, None],

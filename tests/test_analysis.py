@@ -7,7 +7,6 @@ from treebma import (
     DecisionTree,
     Ensemble,
     SplitRule,
-    TreeNode,
     filter_ensemble,
     predict_batch,
     run_comparison,
@@ -15,30 +14,26 @@ from treebma import (
 )
 from treebma.analysis import ARMS, derive_seed
 
+from helpers import make_tree
+
 
 def leaf_tree(counts=(1, 1)) -> DecisionTree:
-    return DecisionTree({0: TreeNode(0, counts=counts)}, 0)
+    return make_tree({0: counts}, 0)
 
 
 def stump_on(var: int) -> DecisionTree:
-    return DecisionTree(
-        {
-            0: TreeNode(0, split=SplitRule(var, threshold=0.5), left=1, right=2),
-            1: TreeNode(1, counts=(1, 0)),
-            2: TreeNode(2, counts=(0, 1)),
-        },
-        0,
-    )
+    return make_tree(
+        {0: (SplitRule(var, threshold=0.5), 1, 2), 1: (1, 0), 2: (0, 1)}, 0)
 
 
 def two_split_on(var_a: int, var_b: int) -> DecisionTree:
-    return DecisionTree(
+    return make_tree(
         {
-            0: TreeNode(0, split=SplitRule(var_a, threshold=0.5), left=1, right=2),
-            1: TreeNode(1, counts=(1, 0)),
-            2: TreeNode(2, split=SplitRule(var_b, threshold=0.7), left=3, right=4),
-            3: TreeNode(3, counts=(1, 0)),
-            4: TreeNode(4, counts=(0, 1)),
+            0: (SplitRule(var_a, threshold=0.5), 1, 2),
+            1: (1, 0),
+            2: (SplitRule(var_b, threshold=0.7), 3, 4),
+            3: (1, 0),
+            4: (0, 1),
         },
         0,
     )

@@ -11,7 +11,6 @@ from treebma import (
     Ensemble,
     Prediction,
     SplitRule,
-    TreeNode,
     evaluate,
     load_ensemble,
     max_loglikelihood,
@@ -21,22 +20,18 @@ from treebma import (
 )
 from treebma.bma import PREDICT_CHUNK
 from treebma.dataset import Dataset, Schema, VariableSpec
-from treebma.tree import TreeFormatError, leaf_predictive, route, serialize
+from treebma.tree import TreeFormatError, leaf_predictive, serialize
+
+from helpers import make_tree, route
 
 
 def leaf_tree(counts) -> DecisionTree:
-    return DecisionTree({0: TreeNode(0, counts=counts)}, 0)
+    return make_tree({0: counts}, 0)
 
 
 def stump(threshold, left_counts, right_counts) -> DecisionTree:
-    return DecisionTree(
-        {
-            0: TreeNode(0, split=SplitRule(0, threshold=threshold), left=1, right=2),
-            1: TreeNode(1, counts=left_counts),
-            2: TreeNode(2, counts=right_counts),
-        },
-        0,
-    )
+    return make_tree(
+        {0: (SplitRule(0, threshold=threshold), 1, 2), 1: left_counts, 2: right_counts}, 0)
 
 
 class TestEnsemble:
@@ -121,17 +116,17 @@ def random_trees(draw, max_depth=4):
     def build(depth):
         if depth == 0 or draw(st.booleans()):
             nid = len(nodes)
-            nodes[nid] = TreeNode(nid, counts=(draw(st.integers(0, 9)), draw(st.integers(0, 9))))
+            nodes[nid] = (draw(st.integers(0, 9)), draw(st.integers(0, 9)))
             return nid
         rule = SplitRule(0, threshold=draw(st.sampled_from(GRID))) if draw(st.booleans()) \
             else SplitRule(1, level=draw(st.sampled_from(LEVELS)))
         left, right = build(depth - 1), build(depth - 1)
         nid = len(nodes)
-        nodes[nid] = TreeNode(nid, split=rule, left=left, right=right)
+        nodes[nid] = (rule, left, right)
         return nid
 
     root = build(max_depth)
-    return DecisionTree(nodes, root)
+    return make_tree(nodes, root)
 
 
 def routed_oracle(ensemble, X):
@@ -139,8 +134,8 @@ def routed_oracle(ensemble, X):
     acc = np.zeros((X.shape[0], 2))
     for tree in ensemble.trees:
         for i, x in enumerate(X):
-            acc[i] += leaf_predictive(tree.nodes[route(tree, x)].counts,
-                                      ensemble.dirichlet_alpha)
+            leaf = tree.ids.index(route(tree, x))
+            acc[i] += leaf_predictive(tree.counts[leaf], ensemble.dirichlet_alpha)
     return acc / len(ensemble)
 
 

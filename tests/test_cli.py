@@ -1,10 +1,13 @@
 """End-to-end command-line runs in a temp directory with small chain budgets."""
 import csv
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treebma import (
     ChainConfig,
@@ -16,6 +19,9 @@ from treebma import (
     trauma_schema,
 )
 from treebma.cli import main
+from treebma.tree import TreeFormatError, serialize
+
+from helpers import valid_trees
 
 FAST = ["--burn-in", "400", "--collect", "40", "--thin", "1", "--min-leaf", "8"]
 
@@ -26,6 +32,60 @@ def stump_line(right_leaf=(60, 30), split=None) -> str:
     return json.dumps({"nodes": [{"id": 0, "split": split, "left": 1, "right": 2},
                                  {"id": 1, "leaf": [10, 20]}, {"id": 2, "leaf": right_leaf}],
                        "root": 0, "loglik": -70.0}) + "\n"
+
+
+BAD_INT = ["1", 1.5, True, False, None, [1], {}]
+BAD = {  # values of the wrong type (or range) for each kind of field
+    "int": BAD_INT,
+    "count": [*BAD_INT, -1],
+    "thr": ["0.5", True, None, [0.5], float("nan"), float("inf")],
+    "loglik": ["-1.5", True, [-1.5], {}, float("nan"), float("-inf")],
+    "leaf": [5, "ab", {}, None, [1], [1, 2, 3]],
+    "split": [None, [1], "x", 5],
+    "nodes": [None, {}, "x", 5, []],
+}
+
+
+@st.composite
+def mutated_records(draw):
+    """A valid record with one fault: a key dropped, a type swapped, a dangling or repeated
+    child, a cycle or a duplicate id."""
+    doc = json.loads(serialize(draw(valid_trees(min_splits=1, max_splits=4)), loglik=-1.5))
+    nodes = doc["nodes"]
+    splits = [rec for rec in nodes if "split" in rec]
+    kind = draw(st.sampled_from(["drop", "type", "dangling", "repeated", "cycle", "duplicate"]))
+    if kind == "drop":
+        owner, key = draw(st.sampled_from(
+            [(doc, key) for key in doc] + [(rec, key) for rec in nodes for key in rec]
+            + [(rec["split"], key) for rec in splits for key in rec["split"]]))
+        del owner[key]
+    elif kind == "type":
+        fields = [(doc, "root", "int"), (doc, "loglik", "loglik"), (doc, "nodes", "nodes")]
+        for rec in nodes:
+            fields.append((rec, "id", "int"))
+            if "leaf" in rec:
+                fields += [(rec, "leaf", "leaf"), (rec["leaf"], 0, "count"),
+                           (rec["leaf"], 1, "count")]
+            else:
+                sp = rec["split"]
+                fields += [(rec, "left", "int"), (rec, "right", "int"), (rec, "split", "split"),
+                           (sp, "var", "int"), (sp, "thr", "thr") if "thr" in sp
+                           else (sp, "level", "int")]
+        owner, key, field = draw(st.sampled_from(fields))
+        owner[key] = draw(st.sampled_from(BAD[field]))
+    else:
+        rec = draw(st.sampled_from(splits))
+        side, other = draw(st.permutations(["left", "right"]))
+        if kind == "dangling":
+            rec[side] = max(r["id"] for r in nodes) + draw(st.integers(1, 5))
+        elif kind == "repeated":
+            rec[side] = rec[other]
+        elif kind == "cycle":
+            rec[side] = draw(st.sampled_from([doc["root"], rec["id"]]))
+        else:
+            i, j = draw(st.permutations(range(len(nodes))))[:2]
+            nodes[j]["id"] = nodes[i]["id"]
+    return json.dumps(doc)
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +265,35 @@ class TestExitCodes:
         rc = main(["filter", "--ensemble", str(ens), "--variable", "8",
                    "--data", str(synth_dir / "data.csv"), "--out-dir", str(tmp_path / "o")])
         assert rc == 1
+
+    @pytest.mark.parametrize("mutate", [
+        lambda doc: doc["nodes"].append({"id": 2, "leaf": [5, 5]}),
+        lambda doc: (doc["nodes"][0].update(left="x"), doc["nodes"][1].update(id="x")),
+        lambda doc: doc["nodes"][0]["split"].update(thr=0.5),
+        lambda doc: doc.update(loglik=float("nan")),
+    ], ids=["duplicate-id", "str-id", "thr-and-level", "nan-loglik"])
+    def test_malformed_record(self, synth_dir, tmp_path, mutate):
+        doc = json.loads(stump_line())
+        mutate(doc)
+        ens = tmp_path / "bad.jsonl"
+        ens.write_text(stump_line() + json.dumps(doc) + "\n")
+        rc = main(["filter", "--ensemble", str(ens), "--variable", "8",
+                   "--data", str(synth_dir / "data.csv"), "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(line=mutated_records())
+    @example(line=stump_line(split={"var": True, "level": 1}))  # after a "var": 1 line
+    def test_mutated_record_is_a_format_error(self, synth_dir, line):
+        """Every mutated record ends in TreeFormatError naming path:line and in exit 1."""
+        with tempfile.TemporaryDirectory() as tmp:
+            ens = Path(tmp) / "bad.jsonl"
+            ens.write_text(stump_line(split={"var": 1, "level": 1}) + line.strip() + "\n")
+            with pytest.raises(TreeFormatError, match=r"bad\.jsonl:2: "):
+                load_ensemble(ens)
+            rc = main(["filter", "--ensemble", str(ens), "--variable", "8",
+                       "--data", str(synth_dir / "data.csv"), "--out-dir", str(Path(tmp) / "o")])
+            assert rc == 1
 
     @pytest.mark.parametrize("command", ["filter", "importance"])
     @pytest.mark.parametrize("split", [{"var": 1, "level": 7}, {"var": 0, "level": 1}],

@@ -190,12 +190,12 @@ class TestRunChain:
             assert ll == pytest.approx(log_marginal_likelihood(t, alpha))
 
 
-def _shape(nodes, nid):
+def _shape(tree, s):
     """A tree as nested (rule, left, right) tuples, None for a leaf: equal for equal trees."""
-    node = nodes[nid]
-    if node.is_leaf:
+    rule = tree.rules[s]
+    if rule is None:
         return None
-    return (node.split, _shape(nodes, node.left), _shape(nodes, node.right))
+    return (rule, _shape(tree, tree.left[s]), _shape(tree, tree.right[s]))
 
 
 def test_two_split_posterior_oracle():
@@ -249,7 +249,7 @@ def test_two_split_posterior_oracle():
     cfg = ChainConfig(burn_in_steps=5000, collect_count=100_000, thin=1,
                       min_leaf=1, s_max=2, seed=0)
     ens = run_chain(data, cfg)
-    freq = Counter(_shape(t.nodes, t.root) for t in ens.trees)
+    freq = Counter(_shape(t, t.root) for t in ens.trees)
     assert set(freq) <= set(exact)
     tv = 0.5 * sum(abs(p - freq[k] / len(ens)) for k, p in exact.items())
     assert tv < 0.05, f"total variation {tv:.4f} over {len(exact)} trees"

@@ -1,4 +1,5 @@
 """Tree structure, routing, marginal likelihood, candidate rules, serialization."""
+import json
 import math
 
 import numpy as np
@@ -10,32 +11,31 @@ from scipy.special import betaln
 from treebma import (
     DecisionTree,
     SplitRule,
-    TreeNode,
     candidate_rules,
     deserialize,
     leaf_predictive,
     log_marginal_likelihood,
-    route,
     serialize,
 )
 from treebma.tree import (
     TreeFormatError,
-    check_schema,
     leaf_log_marginal,
     leaf_rows,
     prunable_ids,
 )
 
+from helpers import make_tree, route, valid_trees
+
 
 def two_split_tree() -> DecisionTree:
     """root: x0 <= 2.5 ; right child splits on x1 == 1."""
-    return DecisionTree(
+    return make_tree(
         {
-            0: TreeNode(0, split=SplitRule(0, threshold=2.5), left=1, right=2),
-            1: TreeNode(1, counts=(3, 0)),
-            2: TreeNode(2, split=SplitRule(1, level=1), left=3, right=4),
-            3: TreeNode(3, counts=(0, 2)),
-            4: TreeNode(4, counts=(1, 2)),
+            0: (SplitRule(0, threshold=2.5), 1, 2),
+            1: (3, 0),
+            2: (SplitRule(1, level=1), 3, 4),
+            3: (0, 2),
+            4: (1, 2),
         },
         root=0,
     )
@@ -59,43 +59,43 @@ class TestSplitRule:
         assert not r.goes_left(0.0) and not r.goes_left(2.0)
 
 
-class TestTreeNode:
+class TestDecisionTree:
     def test_split_needs_children(self):
         with pytest.raises(ValueError, match="both children"):
-            TreeNode(0, split=SplitRule(0, threshold=1.0), left=1)
+            make_tree({0: (SplitRule(0, threshold=1.0), 1)}, 0)
 
-    def test_leaf_may_not_have_children(self):
-        with pytest.raises(ValueError, match="may not have children"):
-            TreeNode(0, left=1, right=2)
-
-
-class TestDecisionTree:
     def test_diamond_rejected(self):
         nodes = {
-            0: TreeNode(0, split=SplitRule(0, threshold=1.0), left=1, right=2),
-            1: TreeNode(1, split=SplitRule(0, threshold=0.5), left=3, right=3),
-            2: TreeNode(2, counts=(0, 0)),
-            3: TreeNode(3, counts=(0, 0)),
+            0: (SplitRule(0, threshold=1.0), 1, 2),
+            1: (SplitRule(0, threshold=0.5), 3, 3),
+            2: (0, 0),
+            3: (0, 0),
         }
         with pytest.raises(ValueError, match="reachable twice"):
-            DecisionTree(nodes, 0)
+            make_tree(nodes, 0)
 
     def test_dangling_child_rejected(self):
-        nodes = {0: TreeNode(0, split=SplitRule(0, threshold=1.0), left=1, right=2),
-                 1: TreeNode(1, counts=(0, 0))}
+        nodes = {0: (SplitRule(0, threshold=1.0), 1, 2), 1: (0, 0)}
         with pytest.raises(ValueError, match="dangling child id 2"):
-            DecisionTree(nodes, 0)
+            make_tree(nodes, 0)
 
     def test_unreachable_node_rejected(self):
-        nodes = {0: TreeNode(0, counts=(1, 1)), 5: TreeNode(5, counts=(0, 0))}
+        nodes = {0: (1, 1), 5: (0, 0)}
         with pytest.raises(ValueError, match="unreachable"):
-            DecisionTree(nodes, 0)
+            make_tree(nodes, 0)
+
+    def test_slots_in_ascending_id_order(self):
+        t = make_tree({7: (0, 1), 2: (SplitRule(0, threshold=1.0), 9, 7),
+                                     9: (1, 0)}, 2)
+        assert t.ids == (2, 7, 9) and t.root == 0
+        assert (t.left, t.right) == ((2, -1, -1), (1, -1, -1))
+        assert t.counts == (None, (0, 1), (1, 0))
 
     def test_structure_queries(self):
         t = two_split_tree()
         assert sorted(t.leaf_ids()) == [1, 3, 4]
         assert sorted(t.split_ids()) == [0, 2]
-        assert prunable_ids(t.nodes) == [2]
+        assert prunable_ids(t) == [2]
         assert t.k_leaves == 3 and t.n_splits == 2
         assert sorted(t.variables_used()) == [0, 1]
 
@@ -144,12 +144,12 @@ class TestMarginalLikelihood:
     def test_tree_loglik_is_sum_over_leaves(self):
         t = two_split_tree()
         expected = sum(
-            leaf_log_marginal(*t.nodes[nid].counts, 1.0) for nid in t.leaf_ids()
+            leaf_log_marginal(*c, 1.0) for r, c in zip(t.rules, t.counts) if r is None
         )
         assert log_marginal_likelihood(t, 1.0) == pytest.approx(expected)
 
     def test_unannotated_leaf_rejected(self):
-        t = DecisionTree({0: TreeNode(0, counts=None)}, 0)
+        t = make_tree({0: None}, 0)
         with pytest.raises(ValueError, match="not annotated"):
             log_marginal_likelihood(t, 1.0)
 
@@ -166,7 +166,7 @@ class TestLeafPredictive:
 
 class TestCheckSchema:
     def test_declared_splits_pass(self, tiny_schema):
-        check_schema(two_split_tree(), tiny_schema)
+        assert deserialize(serialize(two_split_tree()), tiny_schema)[0] == two_split_tree()
 
     @pytest.mark.parametrize("rule, match", [
         (SplitRule(1, level=7), "does not declare"),    # undeclared level of x1
@@ -174,10 +174,9 @@ class TestCheckSchema:
         (SplitRule(2, threshold=1.0), "has 2 variables"),
     ])
     def test_split_outside_schema(self, tiny_schema, rule, match):
-        t = DecisionTree({0: TreeNode(0, split=rule, left=1, right=2),
-                          1: TreeNode(1, counts=(1, 0)), 2: TreeNode(2, counts=(0, 1))}, 0)
+        t = make_tree({0: (rule, 1, 2), 1: (1, 0), 2: (0, 1)}, 0)
         with pytest.raises(TreeFormatError, match=match):
-            check_schema(t, tiny_schema)
+            deserialize(serialize(t), tiny_schema)
 
 
 class TestCandidateRules:
@@ -215,9 +214,16 @@ class TestSerialization:
         assert ll == -12.5
 
     def test_round_trip_without_loglik_or_counts(self):
-        t = DecisionTree({0: TreeNode(0, counts=None)}, 0)
+        t = make_tree({0: None}, 0)
         back, ll = deserialize(serialize(t))
         assert back == t and ll is None
+
+    @pytest.mark.parametrize("line", ["[" * 100_000 + "]" * 100_000,
+                                      '{"nodes": [], "root": 0, "loglik": 1%s}' % ("0" * 5000)],
+                             ids=["nested-too-deep", "integer-too-long"])
+    def test_json_the_decoder_refuses_is_a_format_error(self, line):
+        with pytest.raises(TreeFormatError, match="invalid JSON"):
+            deserialize(line)
 
     def test_invalid_json_reports_position(self):
         with pytest.raises(TreeFormatError, match="invalid JSON at position"):
@@ -244,3 +250,63 @@ class TestSerialization:
     def test_node_neither_split_nor_leaf(self):
         with pytest.raises(TreeFormatError, match="neither split nor leaf"):
             deserialize('{"nodes": [{"id": 0}], "root": 0}')
+
+    def test_leaf_may_not_have_children(self):
+        with pytest.raises(ValueError, match="may not have children"):
+            deserialize('{"nodes": [{"id": 0, "leaf": [1, 1], "left": 1, "right": 2}], '
+                        '"root": 0}')
+
+    def test_duplicate_node_id_rejected(self):
+        # the second record for id 2 used to replace the first silently
+        with pytest.raises(TreeFormatError, match="duplicate node id 2"):
+            deserialize('{"nodes": [{"id": 0, "split": {"var": 0, "thr": 1.5}, "left": 1, '
+                        '"right": 2}, {"id": 1, "leaf": [1, 0]}, {"id": 2, "leaf": [2, 2]}, '
+                        '{"id": 2, "leaf": [5, 5]}], "root": 0}')
+
+    @pytest.mark.parametrize("node, left, root", [
+        ('"x"', '"x"', "0"),      # string node and child id among integer ids
+        ("true", "true", "0"),    # bool ids equal 1 as dict keys
+        ("1", "1.0", "0"),        # float child id
+        ("1", "1", "false"),      # bool root equals 0
+        ("1", "1", '"0"'),        # string root
+    ], ids=["str-id", "bool-id", "float-child", "bool-root", "str-root"])
+    def test_ids_must_be_integers(self, node, left, root):
+        with pytest.raises(TreeFormatError, match="integer|is not a node"):
+            deserialize('{"nodes": [{"id": 0, "split": {"var": 0, "thr": 1.5}, "left": %s, '
+                        '"right": 2}, {"id": %s, "leaf": [1, 0]}, {"id": 2, "leaf": [0, 1]}], '
+                        '"root": %s}' % (left, node, root))
+
+    def test_split_with_both_threshold_and_level_rejected(self):
+        with pytest.raises(TreeFormatError, match="both thr and level"):
+            deserialize('{"nodes": [{"id": 0, "split": {"var": 1, "thr": 0.5, "level": 1}, '
+                        '"left": 1, "right": 2}, {"id": 1, "leaf": [1, 0]}, '
+                        '{"id": 2, "leaf": [0, 1]}], "root": 0}')
+
+    @pytest.mark.parametrize("loglik", ["NaN", "Infinity", "-Infinity", '"-1.5"', "true",
+                                        "[-1.5]"])
+    def test_loglik_must_be_a_finite_number(self, loglik):
+        with pytest.raises(TreeFormatError, match="not a finite number"):
+            deserialize('{"nodes": [{"id": 0, "leaf": [1, 1]}], "root": 0, "loglik": %s}'
+                        % loglik)
+
+    def test_interned_rule_still_type_checked(self, tiny_schema):
+        """A shared rule table must not let ``"var": true`` through after ``"var": 1``."""
+        rules = {}
+        line = ('{"nodes": [{"id": 0, "split": {"var": %s, "level": 1}, "left": 1, '
+                '"right": 2}, {"id": 1, "leaf": [1, 0]}, {"id": 2, "leaf": [0, 1]}], "root": 0}')
+        a, _ = deserialize(line % "1", tiny_schema, rules)
+        b, _ = deserialize(line % "1", tiny_schema, rules)
+        assert a.rules[0] is b.rules[0] and len(rules) == 1
+        with pytest.raises(TreeFormatError, match="needs an integer var"):
+            deserialize(line % "true", tiny_schema, rules)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tree=valid_trees(annotated=False),
+           loglik=st.none() | st.floats(allow_nan=False, allow_infinity=False))
+    def test_round_trip_property(self, tree, loglik):
+        """serialize(*deserialize(line)) == line, and the record comes back equal."""
+        line = serialize(tree, loglik)
+        assert line == json.dumps(json.loads(line), separators=(",", ":"))
+        back, ll = deserialize(line)
+        assert back == tree and ll == loglik
+        assert serialize(back, ll) == line
