@@ -5,10 +5,12 @@ test each variable. Filtering drops every sampled tree that splits on a
 designated weak variable, so the kept ensemble never consults it.
 ``run_comparison`` runs the four experiment arms (full variable set, dropped
 variable, filtered ensemble, dropped + noise) per cross-validation fold under
-one shared fold plan.
+one shared fold plan. Every per-fold chain, of ``eval`` and of each arm, runs
+in :func:`fold_chains`, the one place a (fold, arm) chain seed is derived.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
@@ -25,6 +27,7 @@ __all__ = [
     "filter_ensemble",
     "run_comparison",
     "derive_seed",
+    "fold_chains",
 ]
 
 ARMS = ("all_vars", "dropped", "filtered", "dropped_noise")
@@ -101,6 +104,15 @@ def derive_seed(master_seed: int, fold: int, arm: int) -> int:
     return int(np.random.SeedSequence([master_seed, fold, arm]).generate_state(1)[0])
 
 
+def fold_chains(data: Dataset, folds: FoldPlan, config: ChainConfig,
+                arm: int) -> Iterator[tuple[Ensemble, Dataset]]:
+    """Per fold f, in order: the chain run on fold f's training rows of ``data`` with seed
+    ``derive_seed(config.seed, f, arm)``, and fold f's held-out rows."""
+    for f in range(folds.k):
+        train, test = folds.train_test(data, f)
+        yield run_chain(train, dc_replace(config, seed=derive_seed(config.seed, f, arm))), test
+
+
 @dataclass(frozen=True)
 class ComparisonReport:
     """Per-arm, per-fold evaluation reports plus shared experiment metadata."""
@@ -111,11 +123,6 @@ class ComparisonReport:
     reports: dict[str, list[EvalReport]]
     omitted_counts: list[int]
     importance: np.ndarray
-
-    def arm_summary(self, arm: str) -> tuple[float, float, float, float]:
-        """(performance mean, performance std, entropy mean, entropy std) over folds."""
-        return (*_mean_std([r.performance_pct for r in self.reports[arm]]),
-                *_mean_std([r.entropy_bits for r in self.reports[arm]]))
 
     def deltas(self, arm: str, baseline: str = "all_vars") -> dict[str, tuple[float, float]]:
         """Paired per-fold differences (arm - baseline), mean and std."""
@@ -135,52 +142,45 @@ def run_comparison(data: Dataset, config: ChainConfig, weakest: int | None = Non
     and add range-scaled uniform noise to the remaining columns. Noise is added
     to the full dataset before the train/test split; that choice is recorded in
     the report metadata. When ``weakest`` is None it defaults to the argmin of
-    arm (a)'s pooled variable importance.
+    arm (a)'s pooled variable importance. A fold whose arm-(a) trees all split on
+    the weakest variable leaves arm (c) empty: that is a ValueError naming the fold
+    and the variable, raised before any arm-(b) or arm-(d) chain runs.
     """
     folds = make_folds(data, k, seed=config.seed)
     noised = add_noise(data, noise_intensity, seed=derive_seed(config.seed, 0, 99))
 
     # arm (a) ensembles are needed first: they define the default weakest
-    # variable and are reused by arm (c)
-    arm_a_ensembles = []
-    for f in range(k):
-        train, _ = folds.train_test(data, f)
-        cfg = dc_replace(config, seed=derive_seed(config.seed, f, 0))
-        arm_a_ensembles.append(run_chain(train, cfg))
-
+    # variable and are filtered into arm (c)
+    arm_a = list(fold_chains(data, folds, config, 0))
     importance = np.zeros(data.m)
-    for ens in arm_a_ensembles:
+    for ens, _ in arm_a:
         importance += variable_importance(ens, m=data.m)
     importance /= k
     if weakest is None:
         weakest = int(np.argmin(importance))
 
-    dropped = drop_variable(data, weakest)
-    dropped_noise = drop_variable(noised, weakest)
+    selections = []
+    for f, (ens, _) in enumerate(arm_a):
+        try:
+            selections.append(filter_ensemble(ens, weakest))
+        except ValueError as e:
+            raise ValueError(f"fold {f}: {e} for the filtered arm") from None
 
     reports: dict[str, list[EvalReport]] = {arm: [] for arm in ARMS}
-    omitted_counts = []
-    for f in range(k):
-        _, test_a = folds.train_test(data, f)
-        reports["all_vars"].append(evaluate(arm_a_ensembles[f], test_a))
-
-        sel = filter_ensemble(arm_a_ensembles[f], weakest)
-        omitted_counts.append(sel.omitted_count)
-        reports["filtered"].append(evaluate(sel.kept, test_a))
-
-        train_b, test_b = folds.train_test(dropped, f)
-        cfg_b = dc_replace(config, seed=derive_seed(config.seed, f, 1))
-        reports["dropped"].append(evaluate(run_chain(train_b, cfg_b), test_b))
-
-        train_d, test_d = folds.train_test(dropped_noise, f)
-        cfg_d = dc_replace(config, seed=derive_seed(config.seed, f, 3))
-        reports["dropped_noise"].append(evaluate(run_chain(train_d, cfg_d), test_d))
+    runs = zip(arm_a, selections,
+               fold_chains(drop_variable(data, weakest), folds, config, 1),
+               fold_chains(drop_variable(noised, weakest), folds, config, 3))
+    for (ens_a, test), sel, (ens_b, test_b), (ens_d, test_d) in runs:
+        reports["all_vars"].append(evaluate(ens_a, test))
+        reports["filtered"].append(evaluate(sel.kept, test))
+        reports["dropped"].append(evaluate(ens_b, test_b))
+        reports["dropped_noise"].append(evaluate(ens_d, test_d))
 
     return ComparisonReport(
         folds=folds,
         weakest=weakest,
         noise_intensity=noise_intensity,
         reports=reports,
-        omitted_counts=omitted_counts,
+        omitted_counts=[sel.omitted_count for sel in selections],
         importance=importance,
     )

@@ -3,9 +3,10 @@
 Every command writes its artifacts plus a ``manifest.json`` recording the
 command line, resolved configuration, seed, input file digests, and emitted
 artifact paths, so any run can be reproduced from its output directory.
-All randomness flows from ``--seed``; per-fold and per-arm chain seeds are
-derived with :func:`treebma.analysis.derive_seed` (a seed sequence over
-(seed, fold, arm)).
+All randomness flows from ``--seed``. The per-fold chains of ``eval`` and
+``compare`` all run in :func:`treebma.analysis.fold_chains`, the one place
+their seeds are derived, with :func:`treebma.analysis.derive_seed` (a seed
+sequence over (seed, fold, arm); ``eval`` is arm 0, as ``compare``'s arm (a)).
 
 Exit codes: 0 success, 1 validation error, 2 I/O error.
 """
@@ -15,13 +16,13 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace as dc_replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .analysis import derive_seed, filter_ensemble, run_comparison, variable_importance
+from .analysis import filter_ensemble, fold_chains, run_comparison, variable_importance
 from .bma import evaluate, load_ensemble, save_ensemble
 from .dataset import (
     DataValidationError,
@@ -63,14 +64,7 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace, inputs: list[Path],
         "subcommand": args.cmd,
         "args": {k: v for k, v in vars(args).items() if k not in ("func", "cmd")},
         "seed": getattr(args, "seed", None),
-        "config": None if config is None else {
-            "burn_in_steps": config.burn_in_steps,
-            "collect_count": config.collect_count,
-            "thin": config.thin,
-            "min_leaf": config.min_leaf,
-            "s_max": config.s_max,
-            "dirichlet_alpha": config.dirichlet_alpha,
-        },
+        "config": None if config is None else asdict(config),
         "inputs": {str(p): _sha256(p) for p in inputs},
         "artifacts": [str(p) for p in artifacts],
         "version": __version__,
@@ -169,11 +163,7 @@ def cmd_eval(args) -> int:
     data, _ = _load(args)
     config = _chain_config(args, desk_default=True)
     folds = make_folds(data, args.folds, seed=args.seed)
-    reports = []
-    for f in range(args.folds):
-        train, test = folds.train_test(data, f)
-        cfg = dc_replace(config, seed=derive_seed(args.seed, f, 0))
-        reports.append(evaluate(run_chain(train, cfg), test))
+    reports = [evaluate(ens, test) for ens, test in fold_chains(data, folds, config, 0)]
     csv_path, txt_path = out / "report.csv", out / "report.txt"
     csv_path.write_text(eval_reports_csv(reports), encoding="utf-8")
     txt_path.write_text(

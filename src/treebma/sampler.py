@@ -16,7 +16,9 @@ Proposals that are inapplicable (death on a single leaf, birth past s_max,
 empty candidate list) or that produce a leaf below ``min_leaf`` count as
 automatic rejections, keeping the per-step proposal distribution fixed. A
 proposal is a delta over the chain state (row bitsets and an id index, see
-:class:`ChainState`), committed in place only on acceptance.
+:class:`ChainState`), committed in place only on acceptance. The step checks
+nothing: the tests recompute the loglik, the id index and every leaf's rows
+from the tree after each accepted move (``tests/helpers.py``).
 """
 from __future__ import annotations
 
@@ -36,9 +38,6 @@ from .tree import (
     SplitRule,
     candidate_rules,
     leaf_log_marginal,
-    leaf_rows,
-    log_marginal_likelihood,
-    prunable_ids,
 )
 
 __all__ = [
@@ -68,7 +67,6 @@ class ChainConfig:
     s_max: int | None = None  # None: floor(n / min_leaf) - 1, resolved at init
     seed: int = 0
     dirichlet_alpha: float = 1.0
-    debug: bool = False
 
     def __post_init__(self):
         if self.thin < 1 or self.collect_count < 1 or self.burn_in_steps < 0:
@@ -112,7 +110,10 @@ class ChainState:
     ``nodes`` stays in ascending id order (a replaced node keeps its slot, new
     ids are appended), so the i-th id of the sorted lists ``leaves``,
     ``splits`` and ``prunable`` (splits with two leaf children) is the i-th
-    such node of the dict; ``parent`` maps each non-root id to its parent.
+    such node of the dict. The root is node 0 in the first slot: a move may
+    rewrite it in place but never deletes it. ``parent`` maps each non-root id
+    to its parent and ``next_id`` is one past the largest id, the first id a
+    birth gives.
     Row sets are bitsets: ``rows`` holds every node's, ``masks[j][i]`` the
     rows that ``candidates[j][i]`` sends left, ``node_mask`` that mask for each
     split's rule, ``ones`` the rows with y = 1. ``terms`` memoises
@@ -126,7 +127,6 @@ class ChainState:
     masks: list[list[int]]
     ones: int
     nodes: dict[int, _Node]
-    root: int
     rows: dict[int, int]
     leaves: list[int]
     current_loglik: float = 0.0
@@ -135,7 +135,6 @@ class ChainState:
     parent: dict[int, int] = field(default_factory=dict)
     node_mask: dict[int, int] = field(default_factory=dict)
     terms: dict[tuple[int, int], float] = field(default_factory=dict)
-    step: int = 0
     next_id: int = 0
     propose_counts: dict[str, int] = field(default_factory=lambda: {mv: 0 for mv in MOVES})
     accept_counts: dict[str, int] = field(default_factory=lambda: {mv: 0 for mv in MOVES})
@@ -147,7 +146,7 @@ class ChainState:
         slot[None] = -1  # a leaf's children
         rules, left, right, counts = zip(*self.nodes.values())
         return DecisionTree(tuple(self.nodes), rules, tuple(map(slot.__getitem__, left)),
-                            tuple(map(slot.__getitem__, right)), counts, slot[self.root])
+                            tuple(map(slot.__getitem__, right)), counts, 0)  # root: node 0
 
 
 class Proposal(NamedTuple):
@@ -209,7 +208,7 @@ def init_chain(data: Dataset, config: ChainConfig,
 
     masks = [_rule_masks(cands, data.X[:, j]) for j, cands in enumerate(candidates)]
     all_rows = (1 << data.n) - 1
-    state = ChainState(data, config, candidates, masks, _bits(data.y == 1), nodes={}, root=0,
+    state = ChainState(data, config, candidates, masks, _bits(data.y == 1), nodes={},
                        rows={0: all_rows}, leaves=[0], next_id=1)
     root_counts = _counts(state, all_rows, data.n)
     state.nodes[0] = _Node(None, None, None, root_counts)
@@ -352,44 +351,22 @@ def _apply(state: ChainState, prop: Proposal) -> None:
     state.current_loglik = prop.loglik
 
 
-def _check_state(state: ChainState) -> None:
-    """Recompute the loglik, the id index and each leaf's rows and counts from the tree."""
-    tree, data = state.current, state.data
-    recomputed = log_marginal_likelihood(tree, state.config.dirichlet_alpha)
-    if abs(recomputed - state.current_loglik) > 1e-8 * max(1.0, abs(recomputed)):
-        raise AssertionError(f"cached loglik {state.current_loglik} drifted from {recomputed}")
-    parent = {c: s for s, nd in state.nodes.items() if nd.split for c in (nd.left, nd.right)}
-    index = (tree.leaf_ids(), tree.split_ids(), prunable_ids(tree), parent, tree.ids[-1] + 1)
-    cached = (state.leaves, state.splits, state.prunable, state.parent, state.next_id)
-    if cached != index:
-        raise AssertionError(f"id index {cached} differs from {index}")
-    for nid, idx in leaf_rows(tree, data.X).items():
-        n1 = int(data.y[idx].sum())
-        if (state.rows[nid], state.nodes[nid].counts) != \
-                (sum(1 << int(i) for i in idx), (idx.size - n1, n1)):
-            raise AssertionError(f"leaf {nid}: rows or counts differ from leaf_rows")
-
-
-def mh_step(state: ChainState, rng: np.random.Generator,
-            debug: bool = False) -> ChainState:
+def mh_step(state: ChainState, rng: np.random.Generator) -> ChainState:
     """One Metropolis-Hastings step; mutates and returns the state.
 
     Accepts with probability min(1, exp(dloglik + log_prior_ratio +
     log_proposal_ratio)); inapplicable or min_leaf-violating proposals are
-    rejections. ``debug`` runs :func:`_check_state` every 1000 steps.
+    rejections.
     """
     kind = MOVES[int(4 * rng.random())]
     state.propose_counts[kind] += 1
     prop = propose(state, kind, rng)
-    state.step += 1
     if prop is not None and prop.min_leaf_ok:
         log_alpha = (prop.loglik - state.current_loglik) \
             + prop.log_prior_ratio + prop.log_proposal_ratio
         if log_alpha >= 0 or rng.random() < np.exp(log_alpha):
             _apply(state, prop)
             state.accept_counts[kind] += 1
-    if debug and state.step % 1000 == 0:
-        _check_state(state)
     return state
 
 
@@ -403,12 +380,12 @@ def run_chain(data: Dataset, config: ChainConfig) -> Ensemble:
     state = init_chain(data, config, rng)
     t0 = time.perf_counter()
     for _ in range(config.burn_in_steps):
-        mh_step(state, rng, debug=config.debug)
+        mh_step(state, rng)
     trees, logliks = [], []
     while len(trees) < config.collect_count:
         accepted = sum(state.accept_counts.values())
         for _ in range(config.thin):
-            mh_step(state, rng, debug=config.debug)
+            mh_step(state, rng)
         unchanged = trees and sum(state.accept_counts.values()) == accepted
         trees.append(trees[-1] if unchanged else state.current)
         logliks.append(state.current_loglik)

@@ -25,7 +25,6 @@ __all__ = [
     "TreeFormatError",
     "SplitRule",
     "DecisionTree",
-    "prunable_ids",
     "leaf_rows",
     "log_marginal_likelihood",
     "leaf_log_marginal",
@@ -78,12 +77,6 @@ class DecisionTree:
     right: tuple[int, ...]
     counts: tuple[tuple[int, int] | None, ...]
     root: int
-
-    def leaf_ids(self) -> list[int]:
-        return [nid for nid, rule in zip(self.ids, self.rules) if rule is None]
-
-    def split_ids(self) -> list[int]:
-        return [nid for nid, rule in zip(self.ids, self.rules) if rule is not None]
 
     @property
     def k_leaves(self) -> int:
@@ -182,13 +175,6 @@ def _rule(doc: dict, nid: int, schema: Schema | None, rules: dict) -> SplitRule:
                                       f"({spec.name!r}), which the schema does not declare")
         rules[key] = rule
     return rule
-
-
-def prunable_ids(tree: DecisionTree) -> list[int]:
-    """Split nodes whose both children are leaves, in ascending id order."""
-    rules, left, right = tree.rules, tree.left, tree.right
-    return [nid for s, nid in enumerate(tree.ids)
-            if rules[s] is not None and rules[left[s]] is None and rules[right[s]] is None]
 
 
 def leaf_rows(tree: DecisionTree, X: np.ndarray) -> dict[int, np.ndarray]:

@@ -1,10 +1,12 @@
-"""Shared test helpers: hand-built trees, a generator of valid trees and a routing oracle."""
+"""Shared test helpers: hand-built trees, a generator of valid trees, a routing oracle,
+the tree's id queries and the chain state check."""
 import json
 
 import numpy as np
 from hypothesis import strategies as st
 
 from treebma import DecisionTree, SplitRule, deserialize
+from treebma.tree import leaf_rows, log_marginal_likelihood
 
 
 def route(tree, x) -> int:
@@ -18,6 +20,40 @@ def route(tree, x) -> int:
                              f"variable {rule.variable}")
         s = tree.left[s] if rule.goes_left(x[rule.variable]) else tree.right[s]
     return tree.ids[s]
+
+
+def leaf_ids(tree) -> list[int]:
+    return [nid for nid, rule in zip(tree.ids, tree.rules) if rule is None]
+
+
+def split_ids(tree) -> list[int]:
+    return [nid for nid, rule in zip(tree.ids, tree.rules) if rule is not None]
+
+
+def prunable_ids(tree) -> list[int]:
+    """Split nodes whose both children are leaves, in ascending id order."""
+    rules, left, right = tree.rules, tree.left, tree.right
+    return [nid for s, nid in enumerate(tree.ids)
+            if rules[s] is not None and rules[left[s]] is None and rules[right[s]] is None]
+
+
+def check_state(state) -> None:
+    """Recompute a chain state's loglik, id index and each leaf's rows and counts from its
+    tree; raises AssertionError on the first cached value that differs."""
+    tree, data = state.current, state.data
+    recomputed = log_marginal_likelihood(tree, state.config.dirichlet_alpha)
+    if abs(recomputed - state.current_loglik) > 1e-8 * max(1.0, abs(recomputed)):
+        raise AssertionError(f"cached loglik {state.current_loglik} drifted from {recomputed}")
+    parent = {c: s for s, nd in state.nodes.items() if nd.split for c in (nd.left, nd.right)}
+    index = (leaf_ids(tree), split_ids(tree), prunable_ids(tree), parent, tree.ids[-1] + 1)
+    cached = (state.leaves, state.splits, state.prunable, state.parent, state.next_id)
+    if cached != index:
+        raise AssertionError(f"id index {cached} differs from {index}")
+    for nid, idx in leaf_rows(tree, data.X).items():
+        n1 = int(data.y[idx].sum())
+        if (state.rows[nid], state.nodes[nid].counts) != \
+                (sum(1 << int(i) for i in idx), (idx.size - n1, n1)):
+            raise AssertionError(f"leaf {nid}: rows or counts differ from leaf_rows")
 
 
 def make_tree(nodes: dict, root: int) -> DecisionTree:

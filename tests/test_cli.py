@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from treebma import (
     ChainConfig,
+    Dataset,
     evaluate,
     load_csv,
     load_ensemble,
     run_chain,
+    save_csv,
     save_ensemble,
     trauma_schema,
 )
@@ -131,6 +133,8 @@ class TestTrain:
         manifest = json.loads((trained_dir / "manifest.json").read_text())
         digest = manifest["inputs"][str(synth_dir / "data.csv")]
         assert len(digest) == 64  # sha256 hex
+        meta = json.loads((trained_dir / "metadata.json").read_text())
+        assert manifest["config"] == meta["config"]
 
     def test_same_seed_reproduces(self, synth_dir, trained_dir, tmp_path):
         out2 = tmp_path / "again"
@@ -224,6 +228,24 @@ class TestEvalImportanceFilterCompare:
 
 
 class TestExitCodes:
+    def test_compare_variable_in_every_tree(self, synth_dir, tmp_path, capsys):
+        """A fold whose arm-(a) trees all split on --variable exits 1, naming the fold and
+        the variable, before any arm-(b) chain (which here has no variable left) runs."""
+        data = load_csv(synth_dir / "data.csv", trauma_schema())
+        X = np.repeat(data.X[:1], data.n, axis=0)  # every column constant but Age,
+        X[:, 0] = data.X[:, 0]
+        y = (X[:, 0] > np.median(X[:, 0])).astype(np.int64)  # which decides the label
+        one_column = tmp_path / "one_column.csv"
+        save_csv(Dataset(data.schema, X, y), one_column)
+        out = tmp_path / "cmp"
+        rc = main(["compare", "--data", str(one_column), "--folds", "2", "--variable", "0",
+                   *FAST, "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "fold 0: every tree splits on variable 0" in err
+        assert "Traceback" not in err
+        assert not (out / "compare.csv").exists()
+
     def test_missing_data_file_is_io_error(self, tmp_path):
         rc = main(["train", "--data", str(tmp_path / "nope.csv"), *FAST,
                    "--out-dir", str(tmp_path / "o")])

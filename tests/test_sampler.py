@@ -17,6 +17,8 @@ from treebma.dataset import Dataset, Schema, VariableSpec
 from treebma.sampler import MOVES, _apply, _bits, default_s_max
 from treebma.tree import candidate_rules, leaf_log_marginal, log_marginal_likelihood, serialize
 
+from helpers import check_state
+
 
 class TestChainConfig:
     def test_invalid_hyperparameters(self):
@@ -94,26 +96,39 @@ class TestProposals:
             pytest.fail("matching reverse death never proposed")
 
 
+def _steps_checked(state, rng, steps):
+    """Run ``steps`` MH steps, checking the state after every accepted move; returns how
+    many moves were accepted."""
+    accepted = 0
+    for _ in range(steps):
+        before = sum(state.accept_counts.values())
+        mh_step(state, rng)
+        if sum(state.accept_counts.values()) != before:
+            check_state(state)  # raises on the first mismatch
+            accepted += 1
+    return accepted
+
+
 class TestMhStep:
     def test_debug_invariant_holds_over_many_steps(self, small_data):
+        """The cached loglik matches the tree's after every accepted move of 3k steps."""
         cfg = ChainConfig(seed=2, min_leaf=5)
         rng = np.random.default_rng(cfg.seed)
         state = init_chain(small_data, cfg, rng)
-        for _ in range(3000):
-            mh_step(state, rng, debug=True)  # raises if the cached loglik drifts
+        assert _steps_checked(state, rng, 3000) > 0
         assert state.current_loglik == pytest.approx(
             log_marginal_likelihood(state.current, state.config.dirichlet_alpha)
         )
 
     @pytest.mark.parametrize("min_leaf", [1, 3, 25])
     def test_debug_index_check(self, small_data, min_leaf):
-        """The cached id index, leaf rows and counts match the node dict over 5k steps."""
+        """The cached id index, leaf rows and counts match the node dict after every
+        accepted move of 5k steps."""
         cfg = ChainConfig(seed=6, min_leaf=min_leaf)
         rng = np.random.default_rng(cfg.seed)
         state = init_chain(small_data, cfg, rng)
-        for _ in range(5000):
-            mh_step(state, rng, debug=True)  # raises on the first mismatch
-        assert sum(state.accept_counts.values()) > 0
+        check_state(state)
+        assert _steps_checked(state, rng, 5000) > 0
 
     def test_rule_masks_match_goes_left(self, small_data):
         """Each packed left-row mask is the rule's own goes_left column, bit for bit."""

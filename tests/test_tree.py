@@ -21,10 +21,9 @@ from treebma.tree import (
     TreeFormatError,
     leaf_log_marginal,
     leaf_rows,
-    prunable_ids,
 )
 
-from helpers import make_tree, route, valid_trees
+from helpers import leaf_ids, make_tree, prunable_ids, route, split_ids, valid_trees
 
 
 def two_split_tree() -> DecisionTree:
@@ -93,8 +92,8 @@ class TestDecisionTree:
 
     def test_structure_queries(self):
         t = two_split_tree()
-        assert sorted(t.leaf_ids()) == [1, 3, 4]
-        assert sorted(t.split_ids()) == [0, 2]
+        assert leaf_ids(t) == [1, 3, 4]
+        assert split_ids(t) == [0, 2]
         assert prunable_ids(t) == [2]
         assert t.k_leaves == 3 and t.n_splits == 2
         assert sorted(t.variables_used()) == [0, 1]
