@@ -19,8 +19,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .analysis import filter_ensemble, fold_chains, run_comparison, variable_importance
 from .bma import evaluate, load_ensemble, save_ensemble

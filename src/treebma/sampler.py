@@ -19,6 +19,11 @@ proposal is a delta over the chain state (row bitsets and an id index, see
 :class:`ChainState`), committed in place only on acceptance. The step checks
 nothing: the tests recompute the loglik, the id index and every leaf's rows
 from the tree after each accepted move (``tests/helpers.py``).
+
+The chain's draws are exactly numpy's ``default_rng(seed)`` sequence of
+``random()`` and ``integers(k)`` values, read through a buffered reader of the
+raw PCG64 stream (:class:`_Draws`), so a seed gives the same output bytes as
+earlier versions on the same numpy.
 """
 from __future__ import annotations
 
@@ -26,6 +31,7 @@ import time
 from bisect import insort
 from collections import namedtuple
 from dataclasses import dataclass, field, replace, asdict
+from itertools import chain
 from math import log
 from typing import NamedTuple
 
@@ -90,13 +96,62 @@ def _bits(mask: np.ndarray) -> int:
 
 
 def _rule_masks(rules: list[SplitRule], column: np.ndarray) -> list[int]:
-    """Each rule's left-row mask over ``column`` as :func:`_bits` gives it, packed in one call."""
+    """Each rule's left-row mask over ``column`` as :func:`_bits` gives it, for one
+    variable's rules: one broadcast comparison and one ``packbits`` call."""
     if not rules:
         return []
-    packed = np.packbits(np.stack([rule.goes_left(column) for rule in rules]),
-                         axis=1, bitorder="little")
+    if rules[0].level is not None:
+        left = column[None, :] == np.array([rule.level for rule in rules])[:, None]
+    else:
+        left = column[None, :] <= np.array([rule.threshold for rule in rules])[:, None]
+    packed = np.packbits(left, axis=1, bitorder="little")
     buf, w = packed.tobytes(), packed.shape[1]
     return [int.from_bytes(buf[i * w:(i + 1) * w], "little") for i in range(len(rules))]
+
+
+class _Draws:
+    """``np.random.default_rng(seed)``'s ``random()`` and ``integers(k)`` values, in order.
+
+    numpy's Generator costs about a microsecond per scalar call; this reads the same
+    PCG64 stream from blocks of raw 64-bit outputs and applies numpy's own
+    conversions: ``random()`` is the top 53 bits times 2**-53, and ``integers(k)``
+    is Lemire's bounded method (Lemire 2019, ACM TOMACS 29(1):3) on 32-bit draws,
+    each 64-bit output giving its low half first and keeping its high half for the
+    next 32-bit draw (``random()`` leaves that kept half alone). ``integers(1)`` is
+    0 and draws nothing. Valid for 1 <= k <= 2**32, which covers every draw of the
+    chain; ``tests/test_sampler.py`` checks the values against numpy's.
+    """
+
+    __slots__ = ("_next64", "_half")
+
+    def __init__(self, seed: int):
+        bits = np.random.PCG64(seed)  # what default_rng(seed) wraps
+        # an endless iterator of Python ints, refilled 1,024 outputs at a time
+        self._next64 = chain.from_iterable(
+            iter(lambda: bits.random_raw(1024).tolist(), None)).__next__
+        self._half = None
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * 2**-53
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is None:
+            x = self._next64()
+            self._half = x >> 32
+            return x & 0xFFFFFFFF
+        self._half = None
+        return half
+
+    def integers(self, k: int) -> int:
+        if k == 1:
+            return 0
+        m = self._next32() * k
+        if m & 0xFFFFFFFF < k:
+            threshold = (0x100000000 - k) % k
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next32() * k
+        return m >> 32
 
 
 # The chain's node: a split (rule and child ids, counts None) or a leaf (class counts only).
@@ -191,15 +246,16 @@ def _loglik(state: ChainState, old: list, new: list) -> float:
     return loglik
 
 
-def init_chain(data: Dataset, config: ChainConfig,
-               rng: np.random.Generator | None = None) -> ChainState:
+def init_chain(data: Dataset, config: ChainConfig, rng=None) -> ChainState:
     """Start the chain with a birth from the single-leaf tree.
 
     Retries the birth move up to a bound until its split satisfies
-    ``min_leaf``; stays at the single leaf if no valid draw is found.
+    ``min_leaf``; stays at the single leaf if no valid draw is found. ``rng`` is
+    any source with ``random()`` and ``integers(k)`` (a numpy Generator will do);
+    by default the draws of ``default_rng(config.seed)``.
     """
     if rng is None:
-        rng = np.random.default_rng(config.seed)
+        rng = _Draws(config.seed)
     if config.s_max is None:
         config = replace(config, s_max=default_s_max(data.n, config.min_leaf))
     candidates = [candidate_rules(data, j) for j in range(data.m)]
@@ -222,7 +278,7 @@ def init_chain(data: Dataset, config: ChainConfig,
     return state
 
 
-def propose(state: ChainState, kind: str, rng: np.random.Generator) -> Proposal | None:
+def propose(state: ChainState, kind: str, rng) -> Proposal | None:
     """Draw one proposal of the given kind; None if the move is inapplicable."""
     if kind == "birth":
         return _propose_birth(state, rng)
@@ -351,7 +407,7 @@ def _apply(state: ChainState, prop: Proposal) -> None:
     state.current_loglik = prop.loglik
 
 
-def mh_step(state: ChainState, rng: np.random.Generator) -> ChainState:
+def mh_step(state: ChainState, rng) -> ChainState:
     """One Metropolis-Hastings step; mutates and returns the state.
 
     Accepts with probability min(1, exp(dloglik + log_prior_ratio +
@@ -376,7 +432,7 @@ def run_chain(data: Dataset, config: ChainConfig) -> Ensemble:
     A collection with no accepted move since the one before repeats that
     tree object, so a run of identical trees is one shared object.
     """
-    rng = np.random.default_rng(config.seed)
+    rng = _Draws(config.seed)
     state = init_chain(data, config, rng)
     t0 = time.perf_counter()
     for _ in range(config.burn_in_steps):

@@ -1,12 +1,16 @@
 """Chain mechanics: configuration, proposals, MH stepping, collection, diagnostics."""
+import random
 from collections import Counter
 from math import exp, log
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treebma import (
     ChainConfig,
+    SplitRule,
     chain_diagnostics,
     init_chain,
     mh_step,
@@ -14,7 +18,7 @@ from treebma import (
     run_chain,
 )
 from treebma.dataset import Dataset, Schema, VariableSpec
-from treebma.sampler import MOVES, _apply, _bits, default_s_max
+from treebma.sampler import MOVES, _apply, _bits, _Draws, _rule_masks, default_s_max
 from treebma.tree import candidate_rules, leaf_log_marginal, log_marginal_likelihood, serialize
 
 from helpers import check_state
@@ -151,6 +155,98 @@ class TestMhStep:
         assert 0 < sum(state.accept_counts.values()) < 500
         for mv in MOVES:
             assert state.accept_counts[mv] <= state.propose_counts[mv]
+
+
+# integers(k) bounds: 1 draws nothing; 2**31 + 1 and 3 * 2**30 + 1 reject about a half
+# and a quarter of their 32-bit draws, so Lemire's rejection loop runs; 2**32 - 1 and
+# 2**32 are the two ends of numpy's 32-bit path.
+_BOUNDS = (1, 2, 3, 4, 7, 16, 100, 1592, 2**31 + 1, 3 * 2**30 + 1, 2**32 - 1, 2**32)
+
+_NUMPY_CHANGED = (f"numpy {np.__version__}'s PCG64 stream or its random()/integers() "
+                  "conversion no longer matches sampler._Draws; every chain's output bytes "
+                  "depend on it, so _Draws must follow numpy")
+
+
+class TestDraws:
+    """``_Draws(seed)`` gives ``np.random.default_rng(seed)``'s values, draw for draw."""
+
+    def test_matches_default_rng(self):
+        for seed in range(100):
+            script = random.Random(seed)
+            ours, theirs = _Draws(seed), np.random.default_rng(seed)
+            for i in range(2000):
+                if script.random() < 0.3:
+                    call, a, b = "random()", ours.random(), theirs.random()
+                else:
+                    k = script.choice(_BOUNDS + (script.randint(1, 2**32),))
+                    call, a, b = f"integers({k})", ours.integers(k), int(theirs.integers(k))
+                assert a == b, f"seed {seed}, draw {i}, {call}: {a} != numpy's {b}; " \
+                               + _NUMPY_CHANGED
+
+    def test_integers_one_draws_nothing(self):
+        ours, theirs = _Draws(3), np.random.default_rng(3)
+        assert [ours.integers(1) for _ in range(5)] == [0] * 5
+        assert [ours.random(), ours.integers(10)] == \
+            [theirs.random(), int(theirs.integers(10))], _NUMPY_CHANGED
+
+    def test_random_keeps_the_high_half(self):
+        """A 64-bit output gives its low half to one 32-bit draw and its high half to the
+        next; a random() in between takes a fresh output."""
+        raw = np.random.PCG64(9).random_raw(2).tolist()
+        ours = _Draws(9)
+        assert (ours.integers(2**32), ours.random(), ours.integers(2**32)) == \
+            (raw[0] & 0xFFFFFFFF, (raw[1] >> 11) * 2**-53, raw[0] >> 32)
+
+    @pytest.mark.parametrize("seed, min_leaf", [(0, 3), (7, 8), (11, 25)])
+    def test_chain_same_with_either_source(self, small_data, seed, min_leaf):
+        """init_chain and 3,000 steps end in the same state from numpy's Generator and
+        from _Draws; init_chain's default source starts where both do."""
+        cfg = ChainConfig(seed=seed, min_leaf=min_leaf)
+        start = init_chain(small_data, cfg)
+        ends = []
+        for rng in (np.random.default_rng(seed), _Draws(seed)):
+            state = init_chain(small_data, cfg, rng)
+            assert (state.nodes, state.current_loglik) == \
+                (start.nodes, start.current_loglik), _NUMPY_CHANGED
+            for _ in range(3000):
+                mh_step(state, rng)
+            ends.append((state.nodes, state.current_loglik,
+                         state.propose_counts, state.accept_counts))
+        assert ends[0] == ends[1], _NUMPY_CHANGED
+        assert sum(ends[0][3].values()) > 0
+
+
+_EDGE_VALUES = st.sampled_from([-0.0, 0.0, -1.5, 2.0, 5e-324, -7.25])
+_VALUES = _EDGE_VALUES | st.floats(-1e6, 1e6, allow_nan=False)
+
+
+class TestRuleMasks:
+    """One variable's masks from one comparison equal each rule's own goes_left mask."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(_VALUES, min_size=1, max_size=70),
+           extra=st.lists(_VALUES, max_size=4))
+    @example(values=[0.0, -0.0, 0.0, -0.0], extra=[-0.0, 0.0])
+    @example(values=[3.5] * 9, extra=[])
+    @example(values=[-2.0, -2.0, -1.0, 4.0, 4.0, 4.0, -1.0, 0.0, 9.0], extra=[])
+    def test_continuous(self, values, extra):
+        """Thresholds at every distinct value (ties, negatives, both zeros, a single
+        value) and at arbitrary others."""
+        column = np.array(values, dtype=np.float64)
+        rules = [SplitRule(3, threshold=float(t)) for t in [*np.unique(column), *extra]]
+        assert _rule_masks(rules, column) == [_bits(r.goes_left(column)) for r in rules]
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.integers(0, 5), min_size=1, max_size=70),
+           levels=st.lists(st.integers(-1, 6), min_size=1, max_size=8, unique=True))
+    @example(values=[2] * 12, levels=[2, 0])
+    def test_categorical(self, values, levels):
+        column = np.array(values, dtype=np.float64)
+        rules = [SplitRule(1, level=level) for level in levels]
+        assert _rule_masks(rules, column) == [_bits(r.goes_left(column)) for r in rules]
+
+    def test_no_rules(self):
+        assert _rule_masks([], np.array([1.0, 2.0])) == []
 
 
 class TestRunChain:
