@@ -161,19 +161,19 @@ class Dataset:
         bad = np.flatnonzero((y != 0) & (y != 1))
         if bad.size:
             raise DataValidationError(f"label not in {{0,1}} at row {bad[0]}")
+        ok = np.isfinite(X)
         for j, var in enumerate(self.schema.variables):
-            col = X[:, j]
-            if not np.all(np.isfinite(col)):
-                r = int(np.flatnonzero(~np.isfinite(col))[0])
+            if var.is_categorical:  # levels ascend: the first level >= a value is it or not
+                levels = np.asarray(var.levels, dtype=np.float64)
+                ok[:, j] &= levels.take(levels.searchsorted(X[:, j]), mode="clip") == X[:, j]
+        if not ok.all():  # name the first column at fault: a non-finite value, else a level
+            j = int(np.argmin(ok.all(axis=0)))
+            col, var, finite = X[:, j], self.schema.variables[j], np.isfinite(X[:, j])
+            r = int(np.argmin(ok[:, j] if finite.all() else finite))
+            if not finite.all():
                 raise DataValidationError(f"non-finite value at row {r}, column {j} ({var.name!r})")
-            if var.is_categorical:
-                ok = np.isin(col, np.asarray(var.levels, dtype=np.float64))
-                if not ok.all():
-                    r = int(np.flatnonzero(~ok)[0])
-                    raise DataValidationError(
-                        f"value {col[r]:g} outside levels of {var.name!r} "
-                        f"at row {r}, column {j}"
-                    )
+            raise DataValidationError(
+                f"value {col[r]:g} outside levels of {var.name!r} at row {r}, column {j}")
         X.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "X", X)
@@ -323,8 +323,8 @@ def add_noise(data: Dataset, intensity: float, seed: int) -> Dataset:
     schema, since integer codes plus fractional noise no longer match declared
     levels. Labels are untouched.
     """
-    if intensity < 0:
-        raise DataValidationError("noise intensity must be nonnegative")
+    if not 0 <= intensity < np.inf:  # also refuses nan
+        raise DataValidationError(f"noise intensity {intensity} is not finite and nonnegative")
     rng = np.random.default_rng(seed)
     ranges = data.X.max(axis=0) - data.X.min(axis=0)
     ranges[ranges == 0] = 1.0

@@ -11,6 +11,8 @@ cut it, the mass on s splits grows like the Catalan numbers 1, 1, 2, 5, 14, ...
 of four equiprobable moves: birth, death, change_split, change_rule.
 Birth/death are mutually reverse dimension changes; the change moves rework
 one split in place. The chain starts with a birth from the single-leaf tree.
+Its candidate values and their row bitsets come from one sort per column
+(:func:`~treebma.tree.candidate_splits`); a rule object is built when first drawn.
 
 Proposals that are inapplicable (death on a single leaf, birth past s_max,
 empty candidate list) or that produce a leaf below ``min_leaf`` count as
@@ -42,7 +44,7 @@ from .bma import Ensemble
 from .tree import (
     DecisionTree,
     SplitRule,
-    candidate_rules,
+    candidate_splits,
     leaf_log_marginal,
 )
 
@@ -88,25 +90,6 @@ class ChainConfig:
 def default_s_max(n: int, min_leaf: int) -> int:
     """Split-count cap implied by the leaf-occupancy constraint."""
     return max(1, n // min_leaf - 1)
-
-
-def _bits(mask: np.ndarray) -> int:
-    """A boolean row mask as a Python int whose bit i is row i."""
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
-
-
-def _rule_masks(rules: list[SplitRule], column: np.ndarray) -> list[int]:
-    """Each rule's left-row mask over ``column`` as :func:`_bits` gives it, for one
-    variable's rules: one broadcast comparison and one ``packbits`` call."""
-    if not rules:
-        return []
-    if rules[0].level is not None:
-        left = column[None, :] == np.array([rule.level for rule in rules])[:, None]
-    else:
-        left = column[None, :] <= np.array([rule.threshold for rule in rules])[:, None]
-    packed = np.packbits(left, axis=1, bitorder="little")
-    buf, w = packed.tobytes(), packed.shape[1]
-    return [int.from_bytes(buf[i * w:(i + 1) * w], "little") for i in range(len(rules))]
 
 
 class _Draws:
@@ -169,17 +152,20 @@ class ChainState:
     rewrite it in place but never deletes it. ``parent`` maps each non-root id
     to its parent and ``next_id`` is one past the largest id, the first id a
     birth gives.
-    Row sets are bitsets: ``rows`` holds every node's, ``masks[j][i]`` the
-    rows that ``candidates[j][i]`` sends left, ``node_mask`` that mask for each
-    split's rule, ``ones`` the rows with y = 1. ``terms`` memoises
-    :func:`leaf_log_marginal` by leaf counts (n0, n1). ``config`` has
-    ``s_max`` resolved; ``current_loglik`` is the current tree's loglik.
+    ``values[j]`` are variable j's candidate thresholds or levels, and
+    ``rules[j][i]`` is the one :class:`SplitRule` of ``values[j][i]``, shared by
+    the chain's trees (None until first drawn). Row sets are bitsets (bit i is row i): ``rows`` holds every
+    node's, ``masks[j][i]`` the rows that ``values[j][i]`` sends left,
+    ``node_mask`` that mask for each split, ``ones`` the rows with y = 1.
+    ``terms`` memoises :func:`leaf_log_marginal` by leaf counts (n0, n1).
+    ``config`` has ``s_max`` resolved; ``current_loglik`` is the current tree's loglik.
     """
 
     data: Dataset
     config: ChainConfig
-    candidates: list[list[SplitRule]]
-    masks: list[list[int]]
+    values: tuple[list, ...]
+    masks: tuple[list[int], ...]
+    rules: list[list[SplitRule | None]]
     ones: int
     nodes: dict[int, _Node]
     rows: dict[int, int]
@@ -231,6 +217,15 @@ def _term(state: ChainState, counts: tuple[int, int]) -> float:
     return state.terms[counts]
 
 
+def _rule(state: ChainState, var: int, i: int) -> SplitRule:
+    """The chain's rule for value i of variable var, built the first time it is drawn."""
+    rule = state.rules[var][i]
+    if rule is None:
+        kind = "level" if state.data.schema.variables[var].is_categorical else "threshold"
+        rule = state.rules[var][i] = SplitRule(var, **{kind: state.values[var][i]})
+    return rule
+
+
 def _counts(state: ChainState, rows: int, n: int) -> tuple[int, int]:
     n1 = (rows & state.ones).bit_count()
     return n - n1, n1
@@ -258,14 +253,14 @@ def init_chain(data: Dataset, config: ChainConfig, rng=None) -> ChainState:
         rng = _Draws(config.seed)
     if config.s_max is None:
         config = replace(config, s_max=default_s_max(data.n, config.min_leaf))
-    candidates = [candidate_rules(data, j) for j in range(data.m)]
-    if not any(candidates):
+    values, masks = zip(*candidate_splits(data))
+    if not any(values):
         raise ValueError("no variable admits any split rule")
 
-    masks = [_rule_masks(cands, data.X[:, j]) for j, cands in enumerate(candidates)]
     all_rows = (1 << data.n) - 1
-    state = ChainState(data, config, candidates, masks, _bits(data.y == 1), nodes={},
-                       rows={0: all_rows}, leaves=[0], next_id=1)
+    ones = sum(map((1).__lshift__, np.flatnonzero(data.y).tolist()))
+    state = ChainState(data, config, values, masks, [[None] * len(v) for v in values], ones,
+                       nodes={}, rows={0: all_rows}, leaves=[0], next_id=1)
     root_counts = _counts(state, all_rows, data.n)
     state.nodes[0] = _Node(None, None, None, root_counts)
     state.current_loglik = _term(state, root_counts)
@@ -295,10 +290,10 @@ def _propose_birth(state: ChainState, rng) -> Proposal | None:
     m, k = state.data.m, len(state.leaves)
     pick = state.leaves[int(rng.integers(k))]
     var = int(rng.integers(m))
-    cands = state.candidates[var]
-    if not cands:
+    n_values = len(state.values[var])
+    if not n_values:
         return None
-    i = int(rng.integers(len(cands)))
+    i = int(rng.integers(n_values))
 
     left = state.rows[pick] & state.masks[var][i]
     right = state.rows[pick] ^ left
@@ -310,11 +305,12 @@ def _propose_birth(state: ChainState, rng) -> Proposal | None:
 
     # pick becomes prunable; its parent stops being prunable if it was
     d_after = len(state.prunable) + 1 - (state.parent.get(pick) in state.prunable)
-    ml = log(m) + log(len(cands))
+    ml = log(m) + log(n_values)
     log_q = log(k) + ml - log(d_after)
     l_id, r_id = state.next_id, state.next_id + 1
-    return Proposal("birth", log_q, -ml, loglik, True, (pick, cands[i], state.masks[var][i],
-                    ((l_id, left), (r_id, right)), ((l_id, lc), (r_id, rc))))
+    return Proposal("birth", log_q, -ml, loglik, True,
+                    (pick, _rule(state, var, i), state.masks[var][i],
+                     ((l_id, left), (r_id, right)), ((l_id, lc), (r_id, rc))))
 
 
 def _propose_death(state: ChainState, rng) -> Proposal | None:
@@ -328,7 +324,7 @@ def _propose_death(state: ChainState, rng) -> Proposal | None:
     loglik = _loglik(state, [lc, rc], [merged])
 
     k_after = len(state.leaves) - 1
-    ml = log(state.data.m) + log(len(state.candidates[node.split.variable]))
+    ml = log(state.data.m) + log(len(state.values[node.split.variable]))
     log_q = log(d) - log(k_after) - ml
     return Proposal("death", log_q, ml, loglik, True, (pick, None, None, (), ((pick, merged),)))
 
@@ -341,10 +337,10 @@ def _propose_change(state: ChainState, rng, redraw_variable: bool) -> Proposal |
     pick = state.splits[int(rng.integers(len(state.splits)))]
     old_var = nodes[pick].split.variable
     var = int(rng.integers(state.data.m)) if redraw_variable else old_var
-    cands = state.candidates[var]
-    if not cands:
+    n_values = len(state.values[var])
+    if not n_values:
         return None
-    i = int(rng.integers(len(cands)))
+    i = int(rng.integers(n_values))
     mask = state.masks[var][i]
 
     # Walk the subtree depth-first, right child first, as leaf_rows does;
@@ -366,9 +362,9 @@ def _propose_change(state: ChainState, rng, redraw_variable: bool) -> Proposal |
     leaf_counts = [(nid, _counts(state, rows, n)) for nid, rows, n in sub_leaves]
     loglik = _loglik(state, [nodes[nid].counts for nid, _ in leaf_counts],
                      [counts for _, counts in leaf_counts])
-    log_q = log(len(cands)) - log(len(state.candidates[old_var])) if redraw_variable else 0.0
+    log_q = log(n_values) - log(len(state.values[old_var])) if redraw_variable else 0.0
     return Proposal(kind, log_q, -log_q, loglik, True,
-                    (pick, cands[i], mask, sub_rows, leaf_counts))
+                    (pick, _rule(state, var, i), mask, sub_rows, leaf_counts))
 
 
 def _apply(state: ChainState, prop: Proposal) -> None:

@@ -14,8 +14,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, compress
 from math import isfinite, lgamma
-from operator import itemgetter, lt
+from operator import itemgetter, lt, or_, xor
 
 import numpy as np
 
@@ -29,6 +30,7 @@ __all__ = [
     "log_marginal_likelihood",
     "leaf_log_marginal",
     "leaf_predictive",
+    "candidate_splits",
     "candidate_rules",
     "serialize",
     "deserialize",
@@ -223,23 +225,40 @@ def leaf_predictive(counts: tuple[int, int], alpha: float) -> tuple[float, float
     return ((n0 + alpha) / denom, (n1 + alpha) / denom)
 
 
-def candidate_rules(data: Dataset, variable: int) -> list[SplitRule]:
-    """Admissible split rules for one variable, from the observed training values.
+def candidate_splits(data: Dataset) -> list[tuple[list, list[int]]]:
+    """Each variable's admissible split values, ascending, with each one's left-row
+    bitset (bit i is row i), from one sort of each column.
 
-    Continuous columns: one threshold per distinct observed value except the
-    maximum, so both children are reachable. Categorical columns: one equality
-    rule per declared level present in the data (empty if the column is
-    constant). A constant column yields an empty list.
+    Continuous: every distinct observed value but the largest, so both children are
+    reachable; its rows are a prefix of the sorted rows, read from one cumulative OR.
+    Categorical: every declared level present in the data; its rows are the XOR of
+    two prefixes. A constant column has none. Each value is the one ``np.unique``
+    keeps: equal values other than 0.0 and -0.0 share one bit pattern, and a column
+    holding both zeros takes its zero from ``np.unique``.
     """
+    order = np.argsort(data.X, axis=0)
+    ranked = np.take_along_axis(data.X, order, axis=0)
+    last = np.vstack([ranked[1:] != ranked[:-1], np.ones(data.m, bool)])  # a value's last row
+    row_bits = [1 << r for r in range(data.n)]
+    splits = []
+    sorted_rows = zip(data.schema.variables, order.T.tolist(), last.T.tolist())
+    for j, (var, rows, lasts) in enumerate(sorted_rows):
+        zeros = np.signbit(data.X[data.X[:, j] == 0, j])
+        values = (np.unique(data.X[:, j]) if zeros.any() and not zeros.all()
+                  else ranked[last[:, j], j]).tolist()
+        # the prefix at each value's last row; compress frees the others as the OR runs
+        prefix = list(compress(accumulate(map(row_bits.__getitem__, rows), or_), lasts))
+        splits.append((list(map(int, values)), list(map(xor, prefix, [0, *prefix[:-1]])))
+                      if var.is_categorical and len(prefix) > 1 else (values[:-1], prefix[:-1]))
+    return splits
+
+
+def candidate_rules(data: Dataset, variable: int) -> list[SplitRule]:
+    """Admissible split rules for one variable, one per value of :func:`candidate_splits`."""
     if not 0 <= variable < data.m:
         raise ValueError(f"variable index {variable} out of range")
-    var = data.schema.variables[variable]
-    values = np.unique(data.X[:, variable])
-    if values.size <= 1:
-        return []
-    if var.is_categorical:
-        return [SplitRule(variable, level=int(v)) for v in values]
-    return [SplitRule(variable, threshold=float(v)) for v in values[:-1]]
+    kind = "level" if data.schema.variables[variable].is_categorical else "threshold"
+    return [SplitRule(variable, **{kind: v}) for v in candidate_splits(data)[variable][0]]
 
 
 # ---------------------------------------------------------------------------

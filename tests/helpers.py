@@ -1,5 +1,5 @@
 """Shared test helpers: hand-built trees, a generator of valid trees, a routing oracle,
-the tree's id queries and the chain state check."""
+a row-bitset oracle, the tree's id queries and the chain state check."""
 import json
 
 import numpy as np
@@ -20,6 +20,11 @@ def route(tree, x) -> int:
                              f"variable {rule.variable}")
         s = tree.left[s] if rule.goes_left(x[rule.variable]) else tree.right[s]
     return tree.ids[s]
+
+
+def bits(mask: np.ndarray) -> int:
+    """A boolean row mask as a Python int whose bit i is row i, packed by numpy."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
 def leaf_ids(tree) -> list[int]:

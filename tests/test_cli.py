@@ -246,6 +246,17 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (out / "compare.csv").exists()
 
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-inf"])
+    def test_compare_non_finite_noise(self, synth_dir, tmp_path, capsys, noise):
+        out = tmp_path / "cmp"
+        rc = main(["compare", "--data", str(synth_dir / "data.csv"), f"--noise={noise}",
+                   *FAST, "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: noise intensity {noise} is not finite and nonnegative" in err
+        assert "Traceback" not in err
+        assert not (out / "compare.csv").exists()
+
     def test_missing_data_file_is_io_error(self, tmp_path):
         rc = main(["train", "--data", str(tmp_path / "nope.csv"), *FAST,
                    "--out-dir", str(tmp_path / "o")])

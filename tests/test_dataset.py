@@ -109,6 +109,21 @@ class TestDataset:
         with pytest.raises(DataValidationError, match="outside levels.*row 1, column 1"):
             Dataset(tiny_schema, X, np.zeros(2, dtype=int))
 
+    def test_first_column_at_fault_is_named(self, tiny_schema):
+        """The first column in order wins, whether its fault is a non-finite value or an
+        undeclared level, and within a column a non-finite value comes first."""
+        X = np.zeros((4, 2))
+        X[0, 1], X[2, 0] = 7.0, np.inf
+        with pytest.raises(DataValidationError, match=r"non-finite value at row 2, column 0"):
+            Dataset(tiny_schema, X, np.zeros(4, dtype=int))
+        swapped = Schema(tiny_schema.variables[::-1], "y")
+        with pytest.raises(DataValidationError,
+                           match=r"value 7 outside levels of 'x1' at row 0, column 0"):
+            Dataset(swapped, X[:, ::-1], np.zeros(4, dtype=int))
+        X[2, 0], X[3, 1] = 0.0, np.nan  # column 1: level 7 at row 0, nan at row 3
+        with pytest.raises(DataValidationError, match=r"non-finite value at row 3, column 1"):
+            Dataset(tiny_schema, X, np.zeros(4, dtype=int))
+
     def test_arrays_read_only(self, tiny_data):
         with pytest.raises(ValueError):
             tiny_data.X[0, 0] = 99.0

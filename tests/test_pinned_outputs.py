@@ -2,8 +2,9 @@
 
 Every other determinism test compares two runs of the same code, so none of
 them notices when a change alters the random draw sequence, the node ids or
-the order of a floating-point sum. This test runs ``train`` (twice: shallow
-and deep trees), ``compare`` and ``eval`` on fixed inputs, then ``importance``
+the order of a floating-point sum. This test runs ``train`` (three times:
+shallow trees, deep trees, and a column holding both -0 and 0), ``compare``
+and ``eval`` on fixed inputs, then ``importance``
 and ``filter`` on the trained ensembles, and compares the sha256 of their
 outputs with constants recorded from an earlier commit. A change that alters
 the chain's output on purpose updates the constants below and says so in
@@ -11,6 +12,7 @@ CHANGES.md; any other mismatch is a regression.
 """
 import hashlib
 
+import numpy as np
 import pytest
 
 from treebma import save_csv
@@ -25,6 +27,10 @@ COMPARE = ["--seed", "3", "--folds", "3", "--variable", "1", "--burn-in", "600",
            "--collect", "60", "--thin", "2", "--min-leaf", "8", "--s-max", "6"]
 EVAL = ["--seed", "2", "--folds", "3", "--burn-in", "600", "--collect", "60", "--thin", "2",
         "--min-leaf", "8", "--s-max", "6"]
+# Oximetry in bins of 2 around its planted cut 92, clipped to -3..3, with its zeros
+# written "-0" and "0" in turn: the first zero is -0.0, but the trees' zero threshold is
+# 0.0, the representative np.unique keeps
+SIGNED_ZERO = 14
 FILTER = ["--variable", "11"]  # used by 26 of the 100 trained trees
 FILTER_DEEP = ["--variable", "10"]  # used by 20 of the 100 deep trees
 
@@ -42,6 +48,8 @@ PINNED = {
     "filter_deep/filtered_ensemble.jsonl":
         "a42bc9092fc5624e5191b0c02d86763be8c393ab159fd5d5eb5927c447f92cd8",
     "filter_deep/report.txt": "6f18a4af038b24135eed8c45439ee9c24be94d415f89e19a7a1a518a3537fb32",
+    "train_signed_zero/ensemble.jsonl":
+        "d01bd8e351a9ef2bb60b4f531b79b46d076899c93d6e7a45a48bf59f01d89153",
 }
 
 
@@ -61,10 +69,26 @@ def outputs(tmp_path_factory, small_data):
                  "--out-dir", str(root / "importance")]) == 0
     assert main(["filter", "--ensemble", ensemble, *FILTER, "--data", str(data),
                  "--out-dir", str(root / "filter")]) == 0
+    signed = root / "signed_zero.csv"
+    _write_signed_zero(small_data, signed)
+    assert main(["train", "--data", str(signed), *TRAIN,
+                 "--out-dir", str(root / "train_signed_zero")]) == 0
     deep = str(root / "train_deep" / "ensemble.jsonl")
     assert main(["filter", "--ensemble", deep, *FILTER_DEEP, "--data", str(data),
                  "--out-dir", str(root / "filter_deep")]) == 0
     return root
+
+
+def _write_signed_zero(data, path):
+    binned = np.clip(np.round((data.X[:, SIGNED_ZERO] - 92) / 2), -3, 3)
+    zeros = 0
+    lines = [",".join(data.schema.names + [data.schema.outcome])]
+    for row, b, label in zip(data.X, binned, data.y):
+        cells = [repr(float(v)) for v in row]
+        cells[SIGNED_ZERO] = str(int(b)) if b else "-0" if zeros % 2 == 0 else "0"
+        zeros += not b
+        lines.append(",".join(cells + [str(int(label))]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))

@@ -18,10 +18,16 @@ from treebma import (
     run_chain,
 )
 from treebma.dataset import Dataset, Schema, VariableSpec
-from treebma.sampler import MOVES, _apply, _bits, _Draws, _rule_masks, default_s_max
-from treebma.tree import candidate_rules, leaf_log_marginal, log_marginal_likelihood, serialize
+from treebma.sampler import MOVES, _apply, _Draws, default_s_max
+from treebma.tree import (
+    candidate_rules,
+    candidate_splits,
+    leaf_log_marginal,
+    log_marginal_likelihood,
+    serialize,
+)
 
-from helpers import check_state
+from helpers import bits, check_state
 
 
 class TestChainConfig:
@@ -135,15 +141,32 @@ class TestMhStep:
         assert _steps_checked(state, rng, 5000) > 0
 
     def test_rule_masks_match_goes_left(self, small_data):
-        """Each packed left-row mask is the rule's own goes_left column, bit for bit."""
+        """Each variable's values are its candidate rules' thresholds or levels, and each
+        left-row mask is the rule's own goes_left column, bit for bit."""
         state = init_chain(small_data, ChainConfig(seed=1), np.random.default_rng(1))
         kinds = {small_data.schema.variables[j].is_categorical
-                 for j, cands in enumerate(state.candidates) if cands}
+                 for j, values in enumerate(state.values) if values}
         assert kinds == {True, False}
-        assert [len(ms) for ms in state.masks] == [len(cs) for cs in state.candidates]
-        for j, cands in enumerate(state.candidates):
-            for i, rule in enumerate(cands):
-                assert state.masks[j][i] == _bits(rule.goes_left(small_data.X[:, j]))
+        for j, values in enumerate(state.values):
+            rules = candidate_rules(small_data, j)
+            assert list(map(repr, values)) == [repr(_value(rule)) for rule in rules]
+            assert state.masks[j] == [bits(rule.goes_left(small_data.X[:, j])) for rule in rules]
+
+    def test_equal_rules_are_one_object(self, small_data):
+        """Rules are built once per chain: over thousands of steps, every rule of every
+        snapshot is the one object of its (variable, value), the one in ``state.rules``."""
+        cfg = ChainConfig(seed=4)
+        rng = np.random.default_rng(cfg.seed)
+        state = init_chain(small_data, cfg, rng)
+        seen = {}
+        for step in range(4000):
+            mh_step(state, rng)
+            if step % 10 == 0:
+                for rule in filter(None, state.current.rules):
+                    assert seen.setdefault((rule.variable, repr(_value(rule))), rule) is rule
+        assert len(seen) > 10
+        assert {id(rule) for rule in seen.values()} <= {id(rule) for rules in state.rules
+                                                        for rule in rules}
 
     def test_counters_accumulate(self, small_data):
         cfg = ChainConfig(seed=3)
@@ -216,37 +239,64 @@ class TestDraws:
         assert sum(ends[0][3].values()) > 0
 
 
+def _value(rule: SplitRule):
+    return rule.threshold if rule.level is None else rule.level
+
+
+def _splits(values, levels=None):
+    """The column, candidate_splits and candidate_rules of a one-variable dataset:
+    continuous, or categorical with the declared ``levels``."""
+    spec = VariableSpec("x", "categorical", tuple(levels)) if levels \
+        else VariableSpec("x", "continuous")
+    column = np.array(values, dtype=np.float64)
+    data = Dataset(Schema((spec,), "y"), column[:, None], np.zeros(column.size, dtype=int))
+    return column, candidate_splits(data)[0], candidate_rules(data, 0)
+
+
 _EDGE_VALUES = st.sampled_from([-0.0, 0.0, -1.5, 2.0, 5e-324, -7.25])
 _VALUES = _EDGE_VALUES | st.floats(-1e6, 1e6, allow_nan=False)
 
 
 class TestRuleMasks:
-    """One variable's masks from one comparison equal each rule's own goes_left mask."""
+    """One sort per column gives the values np.unique gives, bit for bit, and masks that
+    equal each candidate rule's own goes_left mask."""
 
     @settings(max_examples=200, deadline=None)
-    @given(values=st.lists(_VALUES, min_size=1, max_size=70),
-           extra=st.lists(_VALUES, max_size=4))
-    @example(values=[0.0, -0.0, 0.0, -0.0], extra=[-0.0, 0.0])
-    @example(values=[3.5] * 9, extra=[])
-    @example(values=[-2.0, -2.0, -1.0, 4.0, 4.0, 4.0, -1.0, 0.0, 9.0], extra=[])
-    def test_continuous(self, values, extra):
-        """Thresholds at every distinct value (ties, negatives, both zeros, a single
-        value) and at arbitrary others."""
-        column = np.array(values, dtype=np.float64)
-        rules = [SplitRule(3, threshold=float(t)) for t in [*np.unique(column), *extra]]
-        assert _rule_masks(rules, column) == [_bits(r.goes_left(column)) for r in rules]
+    @given(values=st.lists(_VALUES, min_size=1, max_size=70))
+    @example(values=[0.0, -0.0, 0.0, -0.0])
+    @example(values=[-0.0, 0.0, 1.0, -0.0, 0.0, -3.0])
+    @example(values=[-0.0, 0.0, -1.5, -1.5, 2.0])  # np.unique keeps 0.0, the second zero
+    @example(values=[3.5] * 9)
+    @example(values=[5.0])
+    @example(values=[-2.0, -2.0, -1.0, 4.0, 4.0, 4.0, -1.0, 0.0, 9.0])
+    @example(values=[float(v) for v in range(40, 0, -1)])
+    def test_continuous(self, values):
+        """Thresholds at every distinct value but the largest (ties, negatives, both
+        zeros, a constant or 1-row column, all distinct), as repr tells them apart."""
+        column, (thresholds, masks), rules = _splits(values)
+        assert list(map(repr, thresholds)) == list(map(repr, map(float, np.unique(column)[:-1])))
+        assert list(map(repr, thresholds)) == [repr(rule.threshold) for rule in rules]
+        assert all(type(threshold) is float for threshold in thresholds)
+        assert masks == [bits(rule.goes_left(column)) for rule in rules]
 
     @settings(max_examples=200, deadline=None)
     @given(values=st.lists(st.integers(0, 5), min_size=1, max_size=70),
-           levels=st.lists(st.integers(-1, 6), min_size=1, max_size=8, unique=True))
-    @example(values=[2] * 12, levels=[2, 0])
-    def test_categorical(self, values, levels):
-        column = np.array(values, dtype=np.float64)
-        rules = [SplitRule(1, level=level) for level in levels]
-        assert _rule_masks(rules, column) == [_bits(r.goes_left(column)) for r in rules]
+           absent=st.lists(st.integers(-1, 6), max_size=8))
+    @example(values=[2] * 12, absent=[0])
+    @example(values=[4], absent=[])
+    @example(values=[0, 3, 3, 1, 0, 5], absent=[2, 4])
+    def test_categorical(self, values, absent):
+        """Levels present in the column, whatever other levels are declared."""
+        column, (levels, masks), rules = _splits(values, sorted({*values, *absent}))
+        present = sorted(set(values))
+        assert levels == (present if len(present) > 1 else [])
+        assert all(type(level) is int for level in levels)
+        assert levels == [rule.level for rule in rules]
+        assert masks == [bits(rule.goes_left(column)) for rule in rules]
 
     def test_no_rules(self):
-        assert _rule_masks([], np.array([1.0, 2.0])) == []
+        assert _splits([1.0, 1.0])[1:] == (([], []), [])
+        assert _splits([1.0, 1.0], levels=[0, 1])[1:] == (([], []), [])
 
 
 class TestRunChain:
