@@ -30,6 +30,7 @@ from .bma import (
     EvalReport,
     Prediction,
     evaluate,
+    evaluate_selection,
     load_ensemble,
     max_loglikelihood,
     predict,

@@ -76,18 +76,20 @@ def variable_importance(ensemble: Ensemble, m: int | None = None,
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Outcome of excluding trees that use one variable."""
+    """Outcome of excluding trees that use one variable; ``kept_runs`` flags the kept runs
+    of the original ensemble (as :meth:`~treebma.bma.Ensemble.runs` lists them)."""
 
     kept: Ensemble
     omitted_count: int
     excluded_variable: int
+    kept_runs: list[bool]
 
 
 def filter_ensemble(ensemble: Ensemble, variable: int) -> SelectionResult:
     """Keep only trees with zero splits on ``variable``, preserving order (and runs)."""
     firsts, lengths = ensemble.runs()
-    keep = np.repeat([variable not in t.variables_used() for t in firsts], lengths)
-    keep_idx = np.flatnonzero(keep).tolist()
+    kept_runs = [variable not in t.variables_used() for t in firsts]
+    keep_idx = np.flatnonzero(np.repeat(kept_runs, lengths)).tolist()
     omitted = len(ensemble) - len(keep_idx)
     if not keep_idx:
         raise ValueError(f"every tree splits on variable {variable}; nothing kept")
@@ -96,7 +98,7 @@ def filter_ensemble(ensemble: Ensemble, variable: int) -> SelectionResult:
         logliks=[ensemble.logliks[i] for i in keep_idx],
         meta={**ensemble.meta, "filtered_variable": variable, "omitted": omitted},
     )
-    return SelectionResult(kept=kept, omitted_count=omitted, excluded_variable=variable)
+    return SelectionResult(kept, omitted, variable, kept_runs)
 
 
 def derive_seed(master_seed: int, fold: int, arm: int) -> int:

@@ -10,18 +10,21 @@ identical consecutive trees. A run is one shared ``DecisionTree`` object at
 consecutive positions: :func:`~treebma.sampler.run_chain` and
 :func:`load_ensemble` build one object per run, and the read path does its
 work once per run (:meth:`Ensemble.runs`). :func:`save_ensemble` serializes
-a run once. :func:`predict_batch` stacks the flat records of the first tree
-of each run into one set of slot arrays (each tree's child slots shifted by
-the slots of the trees before it), builds one boolean row mask per distinct
-split rule with :meth:`~treebma.tree.SplitRule.goes_left`, and routes all
-(tree, row) pairs of ``PREDICT_CHUNK`` runs at once, one tree level per
-pass. It then adds each tree's leaf pairs in ensemble order, so every sum is
-bit-identical to routing the trees one by one.
+a run once. An ensemble is compiled once, on its first prediction: the flat
+records of the first tree of each run are stacked into one set of slot arrays
+(each tree's child slots shifted by the slots of the trees before it). A
+prediction builds one boolean row mask per distinct split rule with
+:meth:`~treebma.tree.SplitRule.goes_left` and routes all (tree, row) pairs of
+``PREDICT_CHUNK`` runs at once, one tree level per pass. It adds each tree's
+leaf pairs in ensemble order, so every sum is bit-identical to routing the
+trees one by one; :func:`evaluate_selection` also adds a kept run's pairs to
+a second sum, so ``filter`` scores before and after in one routing pass.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
@@ -43,6 +46,7 @@ __all__ = [
     "predict",
     "predict_batch",
     "evaluate",
+    "evaluate_selection",
     "max_loglikelihood",
     "save_ensemble",
     "load_ensemble",
@@ -51,7 +55,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Ordered post-burn-in trees with their training log marginal likelihoods."""
+    """Ordered post-burn-in trees with their training log marginal likelihoods; compiled
+    on the first prediction, so ``trees`` and ``meta`` must not be mutated after it."""
 
     trees: list[DecisionTree]
     logliks: list[float]
@@ -78,6 +83,12 @@ class Ensemble:
         if not alpha > 0:
             raise ValueError(f"dirichlet_alpha {alpha!r} in the metadata is not positive")
         return alpha
+
+    @cached_property
+    def _columns(self):
+        """The runs' slot columns (:func:`_stack`), then the run lengths."""
+        firsts, lengths = self.runs()
+        return (*_stack(firsts, self.dirichlet_alpha), lengths)
 
 
 @dataclass(frozen=True)
@@ -113,18 +124,19 @@ PREDICT_CHUNK = 128  # runs routed together; bounds the (trees x rows) arrays
 def _stack(trees: list[DecisionTree], alpha: float):
     """The trees' records stacked into flat slot arrays, tree after tree.
 
-    Returns ``rules`` (each distinct split rule once) and, per slot, ``rule``
-    (the split's index in ``rules``, -1 for a leaf), ``kids`` (the right
-    then the left child's slot at 2 * slot and 2 * slot + 1; unused for a
-    leaf) and ``leaf_p`` (the leaf's :func:`leaf_predictive` pair, zeros for
-    a split), plus each tree's root slot.
-    """
+    Returns ``rules`` (each distinct split rule object once) and, per slot,
+    ``rule`` (the split's index in ``rules``, -1 for a leaf), ``kids`` (the
+    right then the left child's slot at 2 * slot and 2 * slot + 1; unused for
+    a leaf) and ``leaf_p`` (the leaf's :func:`leaf_predictive` pair, zeros for
+    a split), plus each tree's root slot. Rules are told apart by identity (a file
+    or a chain builds each once); equal distinct objects just get a mask each."""
     sizes = [len(t.ids) for t in trees]
     total = sum(sizes)
     starts = np.cumsum([0, *sizes[:-1]])
-    rule_ids: dict = {}  # in first-seen order
-    rule = np.fromiter((-1 if r is None else rule_ids.setdefault(r, len(rule_ids))
-                        for t in trees for r in t.rules), np.intp, total)
+    slots = list(chain.from_iterable(t.rules for t in trees))
+    distinct = {id(r): r for r in slots if r is not None}  # in first-seen order
+    index = {key: i for i, key in enumerate(distinct)} | {id(None): -1}
+    rule = np.fromiter(map(index.__getitem__, map(id, slots)), np.intp, total)
     kids = np.column_stack([np.fromiter(chain.from_iterable(getattr(t, side) for t in trees),
                                         np.intp, total) for side in ("right", "left")])
     kids += np.repeat(starts, sizes)[:, None]  # each tree's slots follow the trees before it
@@ -134,17 +146,16 @@ def _stack(trees: list[DecisionTree], alpha: float):
     leaf_p = np.zeros((total, 2))
     leaf_p[rule < 0] = np.array([leaf_predictive(c, alpha) for c in pairs])[pair]
     roots = starts + np.array([t.root for t in trees], dtype=np.intp)
-    return list(rule_ids), rule, kids.ravel(), leaf_p, roots
+    return list(distinct.values()), rule, kids.ravel(), leaf_p, roots
 
 
-def predict_batch(ensemble: Ensemble, X: np.ndarray) -> np.ndarray:
-    """Averaged class probabilities for each row of X; shape (n, 2)."""
+def _route(ensemble: Ensemble, X: np.ndarray, keep=None) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's leaf pairs summed over all trees, and over the trees of the runs
+    (of :meth:`Ensemble.runs`) where ``keep`` is true; one add per tree, in order."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be 2-d")
-    alpha = ensemble.dirichlet_alpha
-    firsts, lengths = ensemble.runs()
-    rules, rule, kids, leaf_p, roots = _stack(firsts, alpha)
+    rules, rule, kids, leaf_p, roots, lengths = ensemble._columns
     if max((r.variable for r in rules), default=-1) >= X.shape[1]:
         raise ValueError(f"feature arity {X.shape[1]} too small for ensemble splits")
     n = X.shape[0]
@@ -153,25 +164,34 @@ def predict_batch(ensemble: Ensemble, X: np.ndarray) -> np.ndarray:
         masks[r] = rl.goes_left(X[:, rl.variable])
     masks = masks.ravel()  # masks[r * n + i]: rule r sends row i left
     offset, is_split = rule * n, rule >= 0
+    keep = [False] * len(lengths) if keep is None else keep
 
-    acc = np.zeros((n, 2))
-    for start in range(0, len(firsts), PREDICT_CHUNK):
+    acc, kept = np.zeros((n, 2)), np.zeros((n, 2))
+    for start in range(0, len(roots), PREDICT_CHUNK):
         chunk = roots[start:start + PREDICT_CHUNK]
         pos = np.repeat(chunk, n)  # pair (run j, row i) of the chunk sits at pos[j * n + i]
         rows = np.tile(np.arange(n), chunk.size)
-        keep = is_split[pos]
-        active, rows = np.flatnonzero(keep), rows[keep]
+        on = is_split[pos]
+        active, rows = np.flatnonzero(on), rows[on]
         while active.size:  # one tree level per pass, over the pairs still at a split
             s = pos[active]
             nxt = kids[2 * s + masks[offset[s] + rows]]
             pos[active] = nxt
-            keep = is_split[nxt]
-            active, rows = active[keep], rows[keep]
+            on = is_split[nxt]
+            active, rows = active[on], rows[on]
         probs = leaf_p[pos].reshape(chunk.size, n, 2)
-        for j, k in enumerate(lengths[start:start + PREDICT_CHUNK]):
+        for j, (k, kept_run) in enumerate(zip(lengths[start:start + PREDICT_CHUNK],
+                                              keep[start:start + PREDICT_CHUNK])):
             for _ in range(k):  # one add per tree, in ensemble order
                 acc += probs[j]
-    return acc / len(ensemble)
+                if kept_run:
+                    kept += probs[j]
+    return acc, kept
+
+
+def predict_batch(ensemble: Ensemble, X: np.ndarray) -> np.ndarray:
+    """Averaged class probabilities for each row of X; shape (n, 2)."""
+    return _route(ensemble, X)[0] / len(ensemble)
 
 
 def predict(ensemble: Ensemble, x) -> Prediction:
@@ -204,11 +224,9 @@ class EvalReport:
             raise ValueError("entropy must be nonnegative")
 
 
-def evaluate(ensemble: Ensemble, test: Dataset) -> EvalReport:
-    """Score an ensemble on a held-out dataset."""
+def _report(probs: np.ndarray, test: Dataset, max_train_loglik: float) -> EvalReport:
     if test.n < 1:
         raise ValueError("test set is empty")
-    probs = predict_batch(ensemble, test.X)
     pred_labels = (probs[:, 1] > probs[:, 0]).astype(np.int64)
     correct = float((pred_labels == test.y).mean())
     ent = _entropy_bits(probs)
@@ -220,9 +238,23 @@ def evaluate(ensemble: Ensemble, test: Dataset) -> EvalReport:
         performance_pct=100.0 * correct,
         entropy_bits=float(ent.sum()),
         entropy_bits_mean=float(ent.mean()),
-        max_train_loglik=max_loglikelihood(ensemble),
+        max_train_loglik=max_train_loglik,
         per_point=per_point,
     )
+
+
+def evaluate(ensemble: Ensemble, test: Dataset) -> EvalReport:
+    """Score an ensemble on a held-out dataset."""
+    return _report(predict_batch(ensemble, test.X), test, max_loglikelihood(ensemble))
+
+
+def evaluate_selection(ensemble: Ensemble, selection,
+                       test: Dataset) -> tuple[EvalReport, EvalReport]:
+    """:func:`evaluate` of ``ensemble`` and of ``selection.kept``, the runs flagged in
+    ``selection.kept_runs`` (a :class:`~treebma.analysis.SelectionResult`), in one pass."""
+    acc, kept = _route(ensemble, test.X, selection.kept_runs)
+    return (_report(acc / len(ensemble), test, max_loglikelihood(ensemble)),
+            _report(kept / len(selection.kept), test, max_loglikelihood(selection.kept)))
 
 
 def max_loglikelihood(ensemble: Ensemble) -> float:

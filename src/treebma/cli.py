@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import filter_ensemble, fold_chains, run_comparison, variable_importance
-from .bma import evaluate, load_ensemble, save_ensemble
+from .bma import evaluate, evaluate_selection, load_ensemble, save_ensemble
 from .dataset import (
     DataValidationError,
     Schema,
@@ -193,8 +193,7 @@ def cmd_filter(args) -> int:
     ens_path, meta_path = out / "filtered_ensemble.jsonl", out / "metadata.json"
     ensemble = load_ensemble(args.ensemble, sidecar, schema=schema)
     result = filter_ensemble(ensemble, args.variable)
-    before = evaluate(ensemble, data)
-    after = evaluate(result.kept, data)
+    before, after = evaluate_selection(ensemble, result, data)
     save_ensemble(result.kept, ens_path, meta_path)
     txt_path = out / "report.txt"
     txt_path.write_text(
@@ -303,6 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed {args.seed}: expected a non-negative integer")
         return args.func(args)
     except (DataValidationError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -108,8 +108,8 @@ class Schema:
     def from_json(cls, text: str) -> "Schema":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise DataValidationError(f"schema file is not valid JSON: {e}") from e
+        except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
+            raise DataValidationError(f"schema file is not valid JSON: {e}") from None
         try:
             variables = tuple(
                 VariableSpec(
@@ -226,6 +226,15 @@ def _parse_cell(text: str, row: int, col: int, name: str) -> float:
         ) from None
 
 
+def _records(fh, path):
+    """CSV records; an unreadable one (a cell over the field size limit) names its line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as e:
+        raise DataValidationError(f"{path}: line {reader.line_num}: {e}") from None
+
+
 def load_csv(path, schema: Schema) -> Dataset:
     """Load and validate a header-row CSV against a schema.
 
@@ -236,7 +245,7 @@ def load_csv(path, schema: Schema) -> Dataset:
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _records(fh, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -265,8 +274,10 @@ def load_csv(path, schema: Schema) -> Dataset:
 
 
 def _fmt(v: float) -> str:
-    # integers print without a trailing .0 so categorical codes round-trip cleanly
-    return str(int(v)) if float(v).is_integer() else repr(float(v))
+    # integers print without a trailing .0 so categorical codes round-trip cleanly;
+    # the sign is written apart, so -0.0 prints as -0, which float() reads as -0.0
+    v = float(v)
+    return ("-" if np.signbit(v) else "") + str(abs(int(v))) if v.is_integer() else repr(v)
 
 
 def save_csv(data: Dataset, path) -> None:

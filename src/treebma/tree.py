@@ -225,6 +225,19 @@ def leaf_predictive(counts: tuple[int, int], alpha: float) -> tuple[float, float
     return ((n0 + alpha) / denom, (n1 + alpha) / denom)
 
 
+def _column_splits(var, x: np.ndarray, row_bits: list[int]) -> tuple[list, list[int]]:
+    """One variable's split values and left-row bitsets (see :func:`candidate_splits`)."""
+    rows = np.argsort(x)
+    ranked = x[rows]
+    lasts = np.append(ranked[1:] != ranked[:-1], True)  # a value's last row
+    zeros = np.signbit(x[x == 0])
+    values = (np.unique(x) if zeros.any() and not zeros.all() else ranked[lasts]).tolist()
+    # the prefix at each value's last row; compress frees the others as the OR runs
+    prefix = list(compress(accumulate(map(row_bits.__getitem__, rows.tolist()), or_), lasts))
+    return ((list(map(int, values)), list(map(xor, prefix, [0, *prefix[:-1]])))
+            if var.is_categorical and len(prefix) > 1 else (values[:-1], prefix[:-1]))
+
+
 def candidate_splits(data: Dataset) -> list[tuple[list, list[int]]]:
     """Each variable's admissible split values, ascending, with each one's left-row
     bitset (bit i is row i), from one sort of each column.
@@ -236,29 +249,19 @@ def candidate_splits(data: Dataset) -> list[tuple[list, list[int]]]:
     keeps: equal values other than 0.0 and -0.0 share one bit pattern, and a column
     holding both zeros takes its zero from ``np.unique``.
     """
-    order = np.argsort(data.X, axis=0)
-    ranked = np.take_along_axis(data.X, order, axis=0)
-    last = np.vstack([ranked[1:] != ranked[:-1], np.ones(data.m, bool)])  # a value's last row
     row_bits = [1 << r for r in range(data.n)]
-    splits = []
-    sorted_rows = zip(data.schema.variables, order.T.tolist(), last.T.tolist())
-    for j, (var, rows, lasts) in enumerate(sorted_rows):
-        zeros = np.signbit(data.X[data.X[:, j] == 0, j])
-        values = (np.unique(data.X[:, j]) if zeros.any() and not zeros.all()
-                  else ranked[last[:, j], j]).tolist()
-        # the prefix at each value's last row; compress frees the others as the OR runs
-        prefix = list(compress(accumulate(map(row_bits.__getitem__, rows), or_), lasts))
-        splits.append((list(map(int, values)), list(map(xor, prefix, [0, *prefix[:-1]])))
-                      if var.is_categorical and len(prefix) > 1 else (values[:-1], prefix[:-1]))
-    return splits
+    return [_column_splits(var, data.X[:, j], row_bits)
+            for j, var in enumerate(data.schema.variables)]
 
 
 def candidate_rules(data: Dataset, variable: int) -> list[SplitRule]:
     """Admissible split rules for one variable, one per value of :func:`candidate_splits`."""
     if not 0 <= variable < data.m:
         raise ValueError(f"variable index {variable} out of range")
-    kind = "level" if data.schema.variables[variable].is_categorical else "threshold"
-    return [SplitRule(variable, **{kind: v}) for v in candidate_splits(data)[variable][0]]
+    var = data.schema.variables[variable]
+    values, _ = _column_splits(var, data.X[:, variable], [1 << r for r in range(data.n)])
+    return [SplitRule(variable, **{"level" if var.is_categorical else "threshold": v})
+            for v in values]
 
 
 # ---------------------------------------------------------------------------

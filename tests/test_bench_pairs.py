@@ -1,0 +1,48 @@
+"""The summary of alternating parent/change benchmark runs (no benchmark is run)."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def summarize():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool.summarize
+
+
+def results(values, metric="wall_ref", pairs=None):
+    return [{"pair": p, "failed": 0, "metrics": {metric: {"value": v, "unit": "ref"}}}
+            for p, v in zip(pairs or range(1, len(values) + 1), values)]
+
+
+def test_lower_is_better(summarize):
+    parent = results([10.0, 11.0, 12.0, 13.0, 14.0])
+    change = results([9.0, 11.5, 8.0, 8.5, 9.5])
+    s = summarize(parent, change, "wall_ref", "lower")
+    assert s["parent"] == {"median": 12.0, "q1": 11.0, "q3": 13.0, "n": 5}
+    assert s["change"]["median"] == 9.0
+    assert (s["wins"], s["pairs"]) == (4, 5)  # pair 2 is lost: 11.5 > 11.0
+    assert s["gain_pct"] == pytest.approx(25.0)
+    assert s["resolved"]  # 12 - 9 = 3 exceeds the parent's quartile distance 2
+
+
+def test_higher_is_better_and_unresolved(summarize):
+    parent = results([100.0, 200.0, 300.0], "steps_per_ref")
+    change = results([150.0, 190.0, 310.0], "steps_per_ref")
+    s = summarize(parent, change, "steps_per_ref", "higher")
+    assert (s["wins"], s["pairs"]) == (2, 3)
+    assert s["gain_pct"] == pytest.approx(-5.0)
+    assert not s["resolved"]
+
+
+def test_pairs_matched_by_number(summarize):
+    parent = results([5.0, 6.0, 7.0], pairs=[1, 2, 3])
+    change = results([6.5, 4.0], pairs=[3, 1])  # pair 2 of the change is missing
+    s = summarize(parent, change, "wall_ref", "lower")
+    assert (s["wins"], s["pairs"]) == (2, 2)
+    assert s["change"]["n"] == 2

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treebma.bma
 from treebma import (
     DecisionTree,
     Ensemble,
     Prediction,
     SplitRule,
     evaluate,
+    evaluate_selection,
+    filter_ensemble,
     load_ensemble,
     max_loglikelihood,
     predict,
@@ -20,7 +23,7 @@ from treebma import (
 )
 from treebma.bma import PREDICT_CHUNK
 from treebma.dataset import Dataset, Schema, VariableSpec
-from treebma.tree import TreeFormatError, leaf_predictive, serialize
+from treebma.tree import TreeFormatError, deserialize, leaf_predictive, serialize
 
 from helpers import make_tree, route
 
@@ -168,6 +171,109 @@ class TestPredictBatchExact:
         assert sum(a is not b for a, b in zip(trees, [None] + trees)) > PREDICT_CHUNK
         X = grid_rows(np.random.default_rng(len(trees)), 30)
         assert np.array_equal(predict_batch(ens, X), routed_oracle(ens, X))
+
+
+def fresh(ensemble) -> Ensemble:
+    """The same trees, logliks and metadata in a new, uncompiled ensemble."""
+    return Ensemble(trees=list(ensemble.trees), logliks=list(ensemble.logliks),
+                    meta=dict(ensemble.meta))
+
+
+GRID_SCHEMA = Schema((VariableSpec("x0", "continuous"),
+                      VariableSpec("x1", "categorical", LEVELS)), "y")
+
+
+class TestCompiledOnce:
+    def test_repeated_predictions_stack_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return stack(*args)
+
+        stack = treebma.bma._stack
+        monkeypatch.setattr(treebma.bma, "_stack", counting)
+        ens = Ensemble(trees=[stump(1.5, (2, 0), (0, 2)), leaf_tree((1, 3))], logliks=[-1.0] * 2)
+        X = np.array([[1.0], [2.0]])
+        first = predict_batch(ens, X)
+        for _ in range(3):
+            assert np.array_equal(predict_batch(ens, X), first)
+        predict(ens, [1.0])
+        evaluate(ens, Dataset(Schema((VariableSpec("x0", "continuous"),), "y"), X,
+                              np.array([0, 1])))
+        assert len(calls) == 1
+        predict_batch(fresh(ens), X)
+        assert len(calls) == 2
+
+    @settings(max_examples=25, deadline=None)
+    @given(pool=st.lists(random_trees(), min_size=1, max_size=4),
+           picks=st.lists(st.integers(0, 3), min_size=1, max_size=30),
+           seed=st.integers(0, 2**16))
+    def test_equal_distinct_rules_predict_as_interned(self, pool, picks, seed):
+        """Trees read with one rule table per line (equal rules are distinct objects)
+        predict exactly as the same lines read with one shared table."""
+        lines = [serialize(pool[i % len(pool)]) for i in picks]
+        interned: dict = {}
+        shared = Ensemble(trees=[deserialize(ln, rules=interned)[0] for ln in lines],
+                          logliks=[-1.0] * len(lines))
+        distinct = Ensemble(trees=[deserialize(ln)[0] for ln in lines],
+                            logliks=[-1.0] * len(lines))
+        X = grid_rows(np.random.default_rng(seed), 15)
+        assert np.array_equal(predict_batch(distinct, X), predict_batch(shared, X))
+        assert len(shared._columns[0]) == len(interned)
+        assert len(distinct._columns[0]) >= len(shared._columns[0])
+
+
+class TestEvaluateSelection:
+    """``filter``'s one routing pass against two :func:`evaluate` calls on new ensembles."""
+
+    @staticmethod
+    def check(ens, variable, X):
+        try:
+            selection = filter_ensemble(ens, variable)
+        except ValueError:  # every tree splits on the variable
+            assert all(variable in t.variables_used() for t in ens.trees)
+            return
+        test = Dataset(GRID_SCHEMA, X, np.arange(X.shape[0]) % 2)
+        before, after = evaluate_selection(ens, selection, test)
+        assert before == evaluate(fresh(ens), test)
+        assert after == evaluate(fresh(selection.kept), test)
+        for report, kept in ((before, ens), (after, selection.kept)):
+            probs = np.array([p.p for _, p in report.per_point])
+            assert np.array_equal(probs, predict_batch(fresh(kept), X))
+
+    @settings(max_examples=60, deadline=None)
+    @given(pool=st.lists(random_trees(), min_size=1, max_size=5),
+           picks=st.lists(st.integers(0, 4), min_size=1, max_size=40),
+           variable=st.integers(0, 2), alpha=st.sampled_from([1.0, 0.5, 2.5]),
+           n_rows=st.integers(1, 12), seed=st.integers(0, 2**16))
+    def test_matches_two_evaluations(self, pool, picks, variable, alpha, n_rows, seed):
+        """Shared-object runs, scattered repeats and any filtered variable (2 is unused)."""
+        trees = [pool[i % len(pool)] for i in picks]
+        ens = Ensemble(trees=trees, logliks=[float(-i % 7) for i in range(len(trees))],
+                       meta={"config": {"dirichlet_alpha": alpha}})
+        self.check(ens, variable, grid_rows(np.random.default_rng(seed), n_rows))
+
+    def test_dropped_run_between_kept_runs(self):
+        """[A, B, A] with B filtered out: the kept trees form one run of A."""
+        a = stump(1.0, (3, 1), (0, 2))
+        b = make_tree({0: (SplitRule(1, level=2), 1, 2), 1: (1, 1), 2: (4, 0)}, 0)
+        ens = Ensemble(trees=[a, a, b, a], logliks=[-3.0, -3.0, -1.0, -2.0])
+        selection = filter_ensemble(ens, 1)
+        assert selection.kept_runs == [True, False, True]
+        assert len(selection.kept.runs()[0]) == 1
+        self.check(ens, 1, grid_rows(np.random.default_rng(3), 20))
+
+    @settings(max_examples=5, deadline=None)
+    @given(pool=st.lists(random_trees(), min_size=2, max_size=6),
+           lengths=st.lists(st.integers(1, 3), min_size=150, max_size=150),
+           variable=st.integers(0, 1))
+    def test_longer_than_one_chunk(self, pool, lengths, variable):
+        pool.append(leaf_tree((4, 1)))
+        trees = [pool[i % len(pool)] for i, k in enumerate(lengths) for _ in range(k)]
+        ens = Ensemble(trees=trees, logliks=[-1.0] * len(trees))
+        assert len(ens.runs()[0]) > PREDICT_CHUNK
+        self.check(ens, variable, grid_rows(np.random.default_rng(len(trees)), 30))
 
 
 class TestEvaluate:

@@ -270,6 +270,37 @@ class TestExitCodes:
         rc = main(["train", "--data", str(bad), *FAST, "--out-dir", str(tmp_path / "o")])
         assert rc == 1
 
+    def test_cell_over_field_limit(self, tmp_path, capsys):
+        big = tmp_path / "big.csv"
+        schema = trauma_schema()
+        big.write_text(",".join(schema.names + [schema.outcome]) + "\n"
+                       + ",".join(["1" * 131_073] + ["0"] * 16) + "\n")
+        rc = main(["train", "--data", str(big), *FAST, "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"error: {big}: line 2: field larger than field limit" in err
+        assert "Traceback" not in err
+
+    def test_deeply_nested_schema(self, synth_dir, tmp_path, capsys):
+        deep = tmp_path / "schema.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        rc = main(["train", "--data", str(synth_dir / "data.csv"), "--schema", str(deep),
+                   *FAST, "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: schema file is not valid JSON")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["synth", "train", "eval", "compare"])
+    def test_negative_seed_names_flag(self, synth_dir, tmp_path, capsys, command):
+        data = [] if command == "synth" else ["--data", str(synth_dir / "data.csv"), *FAST]
+        rows = ["--rows", "50"] if command == "synth" else []
+        rc = main([command, *rows, *data, "--seed", "-3", "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: --seed -3: expected a non-negative integer\n"
+        assert not (tmp_path / "o").exists()
+
     def test_bad_irrelevant_index(self, tmp_path):
         rc = main(["synth", "--rows", "50", "--irrelevant", "99",
                    "--out-dir", str(tmp_path / "o")])

@@ -66,6 +66,10 @@ class TestSchema:
     def test_json_round_trip(self, tiny_schema):
         assert Schema.from_json(tiny_schema.to_json()) == tiny_schema
 
+    def test_deeply_nested_json_rejected(self):
+        with pytest.raises(DataValidationError, match="not valid JSON"):
+            Schema.from_json("[" * 100_000 + "]" * 100_000)
+
     def test_malformed_json_rejected(self):
         with pytest.raises(DataValidationError, match="not valid JSON"):
             Schema.from_json("{nope")
@@ -145,6 +149,23 @@ class TestCsv:
         back = load_csv(path, small_data.schema)
         np.testing.assert_array_equal(back.X, small_data.X)
         np.testing.assert_array_equal(back.y, small_data.y)
+
+    def test_round_trip_keeps_negative_zero(self, tmp_path, tiny_schema):
+        X = np.array([[-0.0, 0], [0.0, 1], [-2.0, 2], [1e16, 0], [-0.0, 1]])
+        data = Dataset(tiny_schema, X, np.array([0, 1, 0, 1, 1]))
+        path = tmp_path / "d.csv"
+        save_csv(data, path)
+        assert path.read_text().splitlines()[1:] == ["-0,0,0", "0,1,1", "-2,2,0",
+                                                     "10000000000000000,0,1", "-0,1,1"]
+        back = load_csv(path, tiny_schema)
+        assert back.X.tobytes() == X.tobytes()  # bit for bit: the zeros keep their signs
+        assert np.signbit(back.X[:, 0]).tolist() == [True, False, True, False, True]
+
+    def test_cell_over_field_limit_names_line(self, tiny_schema, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("x0,x1,y\n1.0,0,0\n" + "1" * 131_073 + ",0,1\n")
+        with pytest.raises(DataValidationError, match=r"d\.csv: line 3: field larger"):
+            load_csv(p, tiny_schema)
 
     def test_missing_file(self, tiny_schema, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -16,9 +16,12 @@ from treebma import (
     leaf_predictive,
     log_marginal_likelihood,
     serialize,
+    synth_trauma,
 )
+from treebma.dataset import Dataset
 from treebma.tree import (
     TreeFormatError,
+    candidate_splits,
     leaf_log_marginal,
     leaf_rows,
 )
@@ -179,6 +182,21 @@ class TestCheckSchema:
 
 
 class TestCandidateRules:
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_one_column_matches_candidate_splits(self, seed):
+        """Each variable's rules carry candidate_splits' values, bit for bit (repr tells
+        -0.0 from 0.0), on data where one column holds both zeros."""
+        data = synth_trauma(150, seed, frozenset({8}))
+        X = data.X.copy()
+        X[::3, 0], X[1::5, 0] = -0.0, 0.0
+        data = Dataset(data.schema, X, data.y)
+        splits = candidate_splits(data)
+        for j in range(data.m):
+            values = [r.threshold if r.level is None else r.level
+                      for r in candidate_rules(data, j)]
+            assert repr(values) == repr(splits[j][0])
+        assert 0.0 in splits[0][0]  # the zero is a candidate, so its sign was compared
+
     def test_continuous_excludes_maximum(self, tiny_data):
         rules = candidate_rules(tiny_data, 0)
         observed = sorted(set(tiny_data.X[:, 0]))
