@@ -10,21 +10,19 @@ identical consecutive trees. A run is one shared ``DecisionTree`` object at
 consecutive positions: :func:`~treebma.sampler.run_chain` and
 :func:`load_ensemble` build one object per run, and the read path does its
 work once per run (:meth:`Ensemble.runs`). :func:`save_ensemble` serializes
-a run once. An ensemble is compiled once, on its first prediction: the flat
-records of the first tree of each run are stacked into one set of slot arrays
-(each tree's child slots shifted by the slots of the trees before it). A
-prediction builds one boolean row mask per distinct split rule with
-:meth:`~treebma.tree.SplitRule.goes_left` and routes all (tree, row) pairs of
-``PREDICT_CHUNK`` runs at once, one tree level per pass. It adds each tree's
-leaf pairs in ensemble order, so every sum is bit-identical to routing the
-trees one by one; :func:`evaluate_selection` also adds a kept run's pairs to
-a second sum, so ``filter`` scores before and after in one routing pass.
+a run once. A prediction stacks the flat records of the first tree of each
+run into one set of slot arrays (each tree's child slots shifted by the slots
+of the trees before it), builds one boolean row mask per distinct split rule
+with :meth:`~treebma.tree.SplitRule.goes_left` and routes all (tree, row)
+pairs of ``PREDICT_CHUNK`` runs at once, one tree level per pass. It adds
+each tree's leaf pairs in ensemble order, so every sum is bit-identical to
+routing the trees one by one; :func:`evaluate_selection` adds a kept run's
+pairs to a second sum too, scoring ``filter``'s before and after at once.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
@@ -55,8 +53,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Ordered post-burn-in trees with their training log marginal likelihoods; compiled
-    on the first prediction, so ``trees`` and ``meta`` must not be mutated after it."""
+    """Ordered post-burn-in trees with their training log marginal likelihoods."""
 
     trees: list[DecisionTree]
     logliks: list[float]
@@ -83,12 +80,6 @@ class Ensemble:
         if not alpha > 0:
             raise ValueError(f"dirichlet_alpha {alpha!r} in the metadata is not positive")
         return alpha
-
-    @cached_property
-    def _columns(self):
-        """The runs' slot columns (:func:`_stack`), then the run lengths."""
-        firsts, lengths = self.runs()
-        return (*_stack(firsts, self.dirichlet_alpha), lengths)
 
 
 @dataclass(frozen=True)
@@ -128,8 +119,8 @@ def _stack(trees: list[DecisionTree], alpha: float):
     ``rule`` (the split's index in ``rules``, -1 for a leaf), ``kids`` (the
     right then the left child's slot at 2 * slot and 2 * slot + 1; unused for
     a leaf) and ``leaf_p`` (the leaf's :func:`leaf_predictive` pair, zeros for
-    a split), plus each tree's root slot. Rules are told apart by identity (a file
-    or a chain builds each once); equal distinct objects just get a mask each."""
+    a split), plus each tree's root slot. Rules are told apart by identity (a
+    file or a chain builds each once); equal distinct objects get a mask each."""
     sizes = [len(t.ids) for t in trees]
     total = sum(sizes)
     starts = np.cumsum([0, *sizes[:-1]])
@@ -155,7 +146,11 @@ def _route(ensemble: Ensemble, X: np.ndarray, keep=None) -> tuple[np.ndarray, np
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be 2-d")
-    rules, rule, kids, leaf_p, roots, lengths = ensemble._columns
+    firsts, lengths = ensemble.runs()
+    keep = [False] * len(lengths) if keep is None else keep
+    if len(keep) != len(lengths):
+        raise ValueError(f"{len(keep)} run flags for an ensemble of {len(lengths)} runs")
+    rules, rule, kids, leaf_p, roots = _stack(firsts, ensemble.dirichlet_alpha)
     if max((r.variable for r in rules), default=-1) >= X.shape[1]:
         raise ValueError(f"feature arity {X.shape[1]} too small for ensemble splits")
     n = X.shape[0]
@@ -164,7 +159,6 @@ def _route(ensemble: Ensemble, X: np.ndarray, keep=None) -> tuple[np.ndarray, np
         masks[r] = rl.goes_left(X[:, rl.variable])
     masks = masks.ravel()  # masks[r * n + i]: rule r sends row i left
     offset, is_split = rule * n, rule >= 0
-    keep = [False] * len(lengths) if keep is None else keep
 
     acc, kept = np.zeros((n, 2)), np.zeros((n, 2))
     for start in range(0, len(roots), PREDICT_CHUNK):
@@ -251,7 +245,8 @@ def evaluate(ensemble: Ensemble, test: Dataset) -> EvalReport:
 def evaluate_selection(ensemble: Ensemble, selection,
                        test: Dataset) -> tuple[EvalReport, EvalReport]:
     """:func:`evaluate` of ``ensemble`` and of ``selection.kept``, the runs flagged in
-    ``selection.kept_runs`` (a :class:`~treebma.analysis.SelectionResult`), in one pass."""
+    ``selection.kept_runs`` (a :class:`~treebma.analysis.SelectionResult`), in one pass.
+    A selection with a flag count other than the ensemble's run count raises ValueError."""
     acc, kept = _route(ensemble, test.X, selection.kept_runs)
     return (_report(acc / len(ensemble), test, max_loglikelihood(ensemble)),
             _report(kept / len(selection.kept), test, max_loglikelihood(selection.kept)))

@@ -226,15 +226,6 @@ def _parse_cell(text: str, row: int, col: int, name: str) -> float:
         ) from None
 
 
-def _records(fh, path):
-    """CSV records; an unreadable one (a cell over the field size limit) names its line."""
-    reader = csv.reader(fh)
-    try:
-        yield from reader
-    except csv.Error as e:
-        raise DataValidationError(f"{path}: line {reader.line_num}: {e}") from None
-
-
 def load_csv(path, schema: Schema) -> Dataset:
     """Load and validate a header-row CSV against a schema.
 
@@ -245,28 +236,32 @@ def load_csv(path, schema: Schema) -> Dataset:
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = _records(fh, path)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataValidationError(f"{path}: empty file") from None
-        expected = schema.names + [schema.outcome]
-        if [h.strip() for h in header] != expected:
-            raise DataValidationError(
-                f"{path}: header mismatch; expected {expected}, got {header}"
-            )
+        reader = csv.reader(fh)
         m = schema.m
         rows, labels = [], []
-        for r, rec in enumerate(reader):
-            if len(rec) != m + 1:
-                raise DataValidationError(f"{path}: row {r} has {len(rec)} cells, expected {m + 1}")
-            rows.append([_parse_cell(rec[j], r, j, schema.variables[j].name) for j in range(m)])
-            lab = _parse_cell(rec[m], r, m, schema.outcome)
-            if lab not in (0.0, 1.0):
+        try:  # a csv.Error (a cell over the field size limit) names its file line
+            header = next(reader, None)
+            if header is None:
+                raise DataValidationError(f"{path}: empty file")
+            expected = schema.names + [schema.outcome]
+            if [h.strip() for h in header] != expected:
                 raise DataValidationError(
-                    f"{path}: label {rec[m]!r} not in {{0,1}} at row {r}, column {m}"
+                    f"{path}: header mismatch; expected {expected}, got {header}"
                 )
-            labels.append(int(lab))
+            for r, rec in enumerate(reader):
+                if len(rec) != m + 1:
+                    raise DataValidationError(
+                        f"{path}: row {r} has {len(rec)} cells, expected {m + 1}")
+                rows.append([_parse_cell(rec[j], r, j, schema.variables[j].name)
+                             for j in range(m)])
+                lab = _parse_cell(rec[m], r, m, schema.outcome)
+                if lab not in (0.0, 1.0):
+                    raise DataValidationError(
+                        f"{path}: label {rec[m]!r} not in {{0,1}} at row {r}, column {m}"
+                    )
+                labels.append(int(lab))
+        except csv.Error as e:
+            raise DataValidationError(f"{path}: line {reader.line_num}: {e}") from None
     if not rows:
         raise DataValidationError(f"{path}: no data rows")
     return Dataset(schema, np.array(rows, dtype=np.float64),

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import treebma.bma
 from treebma import (
     DecisionTree,
     Ensemble,
@@ -21,7 +20,7 @@ from treebma import (
     predict_batch,
     save_ensemble,
 )
-from treebma.bma import PREDICT_CHUNK
+from treebma.bma import PREDICT_CHUNK, _stack
 from treebma.dataset import Dataset, Schema, VariableSpec
 from treebma.tree import TreeFormatError, deserialize, leaf_predictive, serialize
 
@@ -173,38 +172,11 @@ class TestPredictBatchExact:
         assert np.array_equal(predict_batch(ens, X), routed_oracle(ens, X))
 
 
-def fresh(ensemble) -> Ensemble:
-    """The same trees, logliks and metadata in a new, uncompiled ensemble."""
-    return Ensemble(trees=list(ensemble.trees), logliks=list(ensemble.logliks),
-                    meta=dict(ensemble.meta))
-
-
 GRID_SCHEMA = Schema((VariableSpec("x0", "continuous"),
                       VariableSpec("x1", "categorical", LEVELS)), "y")
 
 
-class TestCompiledOnce:
-    def test_repeated_predictions_stack_once(self, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return stack(*args)
-
-        stack = treebma.bma._stack
-        monkeypatch.setattr(treebma.bma, "_stack", counting)
-        ens = Ensemble(trees=[stump(1.5, (2, 0), (0, 2)), leaf_tree((1, 3))], logliks=[-1.0] * 2)
-        X = np.array([[1.0], [2.0]])
-        first = predict_batch(ens, X)
-        for _ in range(3):
-            assert np.array_equal(predict_batch(ens, X), first)
-        predict(ens, [1.0])
-        evaluate(ens, Dataset(Schema((VariableSpec("x0", "continuous"),), "y"), X,
-                              np.array([0, 1])))
-        assert len(calls) == 1
-        predict_batch(fresh(ens), X)
-        assert len(calls) == 2
-
+class TestDistinctRules:
     @settings(max_examples=25, deadline=None)
     @given(pool=st.lists(random_trees(), min_size=1, max_size=4),
            picks=st.lists(st.integers(0, 3), min_size=1, max_size=30),
@@ -220,8 +192,8 @@ class TestCompiledOnce:
                             logliks=[-1.0] * len(lines))
         X = grid_rows(np.random.default_rng(seed), 15)
         assert np.array_equal(predict_batch(distinct, X), predict_batch(shared, X))
-        assert len(shared._columns[0]) == len(interned)
-        assert len(distinct._columns[0]) >= len(shared._columns[0])
+        assert len(_stack(shared.runs()[0], 1.0)[0]) == len(interned)
+        assert len(_stack(distinct.runs()[0], 1.0)[0]) >= len(interned)
 
 
 class TestEvaluateSelection:
@@ -236,11 +208,11 @@ class TestEvaluateSelection:
             return
         test = Dataset(GRID_SCHEMA, X, np.arange(X.shape[0]) % 2)
         before, after = evaluate_selection(ens, selection, test)
-        assert before == evaluate(fresh(ens), test)
-        assert after == evaluate(fresh(selection.kept), test)
+        assert before == evaluate(ens, test)
+        assert after == evaluate(selection.kept, test)
         for report, kept in ((before, ens), (after, selection.kept)):
             probs = np.array([p.p for _, p in report.per_point])
-            assert np.array_equal(probs, predict_batch(fresh(kept), X))
+            assert np.array_equal(probs, predict_batch(kept, X))
 
     @settings(max_examples=60, deadline=None)
     @given(pool=st.lists(random_trees(), min_size=1, max_size=5),
@@ -263,6 +235,17 @@ class TestEvaluateSelection:
         assert selection.kept_runs == [True, False, True]
         assert len(selection.kept.runs()[0]) == 1
         self.check(ens, 1, grid_rows(np.random.default_rng(3), 20))
+
+    def test_selection_of_another_ensemble_rejected(self):
+        """Run flags of an ensemble with more or fewer runs raise instead of
+        cutting the full sum short."""
+        a, b = stump(1.0, (3, 1), (0, 2)), leaf_tree((1, 1))
+        ens = Ensemble(trees=[a, b], logliks=[-1.0, -2.0])
+        test = Dataset(GRID_SCHEMA, grid_rows(np.random.default_rng(0), 4), np.array([0, 1] * 2))
+        for other in ([a], [a, b, a]):
+            selection = filter_ensemble(Ensemble(trees=other, logliks=[-1.0] * len(other)), 1)
+            with pytest.raises(ValueError, match="run flags"):
+                evaluate_selection(ens, selection, test)
 
     @settings(max_examples=5, deadline=None)
     @given(pool=st.lists(random_trees(), min_size=2, max_size=6),

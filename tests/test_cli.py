@@ -175,6 +175,18 @@ class TestEvalImportanceFilterCompare:
         assert all(8 not in t.variables_used() for t in kept.trees)
         assert "excluded variable: 8" in (out / "report.txt").read_text()
 
+    def test_filter_stacks_once(self, synth_dir, trained_dir, tmp_path, monkeypatch):
+        """filter scores the original and the selected ensemble from one routing pass."""
+        import treebma.bma
+        calls = []
+        stack = treebma.bma._stack
+        monkeypatch.setattr(treebma.bma, "_stack", lambda *a: calls.append(a) or stack(*a))
+        rc = main(["filter", "--ensemble", str(trained_dir / "ensemble.jsonl"),
+                   "--variable", "8", "--data", str(synth_dir / "data.csv"),
+                   "--out-dir", str(tmp_path / "filt")])
+        assert rc == 0
+        assert len(calls) == 1
+
     def test_filter_keeps_ensemble_alpha(self, synth_dir, tmp_path):
         """filter scores with the alpha in metadata.json and writes it beside its output."""
         data = load_csv(synth_dir / "data.csv", trauma_schema())

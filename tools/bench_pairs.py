@@ -4,8 +4,7 @@ Runs ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
 in N pairs: once in a checkout of the parent and once in this checkout. Odd
 pairs run the parent first, even pairs the change first, so drift of the host
 falls on both sides alike. The parent is a detached ``git worktree`` of
-``--parent`` (default ``HEAD~1``), removed again on exit; ``--parent-dir``
-uses an existing checkout instead.
+``--parent`` (default ``HEAD~1``), removed again on exit.
 
     python3 tools/bench_pairs.py --workload posthoc --seed 1 --pairs 10 --out BENCH.json
 
@@ -70,18 +69,13 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=35)
     ap.add_argument("--parent", default="HEAD~1", help="git ref of the parent")
-    ap.add_argument("--parent-dir", default=None, help="an existing checkout of the parent")
     ap.add_argument("--out", default=None, help="JSON file whose runs block is updated")
     args = ap.parse_args(argv)
 
-    tmp = None
-    if args.parent_dir is None:
-        tmp = Path(tempfile.mkdtemp(prefix="bench-parent-"))
-        parent_dir = tmp / "parent"
-        subprocess.run(["git", "worktree", "add", "--detach", str(parent_dir), args.parent],
-                       cwd=ROOT, check=True, capture_output=True)
-    else:
-        parent_dir = Path(args.parent_dir)
+    tmp = Path(tempfile.mkdtemp(prefix="bench-parent-"))
+    parent_dir = tmp / "parent"
+    subprocess.run(["git", "worktree", "add", "--detach", str(parent_dir), args.parent],
+                   cwd=ROOT, check=True, capture_output=True)
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     try:
         for pair in range(1, args.pairs + 1):
@@ -94,11 +88,10 @@ def main(argv=None) -> int:
                 print(f"pair {pair} {side}: wall_ref {value:.3f}, failed {result['failed']}",
                       file=sys.stderr)
     finally:
-        if tmp is not None:
-            subprocess.run(["git", "worktree", "remove", "--force", str(parent_dir)],
-                           cwd=ROOT, capture_output=True)
-            subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
-            shutil.rmtree(tmp, ignore_errors=True)
+        subprocess.run(["git", "worktree", "remove", "--force", str(parent_dir)],
+                       cwd=ROOT, capture_output=True)
+        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+        shutil.rmtree(tmp, ignore_errors=True)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     for m in spec["end_to_end"]:
