@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .bma import Ensemble, EvalReport, evaluate
+from .bma import Ensemble, EvalReport, evaluate, evaluate_selection
 from .dataset import Dataset, FoldPlan, add_noise, drop_variable, make_folds
 from .sampler import ChainConfig, run_chain
 
@@ -173,8 +173,9 @@ def run_comparison(data: Dataset, config: ChainConfig, weakest: int | None = Non
                fold_chains(drop_variable(data, weakest), folds, config, 1),
                fold_chains(drop_variable(noised, weakest), folds, config, 3))
     for (ens_a, test), sel, (ens_b, test_b), (ens_d, test_d) in runs:
-        reports["all_vars"].append(evaluate(ens_a, test))
-        reports["filtered"].append(evaluate(sel.kept, test))
+        all_vars, filtered = evaluate_selection(ens_a, sel, test)  # one routing pass
+        reports["all_vars"].append(all_vars)
+        reports["filtered"].append(filtered)
         reports["dropped"].append(evaluate(ens_b, test_b))
         reports["dropped_noise"].append(evaluate(ens_d, test_d))
 

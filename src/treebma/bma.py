@@ -18,17 +18,27 @@ pairs of ``PREDICT_CHUNK`` runs at once, one tree level per pass. It adds
 each tree's leaf pairs in ensemble order, so every sum is bit-identical to
 routing the trees one by one; :func:`evaluate_selection` adds a kept run's
 pairs to a second sum too, scoring ``filter``'s before and after at once.
+
+:func:`load_ensemble` reads a file with two tables that live for that one
+call: the distinct split rules and the checked node records. A line in the
+compact layout that :func:`save_ensemble` writes is read node by node, and a
+node text seen on an earlier line is not decoded or checked again; a line in
+any other JSON layout is decoded whole (see :func:`~treebma.tree.deserialize`).
+Both give the same trees, logliks and shared objects. The metadata sidecar is
+checked where it is read: a JSON object whose ``config``, when present, is an
+object holding a finite positive ``dirichlet_alpha``.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from itertools import chain
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, Schema
+from .dataset import DataValidationError, Dataset, Schema
 from .tree import (
     DecisionTree,
     TreeFormatError,
@@ -280,13 +290,14 @@ def load_ensemble(path, meta_path=None, schema: Schema | None = None) -> Ensembl
     """Read an ensemble file (and optionally its metadata sidecar).
 
     With a ``schema``, every split must fit it; each distinct rule of the
-    file is built and checked once (see :func:`treebma.tree.deserialize`).
+    file is built and checked once, and each distinct node text of a compact
+    line decoded and checked once (see :func:`treebma.tree.deserialize`).
     A malformed record raises TreeFormatError naming ``path:line``. A line
     identical to the record before it is not parsed again: it shares that
     record's tree object and loglik (identical text passes the same checks).
     """
     trees, logliks = [], []
-    prev, rules = None, {}
+    prev, rules, nodes = None, {}, {}
     with Path(path).open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line == prev:  # same text as the record before: share its tree
@@ -296,7 +307,7 @@ def load_ensemble(path, meta_path=None, schema: Schema | None = None) -> Ensembl
             if not line.strip():
                 continue
             try:
-                tree, ll = deserialize(line, schema, rules)
+                tree, ll = deserialize(line, schema, rules, nodes)
             except ValueError as e:
                 raise TreeFormatError(f"{path}:{lineno}: {e}") from e
             if ll is None:
@@ -308,5 +319,28 @@ def load_ensemble(path, meta_path=None, schema: Schema | None = None) -> Ensembl
             prev = line
     meta = {}
     if meta_path is not None and Path(meta_path).exists():
-        meta = json.loads(Path(meta_path).read_text(encoding="utf-8"))
+        meta = _read_meta(Path(meta_path))
     return Ensemble(trees=trees, logliks=logliks, meta=meta)
+
+
+def _read_meta(path: Path) -> dict:
+    """A metadata sidecar: a JSON object whose ``config``, when present, is an object
+    and whose ``config.dirichlet_alpha``, when present, is a finite positive number
+    (not a bool). Anything else raises DataValidationError naming ``path``."""
+    try:
+        meta = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise DataValidationError(f"metadata file {path} is not UTF-8 text: {e}") from None
+    except (ValueError, RecursionError) as e:  # not JSON; nested too deep
+        raise DataValidationError(f"metadata file {path} is not valid JSON: {e}") from None
+    if type(meta) is not dict:
+        raise DataValidationError(f"metadata file {path} holds a {type(meta).__name__}, "
+                                  "not a JSON object")
+    config = meta.get("config", {})
+    if type(config) is not dict:
+        raise DataValidationError(f"metadata file {path}: config {config!r} is not an object")
+    alpha = config.get("dirichlet_alpha", 1.0)
+    if not (type(alpha) in (int, float) and isfinite(alpha) and alpha > 0):
+        raise DataValidationError(f"metadata file {path}: dirichlet_alpha {alpha!r} is not "
+                                  "a finite positive number")
+    return meta

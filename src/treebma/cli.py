@@ -189,6 +189,8 @@ def cmd_importance(args) -> int:
 def cmd_filter(args) -> int:
     out, inputs = _prepare(args, args.ensemble, args.data)
     data, schema = _load(args)
+    if not 0 <= args.variable < schema.m:
+        raise DataValidationError(f"variable index {args.variable} out of range [0, {schema.m})")
     sidecar = Path(args.ensemble).with_name("metadata.json")  # holds the chain's alpha
     ens_path, meta_path = out / "filtered_ensemble.jsonl", out / "metadata.json"
     ensemble = load_ensemble(args.ensemble, sidecar, schema=schema)

@@ -37,7 +37,7 @@ CATEGORICAL = "categorical"
 
 
 class DataValidationError(ValueError):
-    """Raised when a dataset, schema, or CSV file violates its contract."""
+    """Raised when a dataset, schema, CSV or metadata file violates its contract."""
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,13 @@ class Schema:
 
     @classmethod
     def from_file(cls, path) -> "Schema":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        """The schema in a JSON file; a DataValidationError names the file."""
+        try:
+            return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as e:
+            raise DataValidationError(f"schema file {path} is not UTF-8 text: {e}") from None
+        except DataValidationError as e:
+            raise DataValidationError(f"{e} (in {path})") from None
 
 
 def trauma_schema() -> Schema:

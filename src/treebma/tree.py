@@ -8,15 +8,24 @@ slot. The Dirichlet-multinomial marginal likelihood and the leaf predictive
 probabilities are computed from the leaf counts. A record is checked once,
 where it enters the program (:func:`deserialize`); the sampler builds its
 snapshots valid by construction.
+
+A record is read by two routes that share one per-node check (:func:`_node`)
+and one per-tree check (:func:`_tree`). A line in the compact layout that
+:func:`serialize` writes is cut into node texts, and each text is decoded and
+checked once per file, then found in a table of checked node records; the
+trees of a chain differ by one move, so they share almost all of them. Any
+other JSON layout, and any line on which that route meets anything at all, is
+decoded whole and checked node by node; only that route raises, so a fault
+gives the same error on both.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress
+from itertools import accumulate, compress, repeat
 from math import isfinite, lgamma
-from operator import itemgetter, lt, or_, xor
+from operator import lt, or_, xor
 
 import numpy as np
 
@@ -92,49 +101,61 @@ class DecisionTree:
         return [rule.variable for rule in self.rules if rule is not None]
 
 
-def _tree(doc: dict, schema: Schema | None, rules: dict) -> DecisionTree:
-    """The tree of a decoded record. Ids must be distinct integers, a split's children and
-    the root must name nodes, every node must be reachable from the root exactly once, and
-    leaf counts must be None or two non-negative integers."""
-    recs = doc["nodes"]
-    ids = [rec["id"] for rec in recs]
+def _node(rec: dict, schema: Schema | None, rules: dict) -> tuple:
+    """The per-node check: one decoded node record to ``(id, rule, left id, right id,
+    counts)``, a leaf's child ids None. Leaf counts must be None or two non-negative
+    integers, and a split needs a valid rule and both children as integer ids."""
+    nid = rec["id"]
+    if "leaf" in rec:
+        if len(rec) > 2 and ("left" in rec or "right" in rec):
+            raise TreeFormatError(f"leaf node {nid} may not have children")
+        c = rec["leaf"]
+        if c is not None:
+            if not (type(c) is list and len(c) == 2 and type(c[0]) is int
+                    and type(c[1]) is int and c[0] >= 0 and c[1] >= 0):
+                raise TreeFormatError(f"leaf {nid} counts {c!r} are not two "
+                                      "non-negative integers")
+            c = (c[0], c[1])
+        return nid, None, None, None, c
+    if "split" in rec:
+        rule = _rule(rec["split"], nid, schema, rules)
+        kid_l, kid_r = rec.get("left"), rec.get("right")
+        if type(kid_l) is not int or type(kid_r) is not int:
+            raise TreeFormatError(f"split node {nid} needs both children as integer "
+                                  f"ids, not {kid_l!r} and {kid_r!r}")
+        return nid, rule, kid_l, kid_r, None
+    raise TreeFormatError(f"node {nid} is neither split nor leaf")
+
+
+def _tree(ids: list, node, doc: dict) -> tuple[DecisionTree, float | None]:
+    """The per-tree check: the tree and loglik of a record whose i-th node has id
+    ``ids[i]`` and per-node check ``node(i)`` (:func:`_node`), and whose root and
+    loglik are ``doc["root"]`` and ``doc.get("loglik")``. Ids must be distinct
+    integers, a split's children and the root must name nodes, every node must be
+    reachable from the root exactly once, and the loglik must be None or finite.
+    Nodes are checked in ascending id order, each with its children's ids."""
     if set(map(type, ids)) != {int}:
         raise TreeFormatError(f"node ids {ids!r} are not a non-empty list of integers")
+    order = range(len(ids))
     if not all(map(lt, ids, ids[1:])):
-        recs, ids = sorted(recs, key=itemgetter("id")), sorted(ids)
+        order = sorted(order, key=ids.__getitem__)
+        ids = [ids[i] for i in order]
         dup = next((a for a, b in zip(ids, ids[1:]) if a == b), None)
         if dup is not None:
             raise TreeFormatError(f"duplicate node id {dup}")
     slot = dict(zip(ids, range(len(ids))))
-    nodes = []  # per slot: (rule, left slot, right slot, counts)
-    for nid, rec in zip(ids, recs):
-        if "leaf" in rec:
-            if len(rec) > 2 and ("left" in rec or "right" in rec):
-                raise TreeFormatError(f"leaf node {nid} may not have children")
-            c = rec["leaf"]
-            if c is not None:
-                if not (type(c) is list and len(c) == 2 and type(c[0]) is int
-                        and type(c[1]) is int and c[0] >= 0 and c[1] >= 0):
-                    raise TreeFormatError(f"leaf {nid} counts {c!r} are not two "
-                                          "non-negative integers")
-                c = (c[0], c[1])
-            nodes.append((None, -1, -1, c))
-        elif "split" in rec:
-            rule = _rule(rec["split"], nid, schema, rules)
-            kid_l, kid_r = rec.get("left"), rec.get("right")
-            if type(kid_l) is not int or type(kid_r) is not int:
-                raise TreeFormatError(f"split node {nid} needs both children as integer "
-                                      f"ids, not {kid_l!r} and {kid_r!r}")
-            if kid_l not in slot or kid_r not in slot:
-                raise TreeFormatError(f"dangling child id {kid_r if kid_l in slot else kid_l}")
-            nodes.append((rule, slot[kid_l], slot[kid_r], None))
-        else:
-            raise TreeFormatError(f"node {nid} is neither split nor leaf")
+    checked = []  # per slot
+    for i in order:
+        rec = node(i)
+        if rec[1] is not None and not (rec[2] in slot and rec[3] in slot):
+            raise TreeFormatError(f"dangling child id {rec[3] if rec[2] in slot else rec[2]}")
+        checked.append(rec)
+    _, node_rules, left, right, counts = zip(*checked)
+    left, right = (tuple(map(slot.get, kids, repeat(-1))) for kids in (left, right))
     root = doc["root"]
     if type(root) is not int or root not in slot:
         raise TreeFormatError(f"root id {root!r} is not a node")
     root = slot[root]
-    node_rules, left, right, counts = zip(*nodes)
     # Distinct children that exclude the root give each other node at most one
     # parent, so the walk below reaches no node twice and always ends.
     kids = [s for s in left + right if s >= 0]
@@ -149,7 +170,10 @@ def _tree(doc: dict, schema: Schema | None, rules: dict) -> DecisionTree:
             stack += (left[s], right[s])
     if reached != len(ids):
         raise TreeFormatError("unreachable nodes present")
-    return DecisionTree(tuple(ids), node_rules, left, right, counts, root)
+    loglik = doc.get("loglik")
+    if loglik is not None and not (type(loglik) in (int, float) and isfinite(loglik)):
+        raise TreeFormatError(f"loglik {loglik!r} is not a finite number")
+    return DecisionTree(tuple(ids), node_rules, left, right, counts, root), loglik
 
 
 def _rule(doc: dict, nid: int, schema: Schema | None, rules: dict) -> SplitRule:
@@ -288,14 +312,65 @@ def serialize(tree: DecisionTree, loglik: float | None = None) -> str:
     return f'{{"nodes":[{",".join(parts)}],"root":{ids[tree.root]}{tail}}}'
 
 
-def deserialize(line: str, schema: Schema | None = None,
-                rules: dict | None = None) -> tuple[DecisionTree, float | None]:
+_HEAD, _NEXT, _TAIL = '{"nodes":[{"id":', '},{"id":', '}],"root":'  # serialize's layout
+# json.loads' scanner without its whitespace skipping: the value that starts at an
+# index and the index after it; StopIteration where no value starts
+_scan = json.JSONDecoder().scan_once
+# what decoding and checking a line's pieces can raise; each sends it to the whole-line route
+_FALLBACK = (ValueError, KeyError, TypeError, OverflowError, RecursionError, StopIteration)
+
+
+def _compact(line: str, schema: Schema | None, rules: dict,
+             nodes: dict) -> tuple[DecisionTree, float | None] | None:
+    """The record of a line in :func:`serialize`'s layout, read node by node: each
+    node's text (between ``{"id":`` and ``}``) is looked up in ``nodes``, the file's
+    table of checked node records, and decoded and checked (:func:`_node`) only when
+    missing. None when the line is laid out otherwise or anything fails to decode or
+    check; the whole-line route then reads it and raises the error.
+
+    Sound: ``},{"id":`` cannot lie inside a JSON string, and where it lies inside a
+    node, the text before it has an unclosed bracket and does not decode. So when
+    every piece and the tail decode, the line is ``{"nodes":[`` the pieces ``],``
+    the tail's members ``}``, and the whole-line decoder reads the same values,
+    unless the tail repeats ``"nodes"``."""
+    body, cut, tail = line.rpartition(_TAIL)
+    if not cut:
+        return None
+    try:
+        tail = json.loads('{"root":' + tail)
+        if "nodes" in tail:
+            return None
+        pieces = body[len(_HEAD):].split(_NEXT)
+        recs = list(map(nodes.get, pieces))
+        if None in recs:
+            for i, piece in enumerate(pieces):
+                if recs[i] is None:
+                    text = '{"id":' + piece + '}'
+                    rec, end = _scan(text, 0)
+                    if end != len(text):
+                        return None
+                    recs[i] = nodes[piece] = _node(rec, schema, rules)
+        return _tree([rec[0] for rec in recs], recs.__getitem__, tail)
+    except _FALLBACK:
+        return None
+
+
+def deserialize(line: str, schema: Schema | None = None, rules: dict | None = None,
+                nodes: dict | None = None) -> tuple[DecisionTree, float | None]:
     """Decode one serialized tree line; returns (tree, loglik-or-None).
 
     ``rules`` interns split rules across the lines of one file: a rule is
     type-checked on every occurrence, and built and checked against
-    ``schema`` (when given) only the first time.
+    ``schema`` (when given) only the first time. ``nodes`` is the file's
+    table of checked node records: a line in :func:`serialize`'s layout is
+    read from it node by node (see the module doc); any other line is decoded
+    whole, and only that route raises.
     """
+    rules = {} if rules is None else rules
+    if line.startswith(_HEAD):
+        found = _compact(line, schema, rules, {} if nodes is None else nodes)
+        if found is not None:
+            return found
     try:
         doc = json.loads(line)
     except json.JSONDecodeError as e:
@@ -303,12 +378,10 @@ def deserialize(line: str, schema: Schema | None = None,
     except (RecursionError, ValueError) as e:  # nested too deep; an integer too long
         raise TreeFormatError(f"invalid JSON: {e}") from None
     try:
-        tree = _tree(doc, schema, {} if rules is None else rules)
-        loglik = doc.get("loglik")
-        if loglik is not None and not (type(loglik) in (int, float) and isfinite(loglik)):
-            raise TreeFormatError(f"loglik {loglik!r} is not a finite number")
+        recs = doc["nodes"]
+        return _tree([rec["id"] for rec in recs],
+                     lambda i: _node(recs[i], schema, rules), doc)
     except TreeFormatError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise TreeFormatError(f"malformed tree record: {e}") from e
-    return tree, loglik

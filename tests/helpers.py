@@ -1,11 +1,12 @@
-"""Shared test helpers: hand-built trees, a generator of valid trees, a routing oracle,
-a row-bitset oracle, the tree's id queries and the chain state check."""
+"""Shared test helpers: hand-built trees, generators of valid trees and of records with
+one fault, a routing oracle, a row-bitset oracle, the tree's id queries and the chain
+state check."""
 import json
 
 import numpy as np
 from hypothesis import strategies as st
 
-from treebma import DecisionTree, SplitRule, deserialize
+from treebma import DecisionTree, SplitRule, deserialize, serialize
 from treebma.tree import leaf_rows, log_marginal_likelihood
 
 
@@ -97,3 +98,57 @@ def valid_trees(draw, max_splits=6, min_splits=0, annotated=True):
     nodes = {**{nid: draw(counts) for nid in leaves}, **splits}
     order = draw(st.permutations(list(nodes)))
     return make_tree({nid: nodes[nid] for nid in order}, ids[0])
+
+
+BAD_INT = ["1", 1.5, True, False, None, [1], {}]
+BAD = {  # values of the wrong type (or range) for each kind of field
+    "int": BAD_INT,
+    "count": [*BAD_INT, -1],
+    "thr": ["0.5", True, None, [0.5], float("nan"), float("inf")],
+    "loglik": ["-1.5", True, [-1.5], {}, float("nan"), float("-inf")],
+    "leaf": [5, "ab", {}, None, [1], [1, 2, 3]],
+    "split": [None, [1], "x", 5],
+    "nodes": [None, {}, "x", 5, []],
+}
+
+
+@st.composite
+def mutated_records(draw):
+    """A valid record with one fault: a key dropped, a type swapped, a dangling or repeated
+    child, a cycle or a duplicate id."""
+    doc = json.loads(serialize(draw(valid_trees(min_splits=1, max_splits=4)), loglik=-1.5))
+    nodes = doc["nodes"]
+    splits = [rec for rec in nodes if "split" in rec]
+    kind = draw(st.sampled_from(["drop", "type", "dangling", "repeated", "cycle", "duplicate"]))
+    if kind == "drop":
+        owner, key = draw(st.sampled_from(
+            [(doc, key) for key in doc] + [(rec, key) for rec in nodes for key in rec]
+            + [(rec["split"], key) for rec in splits for key in rec["split"]]))
+        del owner[key]
+    elif kind == "type":
+        fields = [(doc, "root", "int"), (doc, "loglik", "loglik"), (doc, "nodes", "nodes")]
+        for rec in nodes:
+            fields.append((rec, "id", "int"))
+            if "leaf" in rec:
+                fields += [(rec, "leaf", "leaf"), (rec["leaf"], 0, "count"),
+                           (rec["leaf"], 1, "count")]
+            else:
+                sp = rec["split"]
+                fields += [(rec, "left", "int"), (rec, "right", "int"), (rec, "split", "split"),
+                           (sp, "var", "int"), (sp, "thr", "thr") if "thr" in sp
+                           else (sp, "level", "int")]
+        owner, key, field = draw(st.sampled_from(fields))
+        owner[key] = draw(st.sampled_from(BAD[field]))
+    else:
+        rec = draw(st.sampled_from(splits))
+        side, other = draw(st.permutations(["left", "right"]))
+        if kind == "dangling":
+            rec[side] = max(r["id"] for r in nodes) + draw(st.integers(1, 5))
+        elif kind == "repeated":
+            rec[side] = rec[other]
+        elif kind == "cycle":
+            rec[side] = draw(st.sampled_from([doc["root"], rec["id"]]))
+        else:
+            i, j = draw(st.permutations(range(len(nodes))))[:2]
+            nodes[j]["id"] = nodes[i]["id"]
+    return json.dumps(doc)

@@ -135,3 +135,16 @@ class TestRunComparison:
                           min_leaf=8, s_max=8, seed=21)
         rep = run_comparison(small_data, cfg, weakest=None, k=3)
         assert rep.weakest == int(np.argmin(rep.importance))
+
+    def test_arm_a_and_filtered_arm_routed_once(self, small_data, monkeypatch):
+        """Per fold, arm (a) and its filtered subset come from one routing pass, so a
+        fold stacks three ensembles (arms a+c, b, d), not four."""
+        import treebma.bma
+        calls = []
+        stack = treebma.bma._stack
+        monkeypatch.setattr(treebma.bma, "_stack", lambda *a: calls.append(a) or stack(*a))
+        cfg = ChainConfig(burn_in_steps=200, collect_count=20, thin=1, min_leaf=8, s_max=8,
+                          seed=5)
+        rep = run_comparison(small_data, cfg, weakest=8, k=2)
+        assert len(calls) == 3 * 2
+        assert all(len(rep.reports[arm]) == 2 for arm in ARMS)

@@ -1,5 +1,8 @@
 """Model-averaged prediction, evaluation metrics, ensemble file round-trips."""
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from treebma.bma import PREDICT_CHUNK, _stack
 from treebma.dataset import Dataset, Schema, VariableSpec
 from treebma.tree import TreeFormatError, deserialize, leaf_predictive, serialize
 
-from helpers import make_tree, route
+from helpers import make_tree, mutated_records, route, valid_trees
 
 
 def leaf_tree(counts) -> DecisionTree:
@@ -362,3 +365,94 @@ class TestEnsembleIO:
         p = tmp_path / "e.jsonl"
         p.write_text('{"nodes":[{"id":0,"leaf":[1,1]}],"root":0,"loglik":-1.0}\n\n')
         assert len(load_ensemble(p)) == 1
+
+
+def compact(line: str) -> str:
+    """A record in serialize's layout (compact separators): the node-by-node route."""
+    return json.dumps(json.loads(line), separators=(",", ":"))
+
+
+def spaced(line: str) -> str:
+    """A record in json.dumps' default layout: the whole-line route."""
+    return json.dumps(json.loads(line))
+
+
+def read_both(lines, schema=None) -> list:
+    """load_ensemble of ``lines`` as given and of the same records re-encoded by
+    :func:`spaced`, each written to the same path: per layout, the error message, or
+    the trees and logliks by repr with which positions share a tree and a rule object."""
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "e.jsonl"
+        for layout in (str, spaced):
+            path.write_text("".join(layout(line) + "\n" for line in lines))
+            try:
+                ens = load_ensemble(path, schema=schema)
+            except TreeFormatError as e:
+                outcomes.append(str(e).replace(str(path), "e.jsonl"))
+                continue
+            first: dict = {}
+            outcomes.append((list(map(repr, ens.trees)), list(map(repr, ens.logliks)),
+                             [first.setdefault(id(t), i) for i, t in enumerate(ens.trees)],
+                             [[first.setdefault(id(r), len(first)) for r in t.rules]
+                              for t in ens.trees]))
+    return outcomes
+
+
+STUMP = ('{"nodes":[{"id":0,"split":{"var":1,"level":1},"left":1,"right":2},'
+         '{"id":1,"leaf":[1,0]},{"id":2,"leaf":[0,1]}],"root":0,"loglik":-1.0}')
+
+
+class TestReadRoutes:
+    """A file in serialize's layout is read node by node from a table of checked node
+    records; any other layout, and any line that fails there, is decoded whole. Both
+    routes give the same trees, logliks and shared objects, or the same error."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(pool=st.lists(st.tuples(valid_trees(), st.floats(allow_nan=False,
+                                                            allow_infinity=False)),
+                         min_size=1, max_size=4),
+           picks=st.lists(st.integers(0, 3), min_size=1, max_size=12))
+    def test_valid_files_read_alike(self, pool, picks):
+        """Consecutive and scattered repeats; each distinct node text is checked once."""
+        lines = [serialize(*pool[i % len(pool)]) for i in picks]
+        routes = read_both(lines)
+        assert not isinstance(routes[0], str) and routes[0] == routes[1]
+        table, whole = {}, {}
+        for line in lines:
+            deserialize(line, None, {}, table)
+            deserialize(spaced(line), None, {}, whole)
+        node_texts = {json.dumps(rec, separators=(",", ":"))[len('{"id":'):-1]
+                      for line in lines for rec in json.loads(line)["nodes"]}
+        assert set(table) == node_texts and not whole
+
+    @settings(max_examples=150, deadline=None)
+    @given(line=mutated_records())
+    def test_mutated_record_fails_alike(self, line):
+        """A record with one fault, after a valid line, raises the same TreeFormatError
+        naming path:2 on both routes."""
+        routes = read_both([STUMP, compact(line)])
+        assert isinstance(routes[0], str) and routes[0].startswith("e.jsonl:2: ")
+        assert routes[0] == routes[1]
+
+    @pytest.mark.parametrize("line, expected", [
+        (STUMP[:-1] + ',"nodes":[{"id":0,"leaf":[2,2]}]}', None),
+        (STUMP.replace('"root":0', '"root":true'), "e.jsonl:2: root id True is not a node"),
+        ('{"nodes":[{"id":2,"leaf":[0,1]},{"id":0,"split":{"var":1,"level":1},"left":1,'
+         '"right":2},{"id":1,"leaf":[1,0]}],"root":0,"loglik":-1.0}', None),
+        (STUMP.replace('"level":1}', '"level":1,"note":[{},{"id":5}]}'), None),
+        (STUMP.replace("-1.0}", "NaN}"), "e.jsonl:2: loglik nan is not a finite number"),
+        (STUMP.replace('"level":1', '"level":7'), "e.jsonl:2: split on level 7 of variable 1 "
+         "('x1'), which the schema does not declare"),
+    ], ids=["tail-repeats-nodes", "bool-root", "ids-out-of-order", "nested-node-separator",
+            "nan-loglik", "rule-outside-schema-on-line-2"])
+    def test_explicit_lines(self, tiny_schema, line, expected):
+        """Each line after a valid one; a read line means what the whole-line decoder
+        reads (a repeated key keeps its last value)."""
+        routes = read_both([STUMP, line], tiny_schema)
+        assert routes[0] == routes[1]
+        if expected is not None:
+            assert routes[0] == expected
+            return
+        tree, loglik = deserialize(spaced(line), tiny_schema)
+        assert routes[0][0][1] == repr(tree) and routes[0][1][1] == repr(loglik)

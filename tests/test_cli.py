@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from treebma import (
     ChainConfig,
@@ -21,9 +20,9 @@ from treebma import (
     trauma_schema,
 )
 from treebma.cli import main
-from treebma.tree import TreeFormatError, serialize
+from treebma.tree import TreeFormatError
 
-from helpers import valid_trees
+from helpers import mutated_records
 
 FAST = ["--burn-in", "400", "--collect", "40", "--thin", "1", "--min-leaf", "8"]
 
@@ -34,60 +33,6 @@ def stump_line(right_leaf=(60, 30), split=None) -> str:
     return json.dumps({"nodes": [{"id": 0, "split": split, "left": 1, "right": 2},
                                  {"id": 1, "leaf": [10, 20]}, {"id": 2, "leaf": right_leaf}],
                        "root": 0, "loglik": -70.0}) + "\n"
-
-
-BAD_INT = ["1", 1.5, True, False, None, [1], {}]
-BAD = {  # values of the wrong type (or range) for each kind of field
-    "int": BAD_INT,
-    "count": [*BAD_INT, -1],
-    "thr": ["0.5", True, None, [0.5], float("nan"), float("inf")],
-    "loglik": ["-1.5", True, [-1.5], {}, float("nan"), float("-inf")],
-    "leaf": [5, "ab", {}, None, [1], [1, 2, 3]],
-    "split": [None, [1], "x", 5],
-    "nodes": [None, {}, "x", 5, []],
-}
-
-
-@st.composite
-def mutated_records(draw):
-    """A valid record with one fault: a key dropped, a type swapped, a dangling or repeated
-    child, a cycle or a duplicate id."""
-    doc = json.loads(serialize(draw(valid_trees(min_splits=1, max_splits=4)), loglik=-1.5))
-    nodes = doc["nodes"]
-    splits = [rec for rec in nodes if "split" in rec]
-    kind = draw(st.sampled_from(["drop", "type", "dangling", "repeated", "cycle", "duplicate"]))
-    if kind == "drop":
-        owner, key = draw(st.sampled_from(
-            [(doc, key) for key in doc] + [(rec, key) for rec in nodes for key in rec]
-            + [(rec["split"], key) for rec in splits for key in rec["split"]]))
-        del owner[key]
-    elif kind == "type":
-        fields = [(doc, "root", "int"), (doc, "loglik", "loglik"), (doc, "nodes", "nodes")]
-        for rec in nodes:
-            fields.append((rec, "id", "int"))
-            if "leaf" in rec:
-                fields += [(rec, "leaf", "leaf"), (rec["leaf"], 0, "count"),
-                           (rec["leaf"], 1, "count")]
-            else:
-                sp = rec["split"]
-                fields += [(rec, "left", "int"), (rec, "right", "int"), (rec, "split", "split"),
-                           (sp, "var", "int"), (sp, "thr", "thr") if "thr" in sp
-                           else (sp, "level", "int")]
-        owner, key, field = draw(st.sampled_from(fields))
-        owner[key] = draw(st.sampled_from(BAD[field]))
-    else:
-        rec = draw(st.sampled_from(splits))
-        side, other = draw(st.permutations(["left", "right"]))
-        if kind == "dangling":
-            rec[side] = max(r["id"] for r in nodes) + draw(st.integers(1, 5))
-        elif kind == "repeated":
-            rec[side] = rec[other]
-        elif kind == "cycle":
-            rec[side] = draw(st.sampled_from([doc["root"], rec["id"]]))
-        else:
-            i, j = draw(st.permutations(range(len(nodes))))[:2]
-            nodes[j]["id"] = nodes[i]["id"]
-    return json.dumps(doc)
 
 
 @pytest.fixture(scope="module")
@@ -381,3 +326,55 @@ class TestExitCodes:
             if command == "filter" else []
         rc = main([command, "--ensemble", str(ens), *args, "--out-dir", str(tmp_path / "o")])
         assert rc == 1
+
+    @pytest.mark.parametrize("command", ["filter", "importance"])
+    @pytest.mark.parametrize("sidecar", [
+        "[1,2]", '{"config": 3}', '{"config": {"dirichlet_alpha": "2"}}',
+        '{"config": {"dirichlet_alpha": true}}', '{"config": {"dirichlet_alpha": NaN}}',
+        '{"config": {"dirichlet_alpha": -1}}', "{not json", "[" * 100_000,
+    ], ids=["list", "config-int", "alpha-str", "alpha-bool", "alpha-nan", "alpha-negative",
+            "not-json", "nested-too-deep"])
+    def test_malformed_metadata_sidecar(self, synth_dir, trained_dir, tmp_path, capsys,
+                                        command, sidecar):
+        """A metadata.json beside --ensemble that is not a JSON object with an object
+        config and a finite positive alpha exits 1, naming the file."""
+        model = tmp_path / "model"
+        model.mkdir()
+        (model / "ensemble.jsonl").write_bytes((trained_dir / "ensemble.jsonl").read_bytes())
+        meta = model / "metadata.json"
+        meta.write_text(sidecar)
+        args = ["--variable", "8", "--data", str(synth_dir / "data.csv")] \
+            if command == "filter" else []
+        rc = main([command, "--ensemble", str(model / "ensemble.jsonl"), *args,
+                   "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: metadata file {meta}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, message", [
+        (b'{"variables": []}', "error: malformed schema document: 'outcome' (in {path})"),
+        (b'{"variables": [{"name": "a", "kind": "ordinal"}], "outcome": "y"}',
+         "error: unknown variable kind 'ordinal' for 'a' (in {path})"),
+        (b"\xff\xfe{}", "error: schema file {path} is not UTF-8 text: 'utf-8' codec can't "
+                        "decode byte 0xff in position 0: invalid start byte"),
+    ], ids=["missing-key", "bad-kind", "not-utf8"])
+    def test_schema_error_names_file(self, synth_dir, tmp_path, capsys, text, message):
+        schema = tmp_path / "schema.json"
+        schema.write_bytes(text)
+        rc = main(["train", "--data", str(synth_dir / "data.csv"), "--schema", str(schema),
+                   *FAST, "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == message.format(path=schema) + "\n"
+
+    @pytest.mark.parametrize("variable", [-1, 16])
+    def test_filter_variable_outside_schema(self, synth_dir, trained_dir, tmp_path, capsys,
+                                            variable):
+        out = tmp_path / "o"
+        rc = main(["filter", "--ensemble", str(trained_dir / "ensemble.jsonl"),
+                   f"--variable={variable}", "--data", str(synth_dir / "data.csv"),
+                   "--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"error: variable index {variable} out of range [0, 16)\n"
+        assert not (out / "report.txt").exists()
