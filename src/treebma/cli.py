@@ -73,22 +73,27 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace, inputs: list[Path],
 
 
 def _prepare(args, *inputs) -> tuple[Path, list[Path]]:
-    """Create the output directory; list the input files, plus ``--schema`` if given.
+    """The output directory's path; the input files, plus ``--schema`` if given.
 
     An ``--out-dir`` that is the ``--ensemble``'s own directory is refused: the
     run would replace the model's ``manifest.json`` (and ``filter`` its
-    ``metadata.json``).
+    ``metadata.json``). Each command makes the directory only when its first
+    artifact is ready to be written, so a command that fails leaves none.
     """
     out = Path(args.out_dir)
     ensemble = getattr(args, "ensemble", None)
     if ensemble is not None and out.resolve() == Path(ensemble).resolve().parent:
         raise ValueError(f"--out-dir {out} is the ensemble's own directory; "
                          "its manifest.json and metadata.json would be overwritten")
-    out.mkdir(parents=True, exist_ok=True)
     paths = [Path(p) for p in inputs]
     if getattr(args, "schema", None):
         paths.append(Path(args.schema))
     return out, paths
+
+
+def _check_variable(variable: int, schema: Schema) -> None:
+    if not 0 <= variable < schema.m:
+        raise DataValidationError(f"variable index {variable} out of range [0, {schema.m})")
 
 
 def _load(args) -> tuple:
@@ -134,6 +139,7 @@ def cmd_synth(args) -> int:
     irrelevant = frozenset(int(s) for s in args.irrelevant.split(",")) \
         if args.irrelevant else frozenset()
     data = synth_trauma(args.rows, args.seed, irrelevant)
+    out.mkdir(parents=True, exist_ok=True)
     data_path, schema_path = out / "data.csv", out / "schema.json"
     save_csv(data, data_path)
     schema_path.write_text(data.schema.to_json(), encoding="utf-8")
@@ -148,6 +154,7 @@ def cmd_train(args) -> int:
     data, _ = _load(args)
     config = _chain_config(args)
     ensemble = run_chain(data, config)
+    out.mkdir(parents=True, exist_ok=True)
     ens_path, meta_path = out / "ensemble.jsonl", out / "metadata.json"
     save_ensemble(ensemble, ens_path, meta_path)
     _write_manifest(out, args, inputs, [ens_path, meta_path], config)
@@ -162,6 +169,7 @@ def cmd_eval(args) -> int:
     config = _chain_config(args, desk_default=True)
     folds = make_folds(data, args.folds, seed=args.seed)
     reports = [evaluate(ens, test) for ens, test in fold_chains(data, folds, config, 0)]
+    out.mkdir(parents=True, exist_ok=True)
     csv_path, txt_path = out / "report.csv", out / "report.txt"
     csv_path.write_text(eval_reports_csv(reports), encoding="utf-8")
     txt_path.write_text(
@@ -178,6 +186,7 @@ def cmd_importance(args) -> int:
     sidecar = Path(args.ensemble).with_name("metadata.json")  # holds the chain's alpha
     ensemble = load_ensemble(args.ensemble, sidecar, schema=schema)
     imp = variable_importance(ensemble, m=schema.m, per_tree=args.per_tree)
+    out.mkdir(parents=True, exist_ok=True)
     csv_path, txt_path = out / "importance.csv", out / "importance.txt"
     csv_path.write_text(importance_csv(schema.names, imp), encoding="utf-8")
     txt_path.write_text(importance_bar_chart(schema.names, imp), encoding="utf-8")
@@ -189,13 +198,13 @@ def cmd_importance(args) -> int:
 def cmd_filter(args) -> int:
     out, inputs = _prepare(args, args.ensemble, args.data)
     data, schema = _load(args)
-    if not 0 <= args.variable < schema.m:
-        raise DataValidationError(f"variable index {args.variable} out of range [0, {schema.m})")
+    _check_variable(args.variable, schema)
     sidecar = Path(args.ensemble).with_name("metadata.json")  # holds the chain's alpha
-    ens_path, meta_path = out / "filtered_ensemble.jsonl", out / "metadata.json"
     ensemble = load_ensemble(args.ensemble, sidecar, schema=schema)
     result = filter_ensemble(ensemble, args.variable)
     before, after = evaluate_selection(ensemble, result, data)
+    out.mkdir(parents=True, exist_ok=True)
+    ens_path, meta_path = out / "filtered_ensemble.jsonl", out / "metadata.json"
     save_ensemble(result.kept, ens_path, meta_path)
     txt_path = out / "report.txt"
     txt_path.write_text(
@@ -212,9 +221,12 @@ def cmd_filter(args) -> int:
 def cmd_compare(args) -> int:
     out, inputs = _prepare(args, args.data)
     data, schema = _load(args)
+    if args.variable is not None:  # before any chain runs
+        _check_variable(args.variable, schema)
     config = _chain_config(args, desk_default=True)
     report = run_comparison(data, config, weakest=args.variable,
                             noise_intensity=args.noise, k=args.folds)
+    out.mkdir(parents=True, exist_ok=True)
     csv_path, txt_path = out / "compare.csv", out / "compare.txt"
     csv_path.write_text(comparison_csv(report), encoding="utf-8")
     txt_path.write_text(comparison_table(report, schema.names), encoding="utf-8")

@@ -22,6 +22,13 @@ proposal is a delta over the chain state (row bitsets and an id index, see
 nothing: the tests recompute the loglik, the id index and every leaf's rows
 from the tree after each accepted move (``tests/helpers.py``).
 
+:func:`propose` dispatches through one move table. A change move first splits
+the picked node's rows by the new rule and rejects if either child is below
+``min_leaf`` (where most of them fail); only then does it walk the subtree
+below, counting each node's rows once. Leaf terms are plain lookups in a
+per-chain memo (:class:`_Terms`) that calls :func:`leaf_log_marginal` on a
+miss, once per distinct leaf counts.
+
 The chain's draws are exactly numpy's ``default_rng(seed)`` sequence of
 ``random()`` and ``integers(k)`` values, read through a buffered reader of the
 raw PCG64 stream (:class:`_Draws`), so a seed gives the same output bytes as
@@ -33,6 +40,7 @@ import time
 from bisect import insort
 from collections import namedtuple
 from dataclasses import dataclass, field, replace, asdict
+from functools import partial
 from itertools import chain
 from math import log
 from typing import NamedTuple
@@ -129,7 +137,14 @@ class _Draws:
     def integers(self, k: int) -> int:
         if k == 1:
             return 0
-        m = self._next32() * k
+        half = self._half  # _next32, inline for the first draw
+        if half is None:
+            x = self._next64()
+            self._half = x >> 32
+            m = (x & 0xFFFFFFFF) * k
+        else:
+            self._half = None
+            m = half * k
         if m & 0xFFFFFFFF < k:
             threshold = (0x100000000 - k) % k
             while m & 0xFFFFFFFF < threshold:
@@ -139,6 +154,24 @@ class _Draws:
 
 # The chain's node: a split (rule and child ids, counts None) or a leaf (class counts only).
 _Node = namedtuple("_Node", "split left right counts")
+
+
+class _Terms(dict):
+    """leaf_log_marginal(n0, n1, alpha) by leaf counts (n0, n1), computed on first lookup.
+
+    A hit is a plain dict lookup and the same float; a miss calls
+    ``leaf_log_marginal`` through this module's global, once per distinct counts.
+    """
+
+    __slots__ = ("alpha",)
+
+    def __init__(self, alpha: float):
+        super().__init__()
+        self.alpha = alpha
+
+    def __missing__(self, counts: tuple[int, int]) -> float:
+        term = self[counts] = leaf_log_marginal(*counts, self.alpha)
+        return term
 
 
 @dataclass
@@ -157,7 +190,7 @@ class ChainState:
     the chain's trees (None until first drawn). Row sets are bitsets (bit i is row i): ``rows`` holds every
     node's, ``masks[j][i]`` the rows that ``values[j][i]`` sends left,
     ``node_mask`` that mask for each split, ``ones`` the rows with y = 1.
-    ``terms`` memoises :func:`leaf_log_marginal` by leaf counts (n0, n1).
+    ``terms`` memoises :func:`leaf_log_marginal` by leaf counts (n0, n1) (see :class:`_Terms`).
     ``config`` has ``s_max`` resolved; ``current_loglik`` is the current tree's loglik.
     """
 
@@ -170,12 +203,12 @@ class ChainState:
     nodes: dict[int, _Node]
     rows: dict[int, int]
     leaves: list[int]
+    terms: _Terms
     current_loglik: float = 0.0
     splits: list[int] = field(default_factory=list)
     prunable: list[int] = field(default_factory=list)
     parent: dict[int, int] = field(default_factory=dict)
     node_mask: dict[int, int] = field(default_factory=dict)
-    terms: dict[tuple[int, int], float] = field(default_factory=dict)
     next_id: int = 0
     propose_counts: dict[str, int] = field(default_factory=lambda: {mv: 0 for mv in MOVES})
     accept_counts: dict[str, int] = field(default_factory=lambda: {mv: 0 for mv in MOVES})
@@ -210,13 +243,6 @@ class Proposal(NamedTuple):
 _REJECTED = {mv: Proposal(mv, 0.0, 0.0, 0.0, False, None) for mv in MOVES}
 
 
-def _term(state: ChainState, counts: tuple[int, int]) -> float:
-    """leaf_log_marginal(n0, n1, alpha), memoised per chain: a hit is the same float."""
-    if counts not in state.terms:
-        state.terms[counts] = leaf_log_marginal(*counts, state.config.dirichlet_alpha)
-    return state.terms[counts]
-
-
 def _rule(state: ChainState, var: int, i: int) -> SplitRule:
     """The chain's rule for value i of variable var, built the first time it is drawn."""
     rule = state.rules[var][i]
@@ -226,18 +252,13 @@ def _rule(state: ChainState, var: int, i: int) -> SplitRule:
     return rule
 
 
-def _counts(state: ChainState, rows: int, n: int) -> tuple[int, int]:
-    n1 = (rows & state.ones).bit_count()
-    return n - n1, n1
-
-
 def _loglik(state: ChainState, old: list, new: list) -> float:
     """current_loglik - the ``old`` leaf terms + the ``new`` ones, one at a time in order."""
-    loglik = state.current_loglik
+    terms, loglik = state.terms, state.current_loglik
     for counts in old:
-        loglik -= _term(state, counts)
+        loglik -= terms[counts]
     for counts in new:
-        loglik += _term(state, counts)
+        loglik += terms[counts]
     return loglik
 
 
@@ -260,10 +281,11 @@ def init_chain(data: Dataset, config: ChainConfig, rng=None) -> ChainState:
     all_rows = (1 << data.n) - 1
     ones = sum(map((1).__lshift__, np.flatnonzero(data.y).tolist()))
     state = ChainState(data, config, values, masks, [[None] * len(v) for v in values], ones,
-                       nodes={}, rows={0: all_rows}, leaves=[0], next_id=1)
-    root_counts = _counts(state, all_rows, data.n)
+                       nodes={}, rows={0: all_rows}, leaves=[0],
+                       terms=_Terms(config.dirichlet_alpha), next_id=1)
+    root_counts = (data.n - ones.bit_count(), ones.bit_count())
     state.nodes[0] = _Node(None, None, None, root_counts)
-    state.current_loglik = _term(state, root_counts)
+    state.current_loglik = state.terms[root_counts]
     for _ in range(100):
         birth = _propose_birth(state, rng)
         if birth is not None and birth.min_leaf_ok:
@@ -275,42 +297,44 @@ def init_chain(data: Dataset, config: ChainConfig, rng=None) -> ChainState:
 
 def propose(state: ChainState, kind: str, rng) -> Proposal | None:
     """Draw one proposal of the given kind; None if the move is inapplicable."""
-    if kind == "birth":
-        return _propose_birth(state, rng)
-    if kind == "death":
-        return _propose_death(state, rng)
-    if kind in ("change_split", "change_rule"):
-        return _propose_change(state, rng, redraw_variable=(kind == "change_split"))
-    raise ValueError(f"unknown move kind {kind!r}")
+    move = _PROPOSALS.get(kind)
+    if move is None:
+        raise ValueError(f"unknown move kind {kind!r}")
+    return move(state, rng)
 
 
 def _propose_birth(state: ChainState, rng) -> Proposal | None:
+    leaves, prunable, values = state.leaves, state.prunable, state.values
     if len(state.splits) >= state.config.s_max:
         return None
-    m, k = state.data.m, len(state.leaves)
-    pick = state.leaves[int(rng.integers(k))]
+    m, k = len(values), len(leaves)
+    pick = leaves[int(rng.integers(k))]
     var = int(rng.integers(m))
-    n_values = len(state.values[var])
+    n_values = len(values[var])
     if not n_values:
         return None
     i = int(rng.integers(n_values))
 
-    left = state.rows[pick] & state.masks[var][i]
-    right = state.rows[pick] ^ left
-    n_left, n_right = left.bit_count(), right.bit_count()
-    if min(n_left, n_right) < state.config.min_leaf:
+    # pick is a leaf: its counts give the right child's from the left child's
+    rows, mask, (n0, n1) = state.rows[pick], state.masks[var][i], state.nodes[pick].counts
+    left = rows & mask
+    n_left = left.bit_count()
+    n_right = n0 + n1 - n_left
+    min_leaf = state.config.min_leaf
+    if n_left < min_leaf or n_right < min_leaf:
         return _REJECTED["birth"]
-    lc, rc = _counts(state, left, n_left), _counts(state, right, n_right)
-    loglik = _loglik(state, [state.nodes[pick].counts], [lc, rc])
+    left1 = (left & state.ones).bit_count()
+    lc, rc = (n_left - left1, left1), (n_right - n1 + left1, n1 - left1)
+    loglik = _loglik(state, [(n0, n1)], [lc, rc])
 
     # pick becomes prunable; its parent stops being prunable if it was
-    d_after = len(state.prunable) + 1 - (state.parent.get(pick) in state.prunable)
+    d_after = len(prunable) + 1 - (state.parent.get(pick) in prunable)
     ml = log(m) + log(n_values)
     log_q = log(k) + ml - log(d_after)
     l_id, r_id = state.next_id, state.next_id + 1
     return Proposal("birth", log_q, -ml, loglik, True,
-                    (pick, _rule(state, var, i), state.masks[var][i],
-                     ((l_id, left), (r_id, right)), ((l_id, lc), (r_id, rc))))
+                    (pick, _rule(state, var, i), mask,
+                     ((l_id, left), (r_id, rows ^ left)), ((l_id, lc), (r_id, rc))))
 
 
 def _propose_death(state: ChainState, rng) -> Proposal | None:
@@ -324,47 +348,68 @@ def _propose_death(state: ChainState, rng) -> Proposal | None:
     loglik = _loglik(state, [lc, rc], [merged])
 
     k_after = len(state.leaves) - 1
-    ml = log(state.data.m) + log(len(state.values[node.split.variable]))
+    ml = log(len(state.values)) + log(len(state.values[node.split.variable]))
     log_q = log(d) - log(k_after) - ml
     return Proposal("death", log_q, ml, loglik, True, (pick, None, None, (), ((pick, merged),)))
 
 
 def _propose_change(state: ChainState, rng, redraw_variable: bool) -> Proposal | None:
     kind = "change_split" if redraw_variable else "change_rule"
-    if not state.splits:
+    splits, values, nodes = state.splits, state.values, state.nodes
+    if not splits:
         return None
-    nodes = state.nodes
-    pick = state.splits[int(rng.integers(len(state.splits)))]
-    old_var = nodes[pick].split.variable
-    var = int(rng.integers(state.data.m)) if redraw_variable else old_var
-    n_values = len(state.values[var])
+    pick = splits[int(rng.integers(len(splits)))]
+    node = nodes[pick]
+    old_var = node.split.variable
+    var = int(rng.integers(len(values))) if redraw_variable else old_var
+    n_values = len(values[var])
     if not n_values:
         return None
     i = int(rng.integers(n_values))
     mask = state.masks[var][i]
 
-    # Walk the subtree depth-first, right child first, as leaf_rows does;
-    # the loglik sums the old, then the new leaf terms in that order.
-    stack, sub_rows, sub_leaves = [(pick, state.rows[pick])], [], []
+    # The picked node's children first: most proposals that fail min_leaf fail there.
+    min_leaf = state.config.min_leaf
+    rows = state.rows[pick]
+    left = rows & mask
+    right = rows ^ left
+    n_left, n_right = left.bit_count(), right.bit_count()
+    if n_left < min_leaf or n_right < min_leaf:
+        return _REJECTED[kind]
+    # Then the subtree below them, depth-first, right child first, as leaf_rows walks it;
+    # the loglik takes off the old leaf terms, then adds the new ones, in that order.
+    node_mask, ones = state.node_mask, state.ones
+    stack = [(node.left, left, n_left), (node.right, right, n_right)]
+    sub_rows, old, new, leaf_counts = [], [], [], []
     while stack:
-        nid, rows = stack.pop()
-        n = rows.bit_count()
-        if n < state.config.min_leaf:
-            return _REJECTED[kind]
+        nid, rows, n = stack.pop()
         sub_rows.append((nid, rows))
         node = nodes[nid]
         if node.split is None:
-            sub_leaves.append((nid, rows, n))
+            n1 = (rows & ones).bit_count()
+            counts = (n - n1, n1)
+            old.append(node.counts)
+            new.append(counts)
+            leaf_counts.append((nid, counts))
         else:
-            left = rows & (mask if nid == pick else state.node_mask[nid])
-            stack += ((node.left, left), (node.right, rows ^ left))
+            left = rows & node_mask[nid]
+            n_left = left.bit_count()
+            if n_left < min_leaf or n - n_left < min_leaf:
+                return _REJECTED[kind]
+            stack += ((node.left, left, n_left), (node.right, rows ^ left, n - n_left))
 
-    leaf_counts = [(nid, _counts(state, rows, n)) for nid, rows, n in sub_leaves]
-    loglik = _loglik(state, [nodes[nid].counts for nid, _ in leaf_counts],
-                     [counts for _, counts in leaf_counts])
-    log_q = log(n_values) - log(len(state.values[old_var])) if redraw_variable else 0.0
+    loglik = _loglik(state, old, new)
+    log_q = log(n_values) - log(len(values[old_var])) if redraw_variable else 0.0
     return Proposal(kind, log_q, -log_q, loglik, True,
                     (pick, _rule(state, var, i), mask, sub_rows, leaf_counts))
+
+
+_PROPOSALS = {
+    "birth": _propose_birth,
+    "death": _propose_death,
+    "change_split": partial(_propose_change, redraw_variable=True),
+    "change_rule": partial(_propose_change, redraw_variable=False),
+}
 
 
 def _apply(state: ChainState, prop: Proposal) -> None:

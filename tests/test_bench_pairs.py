@@ -1,4 +1,5 @@
-"""The summary of alternating parent/change benchmark runs (no benchmark is run)."""
+"""The summary of alternating parent/change benchmark runs and the tool's arguments (no
+benchmark is run)."""
 import importlib.util
 from pathlib import Path
 
@@ -8,10 +9,15 @@ TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 
 
 @pytest.fixture(scope="module")
-def summarize():
+def tool():
     spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def summarize(tool):
     return tool.summarize
 
 
@@ -46,3 +52,18 @@ def test_pairs_matched_by_number(summarize):
     s = summarize(parent, change, "wall_ref", "lower")
     assert (s["wins"], s["pairs"]) == (2, 2)
     assert s["change"]["n"] == 2
+
+
+def test_workload_list_split(tool):
+    args = tool.parse_args(["--workload", "train,compare, posthoc", "--seed", "3"])
+    assert args.workload == ["train", "compare", "posthoc"]
+    assert (args.seed, args.pairs, args.parent) == (3, 10, "HEAD~1")
+    assert tool.parse_args(["--workload", "compare", "--seed", "1"]).workload == ["compare"]
+
+
+@pytest.mark.parametrize("text", ["train,", "train,nope", "train,train", ""])
+def test_workload_list_rejects(tool, capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        tool.parse_args(["--workload", text, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--workload" in capsys.readouterr().err

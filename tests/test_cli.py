@@ -378,3 +378,34 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             f"error: variable index {variable} out of range [0, 16)\n"
         assert not (out / "report.txt").exists()
+
+    def test_compare_variable_outside_schema_runs_no_chain(self, synth_dir, tmp_path, capsys,
+                                                           monkeypatch):
+        """compare checks --variable against the schema before any chain runs, with
+        filter's message."""
+        import treebma.analysis
+
+        calls = []
+        real_run_chain = treebma.analysis.run_chain
+        monkeypatch.setattr(treebma.analysis, "run_chain",
+                            lambda *a, **k: calls.append(a) or real_run_chain(*a, **k))
+        out = tmp_path / "cmp"
+        rc = main(["compare", "--data", str(synth_dir / "data.csv"), "--variable", "99",
+                   *FAST, "--out-dir", str(out)])
+        assert (rc, calls) == (1, [])
+        assert capsys.readouterr().err == "error: variable index 99 out of range [0, 16)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, code", [("filter", 1), ("train", 2)],
+                             ids=["filter-bad-variable", "train-missing-data"])
+    def test_failed_command_leaves_no_out_dir(self, synth_dir, trained_dir, tmp_path,
+                                              command, code):
+        """A command whose inputs fail to load or validate creates no --out-dir."""
+        if command == "filter":
+            argv = ["filter", "--ensemble", str(trained_dir / "ensemble.jsonl"),
+                    "--variable", "16", "--data", str(synth_dir / "data.csv")]
+        else:
+            argv = ["train", "--data", str(tmp_path / "nope.csv"), *FAST]
+        out = tmp_path / "o"
+        assert main([*argv, "--out-dir", str(out)]) == code
+        assert not out.exists()

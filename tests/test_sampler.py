@@ -1,6 +1,7 @@
 """Chain mechanics: configuration, proposals, MH stepping, collection, diagnostics."""
 import random
 from collections import Counter
+from dataclasses import replace
 from math import exp, log
 
 import numpy as np
@@ -16,13 +17,16 @@ from treebma import (
     mh_step,
     propose,
     run_chain,
+    synth_trauma,
 )
 from treebma.dataset import Dataset, Schema, VariableSpec
+from treebma import sampler
 from treebma.sampler import MOVES, _apply, _Draws, default_s_max
 from treebma.tree import (
     candidate_rules,
     candidate_splits,
     leaf_log_marginal,
+    leaf_rows,
     log_marginal_likelihood,
     serialize,
 )
@@ -104,6 +108,110 @@ class TestProposals:
                 break
         else:
             pytest.fail("matching reverse death never proposed")
+
+
+class _Script:
+    """A draw source that gives scripted ``integers(k)`` values, each checked against k."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def integers(self, k):
+        value = self.values.pop(0)
+        assert 0 <= value < k
+        return value
+
+
+def _leaf_slots(tree, s):
+    """The slots of the leaves under slot s."""
+    if tree.rules[s] is None:
+        return [s]
+    return _leaf_slots(tree, tree.left[s]) + _leaf_slots(tree, tree.right[s])
+
+
+class TestChangeOracle:
+    @pytest.fixture(scope="class")
+    def data(self):
+        return synth_trauma(316, 1, frozenset({8}))  # the benchmark's shape
+
+    @pytest.mark.parametrize("min_leaf", [1, 3, 25])
+    def test_change_matches_leaf_rows(self, data, min_leaf):
+        """For every split of seeded chain states and several (variable, value) draws, a
+        change proposal's min_leaf verdict, new leaf rows and counts and its loglik equal
+        a recomputation by leaf_rows on a copy of the tree with the rule replaced."""
+        draws = random.Random(min_leaf)
+        rules = [candidate_rules(data, j) for j in range(data.m)]
+        deep_only = proposed = 0  # deep_only: violations only below the picked node's children
+        for seed in range(4):
+            cfg = ChainConfig(seed=seed, min_leaf=min_leaf)
+            rng = np.random.default_rng(seed)
+            state = init_chain(data, cfg, rng)
+            for _ in range(1500):
+                mh_step(state, rng)
+            tree, alpha = state.current, cfg.dirichlet_alpha
+            slot = {nid: s for s, nid in enumerate(tree.ids)}
+            for p, pick in enumerate(state.splits):
+                s = slot[pick]
+                under = [tree.ids[leaf] for leaf in _leaf_slots(tree, s)]
+                for attempt in range(8):
+                    if attempt % 2:  # change_rule keeps the variable
+                        kind, var = "change_rule", tree.rules[s].variable
+                    else:
+                        kind, var = "change_split", draws.randrange(data.m)
+                    if not rules[var]:
+                        continue
+                    i = draws.randrange(len(rules[var]))
+                    script = _Script(p, var, i) if kind == "change_split" else _Script(p, i)
+                    prop = propose(state, kind, script)
+                    assert not script.values
+                    proposed += 1
+                    new = replace(tree, rules=tree.rules[:s] + (rules[var][i],)
+                                  + tree.rules[s + 1:])
+                    parts = leaf_rows(new, data.X)
+                    ok = all(idx.size >= min_leaf for idx in parts.values())
+                    assert prop.min_leaf_ok == ok
+                    if not ok:
+                        children = [sum(parts[new.ids[leaf]].size for leaf in _leaf_slots(new, c))
+                                    for c in (new.left[s], new.right[s])]
+                        deep_only += min(children) >= min_leaf
+                        continue
+                    counts = {nid: (idx.size - int(data.y[idx].sum()), int(data.y[idx].sum()))
+                              for nid, idx in parts.items()}
+                    assert dict(prop.delta[4]) == {nid: counts[nid] for nid in under}
+                    rows = dict(prop.delta[3])
+                    assert {nid: rows[nid] for nid in under} == \
+                        {nid: sum(1 << int(r) for r in parts[nid]) for nid in under}
+                    new = replace(new, counts=tuple(counts.get(nid, c)
+                                                    for nid, c in zip(tree.ids, tree.counts)))
+                    assert prop.loglik == pytest.approx(log_marginal_likelihood(new, alpha),
+                                                        rel=1e-12, abs=1e-9)
+        assert proposed > 100
+        assert deep_only > 0
+
+
+def test_leaf_terms_memo(small_data, monkeypatch):
+    """Leaf terms come from sampler.leaf_log_marginal, looked up through the module, once
+    per distinct (n0, n1): with it patched to 0.0 every loglik of a chain is 0.0."""
+    calls = Counter()
+
+    def zero(n0, n1, alpha):
+        calls[n0, n1] += 1
+        return 0.0
+
+    monkeypatch.setattr(sampler, "leaf_log_marginal", zero)
+    cfg = ChainConfig(burn_in_steps=1000, collect_count=200, thin=3, min_leaf=3, seed=9)
+    ens = run_chain(small_data, cfg)
+    assert set(ens.logliks) == {0.0}
+    assert ens.meta["acceptance"]["overall"] > 0
+    assert len(calls) > 20 and set(calls.values()) == {1}
+
+    state = init_chain(small_data, cfg)
+    calls.clear()
+    rng = _Draws(cfg.seed)
+    for _ in range(2000):
+        mh_step(state, rng)
+        assert state.current_loglik == 0.0
+    assert set(calls.values()) == {1} and set(calls) <= set(state.terms)
 
 
 def _steps_checked(state, rng, steps):

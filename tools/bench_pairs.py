@@ -3,30 +3,36 @@
 Runs ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
 in N pairs: once in a checkout of the parent and once in this checkout. Odd
 pairs run the parent first, even pairs the change first, so drift of the host
-falls on both sides alike. The parent is a detached ``git worktree`` of
-``--parent`` (default ``HEAD~1``), removed again on exit.
+falls on both sides alike. The parent is the committed tree of ``--parent``
+(default ``HEAD~1``), unpacked by ``git archive`` into a temporary directory
+that is removed again on exit. ``--workload`` takes a comma-separated list;
+each workload runs its pairs in turn against the same parent checkout.
 
-    python3 tools/bench_pairs.py --workload posthoc --seed 1 --pairs 10 --out BENCH.json
+    python3 tools/bench_pairs.py --workload train,compare,posthoc --seed 1 --pairs 10 \
+        --out BENCH.json
 
-Each side's median, quartiles and the pair wins of every end-to-end metric of
-``BENCHMARK.json`` are printed; ``--out`` merges the runs into that file's
-``runs`` block under ``<workload>/seed<seed>``, as ``{"parent": [...],
-"change": [...]}`` lists of the benchmark's result objects with their pair
-number.
+Per workload, each side's median, quartiles and the pair wins of every
+end-to-end metric of ``BENCHMARK.json`` are printed; ``--out`` merges the runs
+into that file's ``runs`` block under ``<workload>/seed<seed>``, as
+``{"parent": [...], "change": [...]}`` lists of the benchmark's result objects
+with their pair number.
 """
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import shutil
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
 def summarize(parent: list[dict], change: list[dict], metric: str, better: str) -> dict:
@@ -62,53 +68,79 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def main(argv=None) -> int:
+def workloads(text: str) -> list[str]:
+    """``--workload``'s comma-separated names, each a workload of ``BENCHMARK.json``."""
+    known = [w["name"] for w in SPEC["workloads"]]
+    names = [name.strip() for name in text.split(",")]
+    for name in names:
+        if name not in known:
+            raise argparse.ArgumentTypeError(f"unknown workload {name!r}; expected one of "
+                                             + ", ".join(known))
+    if len(set(names)) < len(names):
+        raise argparse.ArgumentTypeError(f"workload named twice in {text!r}")
+    return names
+
+
+def parse_args(argv=None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", type=workloads, required=True,
+                    help="comma-separated workloads, run one after another")
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=35)
     ap.add_argument("--parent", default="HEAD~1", help="git ref of the parent")
     ap.add_argument("--out", default=None, help="JSON file whose runs block is updated")
-    args = ap.parse_args(argv)
+    return ap.parse_args(argv)
 
-    tmp = Path(tempfile.mkdtemp(prefix="bench-parent-"))
-    parent_dir = tmp / "parent"
-    subprocess.run(["git", "worktree", "add", "--detach", str(parent_dir), args.parent],
-                   cwd=ROOT, check=True, capture_output=True)
+
+def run_pairs(parent_dir: Path, workload: str, seed: int, pairs: int,
+              seconds: float) -> dict[str, list[dict]]:
+    """``pairs`` alternating parent/change runs of one workload."""
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    try:
-        for pair in range(1, args.pairs + 1):
-            order = ("parent", "change") if pair % 2 else ("change", "parent")
-            for side in order:
-                result = run_once(parent_dir if side == "parent" else ROOT,
-                                  args.workload, args.seed, args.seconds)
-                runs[side].append({"pair": pair, **result})
-                value = result["metrics"]["wall_ref"]["value"]
-                print(f"pair {pair} {side}: wall_ref {value:.3f}, failed {result['failed']}",
-                      file=sys.stderr)
-    finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(parent_dir)],
-                       cwd=ROOT, capture_output=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
-        shutil.rmtree(tmp, ignore_errors=True)
+    for pair in range(1, pairs + 1):
+        order = ("parent", "change") if pair % 2 else ("change", "parent")
+        for side in order:
+            result = run_once(parent_dir if side == "parent" else ROOT, workload, seed, seconds)
+            runs[side].append({"pair": pair, **result})
+            value = result["metrics"]["wall_ref"]["value"]
+            print(f"{workload} pair {pair} {side}: wall_ref {value:.3f}, "
+                  f"failed {result['failed']}", file=sys.stderr)
+    return runs
 
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    for m in spec["end_to_end"]:
+
+def report(workload: str, runs: dict[str, list[dict]]) -> None:
+    print(f"{workload}:")
+    for m in SPEC["end_to_end"]:
         s = summarize(runs["parent"], runs["change"], m["name"], m["better"])
-        print(f"{m['name']:14s} parent {s['parent']['median']:.4g} "
+        print(f"  {m['name']:14s} parent {s['parent']['median']:.4g} "
               f"[{s['parent']['q1']:.4g}, {s['parent']['q3']:.4g}]  "
               f"change {s['change']['median']:.4g} "
               f"[{s['change']['q1']:.4g}, {s['change']['q3']:.4g}]  "
               f"wins {s['wins']}/{s['pairs']}  gain {s['gain_pct']:+.1f} %  "
               f"resolved {s['resolved']}")
-    print(f"failed: parent {sum(r['failed'] for r in runs['parent'])}, "
+    print(f"  failed: parent {sum(r['failed'] for r in runs['parent'])}, "
           f"change {sum(r['failed'] for r in runs['change'])}")
-    if args.out:
-        out = Path(args.out)
-        doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
-        doc.setdefault("runs", {})[f"{args.workload}/seed{args.seed}"] = runs
-        out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    tmp = Path(tempfile.mkdtemp(prefix="bench-parent-"))
+    parent_dir = tmp / "parent"
+    try:
+        archive = subprocess.run(["git", "archive", "--format=tar", args.parent], cwd=ROOT,
+                                 check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(parent_dir, filter="data")
+        for workload in args.workload:
+            runs = run_pairs(parent_dir, workload, args.seed, args.pairs, args.seconds)
+            report(workload, runs)
+            if args.out:  # after each workload, so a later one's failure keeps these runs
+                out = Path(args.out)
+                doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
+                doc.setdefault("runs", {})[f"{workload}/seed{args.seed}"] = runs
+                out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
     return 0
 
 
