@@ -19,10 +19,8 @@ from .dataset import (
 from .tree import (
     DecisionTree,
     SplitRule,
-    candidate_rules,
     deserialize,
     leaf_predictive,
-    log_marginal_likelihood,
     serialize,
 )
 from .bma import (

@@ -39,8 +39,7 @@ def _mean_std(values) -> tuple[float, float]:
     return float(a.mean()), (float(a.std(ddof=1)) if a.size > 1 else 0.0)
 
 
-def variable_importance(ensemble: Ensemble, m: int | None = None,
-                        per_tree: bool = False) -> np.ndarray:
+def variable_importance(ensemble: Ensemble, m: int, per_tree: bool = False) -> np.ndarray:
     """Posterior usage probability per variable.
 
     Default: split-node proportions (counts of split nodes testing variable j,
@@ -51,12 +50,8 @@ def variable_importance(ensemble: Ensemble, m: int | None = None,
     """
     firsts, lengths = ensemble.runs()
     used = [t.variables_used() for t in firsts]
-    top = max((v for vs in used for v in vs), default=None)
-    if m is None:
-        if top is None:
-            raise ValueError("cannot infer arity from an ensemble of single leaves")
-        m = top + 1
-    elif top is not None and top >= m:
+    top = max((v for vs in used for v in vs), default=-1)
+    if top >= m:
         raise ValueError(f"ensemble splits on variable {top}, beyond the {m} variables")
     imp = np.zeros(m)
     if per_tree:
@@ -81,7 +76,6 @@ class SelectionResult:
 
     kept: Ensemble
     omitted_count: int
-    excluded_variable: int
     kept_runs: list[bool]
 
 
@@ -98,7 +92,7 @@ def filter_ensemble(ensemble: Ensemble, variable: int) -> SelectionResult:
         logliks=[ensemble.logliks[i] for i in keep_idx],
         meta={**ensemble.meta, "filtered_variable": variable, "omitted": omitted},
     )
-    return SelectionResult(kept, omitted, variable, kept_runs)
+    return SelectionResult(kept, omitted, kept_runs)
 
 
 def derive_seed(master_seed: int, fold: int, arm: int) -> int:

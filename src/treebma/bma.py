@@ -312,8 +312,6 @@ def load_ensemble(path, meta_path=None, schema: Schema | None = None) -> Ensembl
                 raise TreeFormatError(f"{path}:{lineno}: {e}") from e
             if ll is None:
                 raise TreeFormatError(f"{path}:{lineno}: tree record missing loglik")
-            if tree.counts.count(None) != tree.n_splits:  # a split's counts are None
-                raise TreeFormatError(f"{path}:{lineno}: leaf without class counts")
             trees.append(tree)
             logliks.append(ll)
             prev = line

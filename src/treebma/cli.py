@@ -172,11 +172,10 @@ def cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     csv_path, txt_path = out / "report.csv", out / "report.txt"
     csv_path.write_text(eval_reports_csv(reports), encoding="utf-8")
-    txt_path.write_text(
-        eval_reports_table(reports, title=f"{args.folds}-fold cross-validation"),
-        encoding="utf-8")
+    text = eval_reports_table(reports, title=f"{args.folds}-fold cross-validation")
+    txt_path.write_text(text, encoding="utf-8")
     _write_manifest(out, args, inputs, [csv_path, txt_path], config)
-    print(txt_path.read_text(encoding="utf-8"))
+    print(text)
     return 0
 
 
@@ -189,9 +188,10 @@ def cmd_importance(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     csv_path, txt_path = out / "importance.csv", out / "importance.txt"
     csv_path.write_text(importance_csv(schema.names, imp), encoding="utf-8")
-    txt_path.write_text(importance_bar_chart(schema.names, imp), encoding="utf-8")
+    text = importance_bar_chart(schema.names, imp)
+    txt_path.write_text(text, encoding="utf-8")
     _write_manifest(out, args, inputs, [csv_path, txt_path])
-    print(txt_path.read_text(encoding="utf-8"))
+    print(text)
     return 0
 
 
@@ -207,14 +207,13 @@ def cmd_filter(args) -> int:
     ens_path, meta_path = out / "filtered_ensemble.jsonl", out / "metadata.json"
     save_ensemble(result.kept, ens_path, meta_path)
     txt_path = out / "report.txt"
-    txt_path.write_text(
-        f"excluded variable: {args.variable}\n"
-        f"trees omitted: {result.omitted_count} of {len(ensemble)}\n\n"
-        + eval_reports_table([before], title="original ensemble")
-        + "\n" + eval_reports_table([after], title="selected ensemble"),
-        encoding="utf-8")
+    text = (f"excluded variable: {args.variable}\n"
+            f"trees omitted: {result.omitted_count} of {len(ensemble)}\n\n"
+            + eval_reports_table([before], title="original ensemble")
+            + "\n" + eval_reports_table([after], title="selected ensemble"))
+    txt_path.write_text(text, encoding="utf-8")
     _write_manifest(out, args, inputs, [ens_path, meta_path, txt_path])
-    print(txt_path.read_text(encoding="utf-8"))
+    print(text)
     return 0
 
 
@@ -229,11 +228,12 @@ def cmd_compare(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     csv_path, txt_path = out / "compare.csv", out / "compare.txt"
     csv_path.write_text(comparison_csv(report), encoding="utf-8")
-    txt_path.write_text(comparison_table(report, schema.names), encoding="utf-8")
+    text = comparison_table(report, schema.names)
+    txt_path.write_text(text, encoding="utf-8")
     imp_path = out / "importance.csv"
     imp_path.write_text(importance_csv(schema.names, report.importance), encoding="utf-8")
     _write_manifest(out, args, inputs, [csv_path, txt_path, imp_path], config)
-    print(txt_path.read_text(encoding="utf-8"))
+    print(text)
     return 0
 
 

@@ -183,8 +183,7 @@ class ChainState:
     ``splits`` and ``prunable`` (splits with two leaf children) is the i-th
     such node of the dict. The root is node 0 in the first slot: a move may
     rewrite it in place but never deletes it. ``parent`` maps each non-root id
-    to its parent and ``next_id`` is one past the largest id, the first id a
-    birth gives.
+    to its parent; a birth's children take the two ids after the largest.
     ``values[j]`` are variable j's candidate thresholds or levels, and
     ``rules[j][i]`` is the one :class:`SplitRule` of ``values[j][i]``, shared by
     the chain's trees (None until first drawn). Row sets are bitsets (bit i is row i): ``rows`` holds every
@@ -209,7 +208,6 @@ class ChainState:
     prunable: list[int] = field(default_factory=list)
     parent: dict[int, int] = field(default_factory=dict)
     node_mask: dict[int, int] = field(default_factory=dict)
-    next_id: int = 0
     propose_counts: dict[str, int] = field(default_factory=lambda: {mv: 0 for mv in MOVES})
     accept_counts: dict[str, int] = field(default_factory=lambda: {mv: 0 for mv in MOVES})
 
@@ -282,7 +280,7 @@ def init_chain(data: Dataset, config: ChainConfig, rng=None) -> ChainState:
     ones = sum(map((1).__lshift__, np.flatnonzero(data.y).tolist()))
     state = ChainState(data, config, values, masks, [[None] * len(v) for v in values], ones,
                        nodes={}, rows={0: all_rows}, leaves=[0],
-                       terms=_Terms(config.dirichlet_alpha), next_id=1)
+                       terms=_Terms(config.dirichlet_alpha))
     root_counts = (data.n - ones.bit_count(), ones.bit_count())
     state.nodes[0] = _Node(None, None, None, root_counts)
     state.current_loglik = state.terms[root_counts]
@@ -331,7 +329,8 @@ def _propose_birth(state: ChainState, rng) -> Proposal | None:
     d_after = len(prunable) + 1 - (state.parent.get(pick) in prunable)
     ml = log(m) + log(n_values)
     log_q = log(k) + ml - log(d_after)
-    l_id, r_id = state.next_id, state.next_id + 1
+    l_id = next(reversed(state.nodes)) + 1  # nodes are in ascending id order
+    r_id = l_id + 1
     return Proposal("birth", log_q, -ml, loglik, True,
                     (pick, _rule(state, var, i), mask,
                      ((l_id, left), (r_id, rows ^ left)), ((l_id, lc), (r_id, rc))))
@@ -444,7 +443,6 @@ def _apply(state: ChainState, prop: Proposal) -> None:
     state.rows.update(sub_rows)
     for nid, counts in leaf_counts:
         nodes[nid] = _Node(None, None, None, counts)
-    state.next_id = next(reversed(nodes)) + 1  # a death can free the top ids
     state.current_loglik = prop.loglik
 
 
@@ -525,8 +523,6 @@ def _batch_se(trace: np.ndarray, n_batches: int = 20) -> float:
 
 def chain_diagnostics(ensemble: Ensemble) -> dict:
     """Acceptance rates, log-likelihood trace summary, and leaf-count histogram."""
-    if not ensemble.trees:
-        raise ValueError("empty ensemble")
     trace = np.asarray(ensemble.logliks)
     half = trace.size // 2
     first, second = trace[:half], trace[half:]

@@ -3,7 +3,7 @@
 A tree is an immutable flat record, one slot per node in ascending node-id
 order: the node id, its :class:`SplitRule` (None for a leaf), the slots of
 its left and right children (-1 for a leaf) and its training class counts
-(None for a split, or for a leaf that was never annotated), plus the root's
+(two non-negative integers for a leaf, None for a split), plus the root's
 slot. The Dirichlet-multinomial marginal likelihood and the leaf predictive
 probabilities are computed from the leaf counts. A record is checked once,
 where it enters the program (:func:`deserialize`); the sampler builds its
@@ -36,11 +36,9 @@ __all__ = [
     "SplitRule",
     "DecisionTree",
     "leaf_rows",
-    "log_marginal_likelihood",
     "leaf_log_marginal",
     "leaf_predictive",
     "candidate_splits",
-    "candidate_rules",
     "serialize",
     "deserialize",
 ]
@@ -80,7 +78,10 @@ class SplitRule:
 
 @dataclass(frozen=True)
 class DecisionTree:
-    """Immutable binary tree over feature indices, one slot per node (see the module doc)."""
+    """Immutable binary tree over feature indices, one slot per node (see the module doc).
+
+    Every leaf carries its class counts ``(n0, n1)``; ``counts`` is None only for splits.
+    """
 
     ids: tuple[int, ...]
     rules: tuple[SplitRule | None, ...]
@@ -103,20 +104,18 @@ class DecisionTree:
 
 def _node(rec: dict, schema: Schema | None, rules: dict) -> tuple:
     """The per-node check: one decoded node record to ``(id, rule, left id, right id,
-    counts)``, a leaf's child ids None. Leaf counts must be None or two non-negative
-    integers, and a split needs a valid rule and both children as integer ids."""
+    counts)``, a leaf's child ids None. Leaf counts must be two non-negative integers,
+    and a split needs a valid rule and both children as integer ids."""
     nid = rec["id"]
     if "leaf" in rec:
         if len(rec) > 2 and ("left" in rec or "right" in rec):
             raise TreeFormatError(f"leaf node {nid} may not have children")
         c = rec["leaf"]
-        if c is not None:
-            if not (type(c) is list and len(c) == 2 and type(c[0]) is int
-                    and type(c[1]) is int and c[0] >= 0 and c[1] >= 0):
-                raise TreeFormatError(f"leaf {nid} counts {c!r} are not two "
-                                      "non-negative integers")
-            c = (c[0], c[1])
-        return nid, None, None, None, c
+        if not (type(c) is list and len(c) == 2 and type(c[0]) is int
+                and type(c[1]) is int and c[0] >= 0 and c[1] >= 0):
+            raise TreeFormatError(f"leaf {nid} counts {c!r} are not two "
+                                  "non-negative integers")
+        return nid, None, None, None, (c[0], c[1])
     if "split" in rec:
         rule = _rule(rec["split"], nid, schema, rules)
         kid_l, kid_r = rec.get("left"), rec.get("right")
@@ -228,18 +227,6 @@ def leaf_log_marginal(n0: int, n1: int, alpha: float) -> float:
     )
 
 
-def log_marginal_likelihood(tree: DecisionTree, alpha: float) -> float:
-    """Sum of per-leaf Dirichlet-multinomial log marginals over a tree with leaf counts."""
-    total = 0.0
-    for nid, rule, counts in zip(tree.ids, tree.rules, tree.counts):
-        if rule is not None:
-            continue
-        if counts is None:
-            raise ValueError(f"leaf {nid} is not annotated")
-        total += leaf_log_marginal(counts[0], counts[1], alpha)
-    return total
-
-
 def leaf_predictive(counts: tuple[int, int], alpha: float) -> tuple[float, float]:
     """Posterior-mean class probabilities ((n0+a)/(n+2a), (n1+a)/(n+2a)), a = alpha."""
     n0, n1 = counts
@@ -278,16 +265,6 @@ def candidate_splits(data: Dataset) -> list[tuple[list, list[int]]]:
             for j, var in enumerate(data.schema.variables)]
 
 
-def candidate_rules(data: Dataset, variable: int) -> list[SplitRule]:
-    """Admissible split rules for one variable, one per value of :func:`candidate_splits`."""
-    if not 0 <= variable < data.m:
-        raise ValueError(f"variable index {variable} out of range")
-    var = data.schema.variables[variable]
-    values, _ = _column_splits(var, data.X[:, variable], [1 << r for r in range(data.n)])
-    return [SplitRule(variable, **{"level" if var.is_categorical else "threshold": v})
-            for v in values]
-
-
 # ---------------------------------------------------------------------------
 # One-line JSON serialization (ensemble file format)
 # ---------------------------------------------------------------------------
@@ -304,8 +281,6 @@ def serialize(tree: DecisionTree, loglik: float | None = None) -> str:
         if rule is not None:
             parts.append(f'{{"id":{nid},"split":{rule.json_text},"left":{ids[left]},'
                          f'"right":{ids[right]}}}')
-        elif counts is None:
-            parts.append(f'{{"id":{nid},"leaf":null}}')
         else:
             parts.append(f'{{"id":{nid},"leaf":[{counts[0]},{counts[1]}]}}')
     tail = "" if loglik is None else f',"loglik":{json.dumps(loglik)}'

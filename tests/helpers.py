@@ -1,13 +1,13 @@
 """Shared test helpers: hand-built trees, generators of valid trees and of records with
-one fault, a routing oracle, a row-bitset oracle, the tree's id queries and the chain
-state check."""
+one fault, a routing oracle, a row-bitset oracle, the tree's id queries and loglik, the
+candidate rules and the chain state check."""
 import json
 
 import numpy as np
 from hypothesis import strategies as st
 
 from treebma import DecisionTree, SplitRule, deserialize, serialize
-from treebma.tree import leaf_rows, log_marginal_likelihood
+from treebma.tree import candidate_splits, leaf_log_marginal, leaf_rows
 
 
 def route(tree, x) -> int:
@@ -43,16 +43,30 @@ def prunable_ids(tree) -> list[int]:
             if rules[s] is not None and rules[left[s]] is None and rules[right[s]] is None]
 
 
+def tree_loglik(tree, alpha: float) -> float:
+    """The tree's log marginal likelihood: its leaves' terms summed in slot order."""
+    return sum(leaf_log_marginal(*counts, alpha)
+               for rule, counts in zip(tree.rules, tree.counts) if rule is None)
+
+
+def split_rules(data) -> list[list[SplitRule]]:
+    """Each variable's candidate rules, one per value of ``candidate_splits``."""
+    return [[SplitRule(j, **{"level" if var.is_categorical else "threshold": v})
+             for v in values]
+            for j, (var, (values, _)) in enumerate(zip(data.schema.variables,
+                                                       candidate_splits(data)))]
+
+
 def check_state(state) -> None:
     """Recompute a chain state's loglik, id index and each leaf's rows and counts from its
     tree; raises AssertionError on the first cached value that differs."""
     tree, data = state.current, state.data
-    recomputed = log_marginal_likelihood(tree, state.config.dirichlet_alpha)
+    recomputed = tree_loglik(tree, state.config.dirichlet_alpha)
     if abs(recomputed - state.current_loglik) > 1e-8 * max(1.0, abs(recomputed)):
         raise AssertionError(f"cached loglik {state.current_loglik} drifted from {recomputed}")
     parent = {c: s for s, nd in state.nodes.items() if nd.split for c in (nd.left, nd.right)}
-    index = (leaf_ids(tree), split_ids(tree), prunable_ids(tree), parent, tree.ids[-1] + 1)
-    cached = (state.leaves, state.splits, state.prunable, state.parent, state.next_id)
+    index = (leaf_ids(tree), split_ids(tree), prunable_ids(tree), parent)
+    cached = (state.leaves, state.splits, state.prunable, state.parent)
     if cached != index:
         raise AssertionError(f"id index {cached} differs from {index}")
     for nid, idx in leaf_rows(tree, data.X).items():
@@ -64,7 +78,7 @@ def check_state(state) -> None:
 
 def make_tree(nodes: dict, root: int) -> DecisionTree:
     """A tree from ``{id: (rule, left id, right id)}`` for splits and ``{id: (n0, n1)}``
-    (or None, unannotated) for leaves, checked as a file record is."""
+    for leaves, checked as a file record is."""
     records = []
     for nid, node in nodes.items():
         if node and isinstance(node[0], SplitRule):
@@ -77,7 +91,7 @@ def make_tree(nodes: dict, root: int) -> DecisionTree:
 
 
 @st.composite
-def valid_trees(draw, max_splits=6, min_splits=0, annotated=True):
+def valid_trees(draw, max_splits=6, min_splits=0):
     """A valid tree: arbitrary distinct ids, continuous and categorical splits, any shape."""
     n_splits = draw(st.integers(min_splits, max_splits))
     ids = draw(st.lists(st.integers(0, 10**6), min_size=2 * n_splits + 1,
@@ -93,8 +107,6 @@ def valid_trees(draw, max_splits=6, min_splits=0, annotated=True):
         splits[pick] = (rule, ids[2 * k + 1], ids[2 * k + 2])
         leaves += ids[2 * k + 1:2 * k + 3]
     counts = st.tuples(st.integers(0, 10**6), st.integers(0, 10**6))
-    if not annotated:
-        counts = st.none() | counts
     nodes = {**{nid: draw(counts) for nid in leaves}, **splits}
     order = draw(st.permutations(list(nodes)))
     return make_tree({nid: nodes[nid] for nid in order}, ids[0])

@@ -26,12 +26,11 @@ from treebma.bma import Prediction
 from treebma.cli import main
 from treebma.dataset import Dataset, Schema, VariableSpec
 from treebma.tree import (
-    candidate_rules,
     leaf_log_marginal,
     leaf_predictive,
 )
 
-from helpers import make_tree
+from helpers import make_tree, split_rules
 
 
 def verdict(n: int, ok: bool, detail: str) -> None:
@@ -58,7 +57,7 @@ def test_criterion_1_stump_posterior_oracle():
     # size-uniform prior (sizes 0 and 1 each probability 1/2; a specific stump
     # carries weight 1/(m * L_var) within size 1)
     alpha, min_leaf, m = 1.0, 1, 2
-    cands = [candidate_rules(data, j) for j in range(m)]
+    cands = split_rules(data)
 
     def stump_loglik(rule):
         col = X[:, rule.variable]

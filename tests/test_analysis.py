@@ -53,16 +53,10 @@ class TestVariableImportance:
         imp = variable_importance(ens, m=2, per_tree=True)
         assert imp == pytest.approx([2 / 3, 1 / 3])
 
-    def test_arity_inferred_from_splits(self):
-        ens = Ensemble(trees=[stump_on(4)], logliks=[-1])
-        assert variable_importance(ens).shape == (5,)
-
     def test_all_leaf_ensemble_rejected(self):
         ens = Ensemble(trees=[leaf_tree()], logliks=[-1])
         with pytest.raises(ValueError, match="no split nodes"):
             variable_importance(ens, m=2)
-        with pytest.raises(ValueError, match="cannot infer arity"):
-            variable_importance(ens)
 
     def test_sampled_ensemble_normalized(self, small_ensemble):
         imp = variable_importance(small_ensemble, m=16)
@@ -76,7 +70,6 @@ class TestFilterEnsemble:
                        logliks=[-1.0, -2.0, -3.0, -4.0])
         result = filter_ensemble(ens, 0)
         assert result.omitted_count == 2
-        assert result.excluded_variable == 0
         assert result.kept.trees == [stump_on(1), leaf_tree()]
         assert result.kept.logliks == [-2.0, -4.0]
         assert result.kept.meta["filtered_variable"] == 0

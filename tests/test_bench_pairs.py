@@ -1,6 +1,7 @@
 """The summary of alternating parent/change benchmark runs and the tool's arguments (no
 benchmark is run)."""
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -67,3 +68,41 @@ def test_workload_list_rejects(tool, capsys, text):
         tool.parse_args(["--workload", text, "--seed", "1"])
     assert exc.value.code == 2
     assert "--workload" in capsys.readouterr().err
+
+
+def git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=repo,
+                   check=True, capture_output=True)
+
+
+def test_both_sides_run_from_equal_depth_copies(tool, tmp_path, monkeypatch):
+    """The parent's commit and the working tree's tracked files are unpacked into sibling
+    directories, and each side's runs start there, never in the repository itself."""
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "perfbench" / "run.py").write_text("parent\n")
+    (repo / "gone.txt").write_text("tracked, then deleted\n")
+    git(repo, "init", "-q")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "parent")
+    (repo / "perfbench" / "run.py").write_text("change\n")
+    (repo / "gone.txt").unlink()
+    (repo / "untracked.txt").write_text("not part of the change\n")
+    (repo / "perfbench" / "__pycache__").mkdir()
+    (repo / "perfbench" / "__pycache__" / "run.pyc").write_bytes(b"\0")
+
+    dirs = tool.unpack("HEAD", tmp_path / "bench", root=repo)
+    assert dirs["parent"].parent == dirs["change"].parent == tmp_path / "bench"
+    assert (dirs["parent"] / "perfbench" / "run.py").read_text() == "parent\n"
+    assert (dirs["parent"] / "gone.txt").exists()
+    files = sorted(p.relative_to(dirs["change"]).as_posix()
+                   for p in dirs["change"].rglob("*") if p.is_file())
+    assert files == ["perfbench/run.py"]
+    assert (dirs["change"] / "perfbench" / "run.py").read_text() == "change\n"
+
+    ran = []
+    monkeypatch.setattr(tool, "run_once", lambda checkout, *rest: ran.append(checkout) or {
+        "failed": 0, "metrics": {"wall_ref": {"value": 1.0}}})
+    tool.run_pairs(dirs, "train", 1, 2, 1.0)
+    assert ran == [dirs["parent"], dirs["change"], dirs["change"], dirs["parent"]]
+    assert len({len(p.parts) for p in ran}) == 1

@@ -319,7 +319,8 @@ class TestEnsembleIO:
         p = tmp_path / "e.jsonl"
         good = '{"nodes":[{"id":0,"leaf":[1,1]}],"root":0,"loglik":-1.0}\n'
         p.write_text(good + '{"nodes":[{"id":0,"leaf":null}],"root":0,"loglik":-1.0}\n')
-        with pytest.raises(ValueError, match=r"e\.jsonl:2: leaf without class counts"):
+        with pytest.raises(ValueError, match=r"e\.jsonl:2: leaf 0 counts None are not two "
+                                             "non-negative integers"):
             load_ensemble(p)
 
     def test_split_outside_schema_reports_lineno(self, tmp_path, tiny_schema):
@@ -444,8 +445,10 @@ class TestReadRoutes:
         (STUMP.replace("-1.0}", "NaN}"), "e.jsonl:2: loglik nan is not a finite number"),
         (STUMP.replace('"level":1', '"level":7'), "e.jsonl:2: split on level 7 of variable 1 "
          "('x1'), which the schema does not declare"),
+        (STUMP.replace('"leaf":[0,1]', '"leaf":null'),
+         "e.jsonl:2: leaf 2 counts None are not two non-negative integers"),
     ], ids=["tail-repeats-nodes", "bool-root", "ids-out-of-order", "nested-node-separator",
-            "nan-loglik", "rule-outside-schema-on-line-2"])
+            "nan-loglik", "rule-outside-schema-on-line-2", "leaf-without-counts"])
     def test_explicit_lines(self, tiny_schema, line, expected):
         """Each line after a valid one; a read line means what the whole-line decoder
         reads (a repeated key keeps its last value)."""

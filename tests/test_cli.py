@@ -91,7 +91,7 @@ class TestTrain:
 
 
 class TestEvalImportanceFilterCompare:
-    def test_eval_writes_fold_report(self, synth_dir, tmp_path):
+    def test_eval_writes_fold_report(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "eval"
         rc = main(["eval", "--data", str(synth_dir / "data.csv"), "--folds", "3",
                    "--seed", "2", *FAST, "--out-dir", str(out)])
@@ -99,9 +99,9 @@ class TestEvalImportanceFilterCompare:
         rows = list(csv.reader((out / "report.csv").open()))
         assert rows[0][0] == "fold"
         assert [r[0] for r in rows[1:4]] == ["0", "1", "2"]
-        assert (out / "report.txt").exists()
+        assert capsys.readouterr().out == (out / "report.txt").read_text() + "\n"
 
-    def test_importance_normalized(self, trained_dir, tmp_path):
+    def test_importance_normalized(self, trained_dir, tmp_path, capsys):
         out = tmp_path / "imp"
         rc = main(["importance", "--ensemble", str(trained_dir / "ensemble.jsonl"),
                    "--out-dir", str(out)])
@@ -109,8 +109,9 @@ class TestEvalImportanceFilterCompare:
         rows = list(csv.reader((out / "importance.csv").open()))[1:]
         assert len(rows) == 16
         assert sum(float(r[2]) for r in rows) == pytest.approx(1.0, abs=1e-4)
+        assert capsys.readouterr().out == (out / "importance.txt").read_text() + "\n"
 
-    def test_filter_excludes_variable(self, synth_dir, trained_dir, tmp_path):
+    def test_filter_excludes_variable(self, synth_dir, trained_dir, tmp_path, capsys):
         out = tmp_path / "filt"
         rc = main(["filter", "--ensemble", str(trained_dir / "ensemble.jsonl"),
                    "--variable", "8", "--data", str(synth_dir / "data.csv"),
@@ -119,6 +120,7 @@ class TestEvalImportanceFilterCompare:
         kept = load_ensemble(out / "filtered_ensemble.jsonl")
         assert all(8 not in t.variables_used() for t in kept.trees)
         assert "excluded variable: 8" in (out / "report.txt").read_text()
+        assert capsys.readouterr().out == (out / "report.txt").read_text() + "\n"
 
     def test_filter_stacks_once(self, synth_dir, trained_dir, tmp_path, monkeypatch):
         """filter scores the original and the selected ensemble from one routing pass."""
@@ -174,7 +176,7 @@ class TestEvalImportanceFilterCompare:
             (trained_dir / "manifest.json").read_bytes()
         assert not (model / "importance.csv").exists()
 
-    def test_compare_writes_all_arms(self, synth_dir, tmp_path):
+    def test_compare_writes_all_arms(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "cmp"
         rc = main(["compare", "--data", str(synth_dir / "data.csv"), "--folds", "3",
                    "--seed", "3", "--variable", "8", *FAST, "--out-dir", str(out)])
@@ -182,6 +184,7 @@ class TestEvalImportanceFilterCompare:
         arms = {r[0] for r in list(csv.reader((out / "compare.csv").open()))[1:]}
         assert arms == {"all_vars", "dropped", "filtered", "dropped_noise"}
         assert (out / "importance.csv").exists()
+        assert capsys.readouterr().out == (out / "compare.txt").read_text() + "\n"
 
 
 class TestExitCodes:
@@ -277,6 +280,16 @@ class TestExitCodes:
         ens.write_text(stump_line(split={"var": variable, "thr": 1.5}))
         rc = main(["importance", "--ensemble", str(ens), "--out-dir", str(tmp_path / "o")])
         assert rc == 1
+
+    def test_importance_leaf_without_counts(self, tmp_path, capsys):
+        """A leaf record without class counts is one error line naming path:line."""
+        ens = tmp_path / "e.jsonl"
+        ens.write_text(stump_line() + stump_line(right_leaf=None))
+        rc = main(["importance", "--ensemble", str(ens), "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"error: {ens}:2: leaf 2 counts None are not two non-negative integers\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("split", [{"var": 1.0, "thr": 0.5}, {"var": True, "level": 1}],
                              ids=["float-var", "bool-var"])

@@ -23,15 +23,13 @@ from treebma.dataset import Dataset, Schema, VariableSpec
 from treebma import sampler
 from treebma.sampler import MOVES, _apply, _Draws, default_s_max
 from treebma.tree import (
-    candidate_rules,
     candidate_splits,
     leaf_log_marginal,
     leaf_rows,
-    log_marginal_likelihood,
     serialize,
 )
 
-from helpers import bits, check_state
+from helpers import bits, check_state, split_rules, tree_loglik
 
 
 class TestChainConfig:
@@ -59,7 +57,7 @@ class TestInitChain:
         assert len(state.splits) == 1
         # exact: the stored logliks of every chain start from this sum
         assert state.current_loglik == \
-            log_marginal_likelihood(state.current, state.config.dirichlet_alpha)
+            tree_loglik(state.current, state.config.dirichlet_alpha)
         assert state.config.s_max == default_s_max(small_data.n, state.config.min_leaf)
         assert sum(state.propose_counts.values()) == 0  # the initial birth is not a step
 
@@ -140,7 +138,7 @@ class TestChangeOracle:
         change proposal's min_leaf verdict, new leaf rows and counts and its loglik equal
         a recomputation by leaf_rows on a copy of the tree with the rule replaced."""
         draws = random.Random(min_leaf)
-        rules = [candidate_rules(data, j) for j in range(data.m)]
+        rules = split_rules(data)
         deep_only = proposed = 0  # deep_only: violations only below the picked node's children
         for seed in range(4):
             cfg = ChainConfig(seed=seed, min_leaf=min_leaf)
@@ -183,7 +181,7 @@ class TestChangeOracle:
                         {nid: sum(1 << int(r) for r in parts[nid]) for nid in under}
                     new = replace(new, counts=tuple(counts.get(nid, c)
                                                     for nid, c in zip(tree.ids, tree.counts)))
-                    assert prop.loglik == pytest.approx(log_marginal_likelihood(new, alpha),
+                    assert prop.loglik == pytest.approx(tree_loglik(new, alpha),
                                                         rel=1e-12, abs=1e-9)
         assert proposed > 100
         assert deep_only > 0
@@ -235,7 +233,7 @@ class TestMhStep:
         state = init_chain(small_data, cfg, rng)
         assert _steps_checked(state, rng, 3000) > 0
         assert state.current_loglik == pytest.approx(
-            log_marginal_likelihood(state.current, state.config.dirichlet_alpha)
+            tree_loglik(state.current, state.config.dirichlet_alpha)
         )
 
     @pytest.mark.parametrize("min_leaf", [1, 3, 25])
@@ -255,8 +253,7 @@ class TestMhStep:
         kinds = {small_data.schema.variables[j].is_categorical
                  for j, values in enumerate(state.values) if values}
         assert kinds == {True, False}
-        for j, values in enumerate(state.values):
-            rules = candidate_rules(small_data, j)
+        for j, (values, rules) in enumerate(zip(state.values, split_rules(small_data))):
             assert list(map(repr, values)) == [repr(_value(rule)) for rule in rules]
             assert state.masks[j] == [bits(rule.goes_left(small_data.X[:, j])) for rule in rules]
 
@@ -352,13 +349,13 @@ def _value(rule: SplitRule):
 
 
 def _splits(values, levels=None):
-    """The column, candidate_splits and candidate_rules of a one-variable dataset:
+    """The column, candidate_splits and split_rules of a one-variable dataset:
     continuous, or categorical with the declared ``levels``."""
     spec = VariableSpec("x", "categorical", tuple(levels)) if levels \
         else VariableSpec("x", "continuous")
     column = np.array(values, dtype=np.float64)
     data = Dataset(Schema((spec,), "y"), column[:, None], np.zeros(column.size, dtype=int))
-    return column, candidate_splits(data)[0], candidate_rules(data, 0)
+    return column, candidate_splits(data)[0], split_rules(data)[0]
 
 
 _EDGE_VALUES = st.sampled_from([-0.0, 0.0, -1.5, 2.0, 5e-324, -7.25])
@@ -456,7 +453,7 @@ class TestRunChain:
     def test_logliks_match_recomputation(self, small_data, small_ensemble):
         alpha = small_ensemble.dirichlet_alpha
         for t, ll in list(zip(small_ensemble.trees, small_ensemble.logliks))[:20]:
-            assert ll == pytest.approx(log_marginal_likelihood(t, alpha))
+            assert ll == pytest.approx(tree_loglik(t, alpha))
 
 
 def _shape(tree, s):
@@ -485,7 +482,7 @@ def test_two_split_posterior_oracle():
     y = np.array([0, 0, 0, 1, 1, 0, 1, 1, 0, 1, 0, 1])
     data = Dataset(schema, X, y, provenance="two-split-oracle")
     alpha = 1.0
-    cands = [candidate_rules(data, j) for j in range(data.m)]
+    cands = split_rules(data)
     rules = [(r, -log(data.m * len(c))) for c in cands for r in c]
 
     def leaf(rows):

@@ -11,10 +11,8 @@ from scipy.special import betaln
 from treebma import (
     DecisionTree,
     SplitRule,
-    candidate_rules,
     deserialize,
     leaf_predictive,
-    log_marginal_likelihood,
     serialize,
     synth_trauma,
 )
@@ -26,7 +24,16 @@ from treebma.tree import (
     leaf_rows,
 )
 
-from helpers import leaf_ids, make_tree, prunable_ids, route, split_ids, valid_trees
+from helpers import (
+    leaf_ids,
+    make_tree,
+    prunable_ids,
+    route,
+    split_ids,
+    split_rules,
+    tree_loglik,
+    valid_trees,
+)
 
 
 def two_split_tree() -> DecisionTree:
@@ -144,16 +151,15 @@ class TestMarginalLikelihood:
         assert leaf_log_marginal(n0, n1, alpha) == pytest.approx(expected, rel=1e-10)
 
     def test_tree_loglik_is_sum_over_leaves(self):
-        t = two_split_tree()
-        expected = sum(
-            leaf_log_marginal(*c, 1.0) for r, c in zip(t.rules, t.counts) if r is None
-        )
-        assert log_marginal_likelihood(t, 1.0) == pytest.approx(expected)
+        """The chain check's loglik oracle: leaves (3, 0), (0, 2) and (1, 2) at alpha 1
+        give B(4,1), B(1,3) and B(2,3) over B(1,1), that is 1/4, 1/3 and 1/12."""
+        assert tree_loglik(two_split_tree(), 1.0) == pytest.approx(math.log(1 / 144),
+                                                                   abs=1e-12)
 
     def test_unannotated_leaf_rejected(self):
-        t = make_tree({0: None}, 0)
-        with pytest.raises(ValueError, match="not annotated"):
-            log_marginal_likelihood(t, 1.0)
+        """Every leaf carries the counts that score it: a record without them is refused."""
+        with pytest.raises(TreeFormatError, match="leaf 0 counts None are not two"):
+            make_tree({0: None}, 0)
 
 
 class TestLeafPredictive:
@@ -184,41 +190,39 @@ class TestCheckSchema:
 class TestCandidateRules:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_one_column_matches_candidate_splits(self, seed):
-        """Each variable's rules carry candidate_splits' values, bit for bit (repr tells
-        -0.0 from 0.0), on data where one column holds both zeros."""
+        """Each variable's values are its distinct observed values (levels for a
+        categorical), as ``np.unique`` keeps them, bit for bit (repr tells -0.0 from
+        0.0), on data where one column holds both zeros; the rules built from them
+        carry the same values."""
         data = synth_trauma(150, seed, frozenset({8}))
         X = data.X.copy()
         X[::3, 0], X[1::5, 0] = -0.0, 0.0
         data = Dataset(data.schema, X, data.y)
         splits = candidate_splits(data)
-        for j in range(data.m):
-            values = [r.threshold if r.level is None else r.level
-                      for r in candidate_rules(data, j)]
+        for j, (var, rules) in enumerate(zip(data.schema.variables, split_rules(data))):
+            unique = np.unique(X[:, j]).tolist()
+            expected = list(map(int, unique)) if var.is_categorical else unique[:-1]
+            assert repr(splits[j][0]) == repr(expected)
+            values = [r.threshold if r.level is None else r.level for r in rules]
             assert repr(values) == repr(splits[j][0])
         assert 0.0 in splits[0][0]  # the zero is a candidate, so its sign was compared
 
     def test_continuous_excludes_maximum(self, tiny_data):
-        rules = candidate_rules(tiny_data, 0)
+        values, _ = candidate_splits(tiny_data)[0]
         observed = sorted(set(tiny_data.X[:, 0]))
-        assert [r.threshold for r in rules] == observed[:-1]
-        assert all(r.level is None for r in rules)
+        assert values == observed[:-1]
+        assert all(type(v) is float for v in values)
 
     def test_categorical_levels_present(self, tiny_data):
-        rules = candidate_rules(tiny_data, 1)
-        assert sorted(r.level for r in rules) == [0, 1, 2]
+        values, _ = candidate_splits(tiny_data)[1]
+        assert values == [0, 1, 2]
+        assert all(type(v) is int for v in values)
 
     def test_constant_column_empty(self, tiny_schema):
-        from treebma.dataset import Dataset
-
         X = np.zeros((4, 2))
         X[:, 0] = 1.5
         d = Dataset(tiny_schema, X, np.array([0, 1, 0, 1]))
-        assert candidate_rules(d, 0) == []
-        assert candidate_rules(d, 1) == []
-
-    def test_out_of_range(self, tiny_data):
-        with pytest.raises(ValueError, match="out of range"):
-            candidate_rules(tiny_data, 2)
+        assert candidate_splits(d) == [([], []), ([], [])]
 
 
 class TestSerialization:
@@ -229,11 +233,6 @@ class TestSerialization:
         back, ll = deserialize(line)
         assert back == t
         assert ll == -12.5
-
-    def test_round_trip_without_loglik_or_counts(self):
-        t = make_tree({0: None}, 0)
-        back, ll = deserialize(serialize(t))
-        assert back == t and ll is None
 
     @pytest.mark.parametrize("line", ["[" * 100_000 + "]" * 100_000,
                                       '{"nodes": [], "root": 0, "loglik": 1%s}' % ("0" * 5000)],
@@ -318,7 +317,7 @@ class TestSerialization:
             deserialize(line % "true", tiny_schema, rules)
 
     @settings(max_examples=200, deadline=None)
-    @given(tree=valid_trees(annotated=False),
+    @given(tree=valid_trees(),
            loglik=st.none() | st.floats(allow_nan=False, allow_infinity=False))
     def test_round_trip_property(self, tree, loglik):
         """serialize(*deserialize(line)) == line, and the record comes back equal."""

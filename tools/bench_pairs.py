@@ -1,12 +1,14 @@
 """Alternating parent/change runs of the benchmark, summarised per metric.
 
 Runs ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
-in N pairs: once in a checkout of the parent and once in this checkout. Odd
-pairs run the parent first, even pairs the change first, so drift of the host
-falls on both sides alike. The parent is the committed tree of ``--parent``
-(default ``HEAD~1``), unpacked by ``git archive`` into a temporary directory
-that is removed again on exit. ``--workload`` takes a comma-separated list;
-each workload runs its pairs in turn against the same parent checkout.
+in N pairs: once in a copy of the parent and once in a copy of this checkout.
+Odd pairs run the parent first, even pairs the change first, so drift of the
+host falls on both sides alike. The parent is the committed tree of
+``--parent`` (default ``HEAD~1``), unpacked by ``git archive``; the change is
+the working tree's tracked files. Both are unpacked into sibling directories
+of one temporary directory, removed again on exit, so the two sides differ in
+nothing but their files. ``--workload`` takes a comma-separated list; each
+workload runs its pairs in turn against the same two copies.
 
     python3 tools/bench_pairs.py --workload train,compare,posthoc --seed 1 --pairs 10 \
         --out BENCH.json
@@ -93,14 +95,33 @@ def parse_args(argv=None) -> argparse.Namespace:
     return ap.parse_args(argv)
 
 
-def run_pairs(parent_dir: Path, workload: str, seed: int, pairs: int,
+def unpack(parent: str, tmp: Path, root: Path = ROOT) -> dict[str, Path]:
+    """The committed tree of ``parent`` and the working tree's tracked files of the
+    repository at ``root``, unpacked into ``tmp / "parent"`` and ``tmp / "change"``.
+    A tracked file deleted from the working tree is left out of the change."""
+    dirs = {"parent": tmp / "parent", "change": tmp / "change"}
+    archive = subprocess.run(["git", "archive", "--format=tar", parent], cwd=root,
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dirs["parent"], filter="data")
+    tracked = subprocess.run(["git", "ls-files", "-z"], cwd=root, check=True,
+                             capture_output=True).stdout.decode().split("\0")
+    for name in filter(None, tracked):
+        if (root / name).is_file():
+            (dirs["change"] / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dirs["change"] / name)
+    return dirs
+
+
+def run_pairs(dirs: dict[str, Path], workload: str, seed: int, pairs: int,
               seconds: float) -> dict[str, list[dict]]:
-    """``pairs`` alternating parent/change runs of one workload."""
+    """``pairs`` alternating parent/change runs of one workload, each side in its
+    directory of ``dirs`` (see :func:`unpack`)."""
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for pair in range(1, pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         for side in order:
-            result = run_once(parent_dir if side == "parent" else ROOT, workload, seed, seconds)
+            result = run_once(dirs[side], workload, seed, seconds)
             runs[side].append({"pair": pair, **result})
             value = result["metrics"]["wall_ref"]["value"]
             print(f"{workload} pair {pair} {side}: wall_ref {value:.3f}, "
@@ -124,15 +145,11 @@ def report(workload: str, runs: dict[str, list[dict]]) -> None:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    tmp = Path(tempfile.mkdtemp(prefix="bench-parent-"))
-    parent_dir = tmp / "parent"
+    tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
-        archive = subprocess.run(["git", "archive", "--format=tar", args.parent], cwd=ROOT,
-                                 check=True, capture_output=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(parent_dir, filter="data")
+        dirs = unpack(args.parent, tmp)
         for workload in args.workload:
-            runs = run_pairs(parent_dir, workload, args.seed, args.pairs, args.seconds)
+            runs = run_pairs(dirs, workload, args.seed, args.pairs, args.seconds)
             report(workload, runs)
             if args.out:  # after each workload, so a later one's failure keeps these runs
                 out = Path(args.out)
