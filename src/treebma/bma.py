@@ -14,7 +14,8 @@ a run once. A prediction stacks the flat records of the first tree of each
 run into one set of slot arrays (each tree's child slots shifted by the slots
 of the trees before it), builds one boolean row mask per distinct split rule
 with :meth:`~treebma.tree.SplitRule.goes_left` and routes all (tree, row)
-pairs of ``PREDICT_CHUNK`` runs at once, one tree level per pass. It adds
+pairs of ``PREDICT_CHUNK`` runs at once, one tree level per pass (a leaf routes
+to itself, and the passes end when no pair moves). It adds
 each tree's leaf pairs in ensemble order, so every sum is bit-identical to
 routing the trees one by one; :func:`evaluate_selection` adds a kept run's
 pairs to a second sum too, scoring ``filter``'s before and after at once.
@@ -127,10 +128,10 @@ def _stack(trees: list[DecisionTree], alpha: float):
 
     Returns ``rules`` (each distinct split rule object once) and, per slot,
     ``rule`` (the split's index in ``rules``, -1 for a leaf), ``kids`` (the
-    right then the left child's slot at 2 * slot and 2 * slot + 1; unused for
-    a leaf) and ``leaf_p`` (the leaf's :func:`leaf_predictive` pair, zeros for
-    a split), plus each tree's root slot. Rules are told apart by identity (a
-    file or a chain builds each once); equal distinct objects get a mask each."""
+    right then the left child's slot at 2 * slot and 2 * slot + 1; a leaf's own
+    slot twice) and ``leaf_p`` (the leaf's :func:`leaf_predictive` pair, zeros for
+    a split), plus each tree's root slot. Rules are told apart by identity (a file
+    or a chain builds each once); equal distinct objects get a mask each."""
     sizes = [len(t.ids) for t in trees]
     total = sum(sizes)
     starts = np.cumsum([0, *sizes[:-1]])
@@ -141,6 +142,7 @@ def _stack(trees: list[DecisionTree], alpha: float):
     kids = np.column_stack([np.fromiter(chain.from_iterable(getattr(t, side) for t in trees),
                                         np.intp, total) for side in ("right", "left")])
     kids += np.repeat(starts, sizes)[:, None]  # each tree's slots follow the trees before it
+    kids[rule < 0] = np.flatnonzero(rule < 0)[:, None]  # a leaf routes to itself
     pairs: dict = {}  # distinct leaf counts, in first-seen order
     pair = np.fromiter((pairs.setdefault(c, len(pairs)) for t in trees
                         for r, c in zip(t.rules, t.counts) if r is None), np.intp)
@@ -152,7 +154,9 @@ def _stack(trees: list[DecisionTree], alpha: float):
 
 def _route(ensemble: Ensemble, X: np.ndarray, keep=None) -> tuple[np.ndarray, np.ndarray]:
     """Each row's leaf pairs summed over all trees, and over the trees of the runs
-    (of :meth:`Ensemble.runs`) where ``keep`` is true; one add per tree, in order."""
+    (of :meth:`Ensemble.runs`) where ``keep`` is true; one add per tree, in order. Each
+    pass moves all pairs of a chunk (a leaf's kids are its own slot, its mask offset 0)
+    until none moves; there is no pass without a split rule."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be 2-d")
@@ -168,21 +172,17 @@ def _route(ensemble: Ensemble, X: np.ndarray, keep=None) -> tuple[np.ndarray, np
     for r, rl in enumerate(rules):
         masks[r] = rl.goes_left(X[:, rl.variable])
     masks = masks.ravel()  # masks[r * n + i]: rule r sends row i left
-    offset, is_split = rule * n, rule >= 0
+    offset = np.maximum(rule, 0) * n
 
     acc, kept = np.zeros((n, 2)), np.zeros((n, 2))
     for start in range(0, len(roots), PREDICT_CHUNK):
         chunk = roots[start:start + PREDICT_CHUNK]
         pos = np.repeat(chunk, n)  # pair (run j, row i) of the chunk sits at pos[j * n + i]
         rows = np.tile(np.arange(n), chunk.size)
-        on = is_split[pos]
-        active, rows = np.flatnonzero(on), rows[on]
-        while active.size:  # one tree level per pass, over the pairs still at a split
-            s = pos[active]
-            nxt = kids[2 * s + masks[offset[s] + rows]]
-            pos[active] = nxt
-            on = is_split[nxt]
-            active, rows = active[on], rows[on]
+        moved = bool(rules)
+        while moved:
+            nxt = kids[2 * pos + masks[offset[pos] + rows]]
+            moved, pos = not np.array_equal(nxt, pos), nxt
         probs = leaf_p[pos].reshape(chunk.size, n, 2)
         for j, (k, kept_run) in enumerate(zip(lengths[start:start + PREDICT_CHUNK],
                                               keep[start:start + PREDICT_CHUNK])):

@@ -9,14 +9,14 @@ probabilities are computed from the leaf counts. A record is checked once,
 where it enters the program (:func:`deserialize`); the sampler builds its
 snapshots valid by construction.
 
-A record is read by two routes that share one per-node check (:func:`_node`)
-and one per-tree check (:func:`_tree`). A line in the compact layout that
-:func:`serialize` writes is cut into node texts, and each text is decoded and
-checked once per file, then found in a table of checked node records; the
-trees of a chain differ by one move, so they share almost all of them. Any
-other JSON layout, and any line on which that route meets anything at all, is
-decoded whole and checked node by node; only that route raises, so a fault
-gives the same error on both.
+A record is read by two routes that share one per-node check (:func:`_node`).
+A line in the compact layout that :func:`serialize` writes is cut into node texts,
+each decoded and checked once per file, then found in a table of checked node
+records (the trees of a chain differ by one move, so they share almost all of
+them); the chain writes ids ascending from the root, each child's above its
+parent's, and on such a line a few set operations prove the tree. Any other layout
+or order, and any line on which that route meets anything, is decoded whole and
+walked by :func:`_tree`; only that route raises, so a fault gives one error on both.
 """
 from __future__ import annotations
 
@@ -104,8 +104,9 @@ class DecisionTree:
 
 def _node(rec: dict, schema: Schema | None, rules: dict) -> tuple:
     """The per-node check: one decoded node record to ``(id, rule, left id, right id,
-    counts)``, a leaf's child ids None. Leaf counts must be two non-negative integers,
-    and a split needs a valid rule and both children as integer ids."""
+    counts, ordered)``, a leaf's child ids None, ``ordered`` whether the id is an integer
+    below its child ids. Leaf counts must be two non-negative integers; a split needs a
+    valid rule and both children as integer ids."""
     nid = rec["id"]
     if "leaf" in rec:
         if len(rec) > 2 and ("left" in rec or "right" in rec):
@@ -115,24 +116,24 @@ def _node(rec: dict, schema: Schema | None, rules: dict) -> tuple:
                 and type(c[1]) is int and c[0] >= 0 and c[1] >= 0):
             raise TreeFormatError(f"leaf {nid} counts {c!r} are not two "
                                   "non-negative integers")
-        return nid, None, None, None, (c[0], c[1])
+        return nid, None, None, None, (c[0], c[1]), type(nid) is int
     if "split" in rec:
         rule = _rule(rec["split"], nid, schema, rules)
         kid_l, kid_r = rec.get("left"), rec.get("right")
         if type(kid_l) is not int or type(kid_r) is not int:
             raise TreeFormatError(f"split node {nid} needs both children as integer "
                                   f"ids, not {kid_l!r} and {kid_r!r}")
-        return nid, rule, kid_l, kid_r, None
+        return nid, rule, kid_l, kid_r, None, type(nid) is int and nid < min(kid_l, kid_r)
     raise TreeFormatError(f"node {nid} is neither split nor leaf")
 
 
-def _tree(ids: list, node, doc: dict) -> tuple[DecisionTree, float | None]:
-    """The per-tree check: the tree and loglik of a record whose i-th node has id
-    ``ids[i]`` and per-node check ``node(i)`` (:func:`_node`), and whose root and
-    loglik are ``doc["root"]`` and ``doc.get("loglik")``. Ids must be distinct
+def _tree(doc: dict, schema: Schema | None, rules: dict) -> tuple[DecisionTree, float | None]:
+    """The per-tree check: the tree and loglik of a decoded record. Ids must be distinct
     integers, a split's children and the root must name nodes, every node must be
     reachable from the root exactly once, and the loglik must be None or finite.
-    Nodes are checked in ascending id order, each with its children's ids."""
+    Nodes are checked (:func:`_node`) in ascending id order, each with its children's ids."""
+    recs = doc["nodes"]
+    ids = [rec["id"] for rec in recs]
     if set(map(type, ids)) != {int}:
         raise TreeFormatError(f"node ids {ids!r} are not a non-empty list of integers")
     order = range(len(ids))
@@ -145,11 +146,11 @@ def _tree(ids: list, node, doc: dict) -> tuple[DecisionTree, float | None]:
     slot = dict(zip(ids, range(len(ids))))
     checked = []  # per slot
     for i in order:
-        rec = node(i)
+        rec = _node(recs[i], schema, rules)
         if rec[1] is not None and not (rec[2] in slot and rec[3] in slot):
             raise TreeFormatError(f"dangling child id {rec[3] if rec[2] in slot else rec[2]}")
         checked.append(rec)
-    _, node_rules, left, right, counts = zip(*checked)
+    _, node_rules, left, right, counts, _ = zip(*checked)
     left, right = (tuple(map(slot.get, kids, repeat(-1))) for kids in (left, right))
     root = doc["root"]
     if type(root) is not int or root not in slot:
@@ -169,10 +170,15 @@ def _tree(ids: list, node, doc: dict) -> tuple[DecisionTree, float | None]:
             stack += (left[s], right[s])
     if reached != len(ids):
         raise TreeFormatError("unreachable nodes present")
+    return DecisionTree(tuple(ids), node_rules, left, right, counts, root), _loglik(doc)
+
+
+def _loglik(doc: dict) -> float | None:
+    """A record's ``loglik``: None or a finite number."""
     loglik = doc.get("loglik")
     if loglik is not None and not (type(loglik) in (int, float) and isfinite(loglik)):
         raise TreeFormatError(f"loglik {loglik!r} is not a finite number")
-    return DecisionTree(tuple(ids), node_rules, left, right, counts, root), loglik
+    return loglik
 
 
 def _rule(doc: dict, nid: int, schema: Schema | None, rules: dict) -> SplitRule:
@@ -300,14 +306,16 @@ def _compact(line: str, schema: Schema | None, rules: dict,
     """The record of a line in :func:`serialize`'s layout, read node by node: each
     node's text (between ``{"id":`` and ``}``) is looked up in ``nodes``, the file's
     table of checked node records, and decoded and checked (:func:`_node`) only when
-    missing. None when the line is laid out otherwise or anything fails to decode or
-    check; the whole-line route then reads it and raises the error.
+    missing. None when the line is laid out or ordered otherwise or anything fails to
+    decode or check; the whole-line route then reads it and raises the error.
 
     Sound: ``},{"id":`` cannot lie inside a JSON string, and where it lies inside a
     node, the text before it has an unclosed bracket and does not decode. So when
     every piece and the tail decode, the line is ``{"nodes":[`` the pieces ``],``
     the tail's members ``}``, and the whole-line decoder reads the same values,
-    unless the tail repeats ``"nodes"``."""
+    unless the tail repeats ``"nodes"``. Ids ascending from the root, each above its
+    parent's, and (n - 1) / 2 splits naming n - 1 distinct ids as children give each
+    node but the root one parent, of a smaller id: each is reached exactly once."""
     body, cut, tail = line.rpartition(_TAIL)
     if not cut:
         return None
@@ -325,7 +333,14 @@ def _compact(line: str, schema: Schema | None, rules: dict,
                     if end != len(text):
                         return None
                     recs[i] = nodes[piece] = _node(rec, schema, rules)
-        return _tree([rec[0] for rec in recs], recs.__getitem__, tail)
+        ids, node_rules, left, right, counts, ordered = zip(*recs)
+        root, n = tail["root"], len(ids)
+        slot = dict(zip(ids, range(n)))  # a leaf's and a dangling child's slot: -1
+        left, right = (tuple(map(slot.get, side, repeat(-1))) for side in (left, right))
+        if not (all(ordered) and all(map(lt, ids, ids[1:])) and type(root) is int
+                and root == ids[0] and 2 * counts.count(None) + 1 == n == len({*left, *right})):
+            return None
+        return DecisionTree(ids, node_rules, left, right, counts, 0), _loglik(tail)
     except _FALLBACK:
         return None
 
@@ -353,9 +368,7 @@ def deserialize(line: str, schema: Schema | None = None, rules: dict | None = No
     except (RecursionError, ValueError) as e:  # nested too deep; an integer too long
         raise TreeFormatError(f"invalid JSON: {e}") from None
     try:
-        recs = doc["nodes"]
-        return _tree([rec["id"] for rec in recs],
-                     lambda i: _node(recs[i], schema, rules), doc)
+        return _tree(doc, schema, rules)
     except TreeFormatError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as e:

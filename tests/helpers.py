@@ -91,11 +91,15 @@ def make_tree(nodes: dict, root: int) -> DecisionTree:
 
 
 @st.composite
-def valid_trees(draw, max_splits=6, min_splits=0):
-    """A valid tree: arbitrary distinct ids, continuous and categorical splits, any shape."""
+def valid_trees(draw, max_splits=6, min_splits=0, chain_ids=False):
+    """A valid tree: arbitrary distinct ids, continuous and categorical splits, any shape.
+    With ``chain_ids`` the ids ascend in the order of growth, as the chain's births give
+    them: the root has the smallest id and each birth's two children the next ones."""
     n_splits = draw(st.integers(min_splits, max_splits))
     ids = draw(st.lists(st.integers(0, 10**6), min_size=2 * n_splits + 1,
                         max_size=2 * n_splits + 1, unique=True))
+    if chain_ids:
+        ids.sort()  # gaps stand for the ids of pruned nodes
     leaves, splits = [ids[0]], {}
     for k in range(n_splits):  # grow by turning a leaf into a split with two new leaves
         pick = leaves.pop(draw(st.integers(0, len(leaves) - 1)))
@@ -128,7 +132,8 @@ BAD = {  # values of the wrong type (or range) for each kind of field
 def mutated_records(draw):
     """A valid record with one fault: a key dropped, a type swapped, a dangling or repeated
     child, a cycle or a duplicate id."""
-    doc = json.loads(serialize(draw(valid_trees(min_splits=1, max_splits=4)), loglik=-1.5))
+    doc = json.loads(serialize(draw(valid_trees(min_splits=1, max_splits=4,
+                                                chain_ids=draw(st.booleans()))), loglik=-1.5))
     nodes = doc["nodes"]
     splits = [rec for rec in nodes if "split" in rec]
     kind = draw(st.sampled_from(["drop", "type", "dangling", "repeated", "cycle", "duplicate"]))

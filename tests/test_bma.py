@@ -25,7 +25,7 @@ from treebma import (
 )
 from treebma.bma import PREDICT_CHUNK, _stack
 from treebma.dataset import Dataset, Schema, VariableSpec
-from treebma.tree import TreeFormatError, deserialize, leaf_predictive, serialize
+from treebma.tree import TreeFormatError, _compact, deserialize, leaf_predictive, serialize
 
 from helpers import make_tree, mutated_records, route, valid_trees
 
@@ -173,6 +173,28 @@ class TestPredictBatchExact:
         assert sum(a is not b for a, b in zip(trees, [None] + trees)) > PREDICT_CHUNK
         X = grid_rows(np.random.default_rng(len(trees)), 30)
         assert np.array_equal(predict_batch(ens, X), routed_oracle(ens, X))
+
+    def test_caterpillar_deeper_than_twelve_levels(self):
+        """A spine of 14 splits, each sending the rows above its threshold on down, beside
+        a stump: rows stop at every depth, and one chunk routes both trees."""
+        spine = {2 * k: (SplitRule(0, threshold=k + 0.5), 2 * k + 1, 2 * k + 2)
+                 for k in range(14)}
+        leaves = {2 * k + 1: (k % 3, 1 + k % 2) for k in range(14)}
+        deep = make_tree({**spine, **leaves, 28: (0, 5)}, 0)
+        ens = Ensemble(trees=[deep, stump(0.5, (1, 2), (3, 0)), deep], logliks=[-1.0] * 3)
+        X = np.column_stack([np.arange(-1.0, 16.0, 0.5), np.zeros(34)])
+        assert np.array_equal(predict_batch(ens, X), routed_oracle(ens, X))
+
+    def test_single_leaf_trees_only(self):
+        """No split rule, so no mask: every row gets the leaves' mean pair."""
+        a, b = leaf_tree((4, 1)), leaf_tree((0, 3))
+        ens = Ensemble(trees=[a, a, b], logliks=[-1.0, -1.0, -2.0])
+        X = grid_rows(np.random.default_rng(5), 7)
+        expected = (2 * np.array(leaf_predictive((4, 1), 1.0))
+                    + np.array(leaf_predictive((0, 3), 1.0))) / 3
+        assert np.array_equal(predict_batch(ens, X), np.tile(expected, (7, 1)))
+        assert np.array_equal(predict_batch(ens, X), routed_oracle(ens, X))
+        TestEvaluateSelection.check(ens, 0, X)
 
 
 GRID_SCHEMA = Schema((VariableSpec("x0", "continuous"),
@@ -410,12 +432,13 @@ class TestReadRoutes:
     routes give the same trees, logliks and shared objects, or the same error."""
 
     @settings(max_examples=100, deadline=None)
-    @given(pool=st.lists(st.tuples(valid_trees(), st.floats(allow_nan=False,
-                                                            allow_infinity=False)),
+    @given(pool=st.lists(st.tuples(st.one_of(valid_trees(), valid_trees(chain_ids=True)),
+                                   st.floats(allow_nan=False, allow_infinity=False)),
                          min_size=1, max_size=4),
            picks=st.lists(st.integers(0, 3), min_size=1, max_size=12))
     def test_valid_files_read_alike(self, pool, picks):
-        """Consecutive and scattered repeats; each distinct node text is checked once."""
+        """Consecutive and scattered repeats, of trees with arbitrary and with chain-ordered
+        ids; each distinct node text is checked once."""
         lines = [serialize(*pool[i % len(pool)]) for i in picks]
         routes = read_both(lines)
         assert not isinstance(routes[0], str) and routes[0] == routes[1]
@@ -426,6 +449,17 @@ class TestReadRoutes:
         node_texts = {json.dumps(rec, separators=(",", ":"))[len('{"id":'):-1]
                       for line in lines for rec in json.loads(line)["nodes"]}
         assert set(table) == node_texts and not whole
+
+    def test_chain_lines_read_by_set_checks(self, tmp_path, small_ensemble):
+        """Every line a chain writes passes the compact route's set checks, and reads
+        back the tree and loglik it was written from."""
+        path = tmp_path / "e.jsonl"
+        save_ensemble(small_ensemble, path)
+        rules, nodes = {}, {}
+        found = [_compact(line, None, rules, nodes) for line in path.read_text().splitlines()]
+        assert None not in found and max(tree.n_splits for tree, _ in found) > 1
+        assert [repr(tree) for tree, _ in found] == list(map(repr, small_ensemble.trees))
+        assert [loglik for _, loglik in found] == small_ensemble.logliks
 
     @settings(max_examples=150, deadline=None)
     @given(line=mutated_records())
@@ -447,8 +481,30 @@ class TestReadRoutes:
          "('x1'), which the schema does not declare"),
         (STUMP.replace('"leaf":[0,1]', '"leaf":null'),
          "e.jsonl:2: leaf 2 counts None are not two non-negative integers"),
+        ('{"nodes":[{"id":0,"split":{"var":1,"level":1},"left":1,"right":3},'
+         '{"id":1,"leaf":[1,0]},{"id":2,"leaf":[2,0]},{"id":3,"split":{"var":0,"thr":2.0},'
+         '"left":2,"right":4},{"id":4,"leaf":[0,1]}],"root":0,"loglik":-2.0}', None),
+        ('{"nodes":[{"id":0,"leaf":[1,0]},{"id":1,"split":{"var":1,"level":1},"left":0,'
+         '"right":2},{"id":2,"leaf":[0,1]}],"root":1,"loglik":-1.0}', None),
+        ('{"nodes":[{"id":0,"split":{"var":1,"level":1},"left":1,"right":2},'
+         '{"id":1,"leaf":[1,0]},{"id":2,"leaf":[0,1]},{"id":3,"split":{"var":0,"thr":2.0},'
+         '"left":4,"right":3},{"id":4,"leaf":[0,1]}],"root":0,"loglik":-2.0}',
+         "e.jsonl:2: unreachable nodes present"),
+        ('{"nodes":[{"id":0,"split":{"var":1,"level":1},"left":2,"right":1},'
+         '{"id":2,"leaf":[1,0]},{"id":1,"leaf":[0,1]}],"root":0,"loglik":-1.0}', None),
+        ('{"nodes":[{"id":0,"split":{"var":1,"level":1},"left":1,"right":2},'
+         '{"id":1,"split":{"var":0,"thr":2.0},"left":2,"right":3},{"id":2,"leaf":[1,0]},'
+         '{"id":3,"leaf":[0,1]}],"root":0,"loglik":-1.0}',
+         "e.jsonl:2: node 2 reachable twice (not a tree)"),
+        (STUMP.replace('"root":0', '"root":1'), "e.jsonl:2: node 1 reachable twice (not a tree)"),
+        (STUMP.replace('"root":0', '"root":false'), "e.jsonl:2: root id False is not a node"),
+        (STUMP.replace('{"id":2,', '{"id":2.0,'),
+         "e.jsonl:2: node ids [0, 1, 2.0] are not a non-empty list of integers"),
     ], ids=["tail-repeats-nodes", "bool-root", "ids-out-of-order", "nested-node-separator",
-            "nan-loglik", "rule-outside-schema-on-line-2", "leaf-without-counts"])
+            "nan-loglik", "rule-outside-schema-on-line-2", "leaf-without-counts",
+            "child-below-parent", "root-not-smallest", "self-loop-unreachable",
+            "root-first-ids-out-of-order", "child-of-two-splits", "root-is-a-child",
+            "false-root", "float-leaf-id"])
     def test_explicit_lines(self, tiny_schema, line, expected):
         """Each line after a valid one; a read line means what the whole-line decoder
         reads (a repeated key keeps its last value)."""
