@@ -19,7 +19,7 @@ ensemble = run_chain(data, config)
 diag = chain_diagnostics(ensemble)
 
 acc = diag["acceptance"]
-print(f"collected {len(ensemble)} trees in {ensemble.meta['duration_s']:.1f}s")
+print(f"collected {len(ensemble)} trees in {ensemble.chain.duration_s:.1f}s")
 print(f"acceptance overall: {acc['overall']:.3f}  (the source run reports ~0.25)")
 for move, rate in acc["per_move"].items():
     print(f"  {move:>12}: {rate:.3f}")

@@ -7,7 +7,7 @@ ensembles but filtering out trees that use the weakest variable, and
 everything else. Arms (a) and (c) should agree almost exactly when few trees
 are filtered; the noise arm probes robustness of the representation.
 
-Run:  python3 demos/03_four_arm_comparison.py   (about a minute)
+Run:  python3 demos/03_four_arm_comparison.py   (a few seconds)
 """
 from treebma import ChainConfig, run_comparison, synth_trauma
 from treebma.reports import comparison_table

@@ -24,19 +24,18 @@ from .tree import (
     serialize,
 )
 from .bma import (
+    ChainConfig,
     Ensemble,
     EvalReport,
     Prediction,
     evaluate,
     evaluate_selection,
     load_ensemble,
-    max_loglikelihood,
     predict,
     predict_batch,
     save_ensemble,
 )
 from .sampler import (
-    ChainConfig,
     ChainState,
     Proposal,
     chain_diagnostics,

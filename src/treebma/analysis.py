@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .bma import Ensemble, EvalReport, evaluate, evaluate_selection
+from .bma import ChainConfig, Ensemble, EvalReport, evaluate, evaluate_selection
 from .dataset import Dataset, FoldPlan, add_noise, drop_variable, make_folds
-from .sampler import ChainConfig, run_chain
+from .sampler import run_chain
 
 __all__ = [
     "SelectionResult",
@@ -80,19 +80,15 @@ class SelectionResult:
 
 
 def filter_ensemble(ensemble: Ensemble, variable: int) -> SelectionResult:
-    """Keep only trees with zero splits on ``variable``, preserving order (and runs)."""
+    """Keep only trees with zero splits on ``variable``, in order, with runs and chain record."""
     firsts, lengths = ensemble.runs()
     kept_runs = [variable not in t.variables_used() for t in firsts]
     keep_idx = np.flatnonzero(np.repeat(kept_runs, lengths)).tolist()
-    omitted = len(ensemble) - len(keep_idx)
     if not keep_idx:
         raise ValueError(f"every tree splits on variable {variable}; nothing kept")
-    kept = Ensemble(
-        trees=[ensemble.trees[i] for i in keep_idx],
-        logliks=[ensemble.logliks[i] for i in keep_idx],
-        meta={**ensemble.meta, "filtered_variable": variable, "omitted": omitted},
-    )
-    return SelectionResult(kept, omitted, kept_runs)
+    kept = Ensemble([ensemble.trees[i] for i in keep_idx],
+                    [ensemble.logliks[i] for i in keep_idx], ensemble.chain)
+    return SelectionResult(kept, len(ensemble) - len(keep_idx), kept_runs)
 
 
 def derive_seed(master_seed: int, fold: int, arm: int) -> int:

@@ -25,14 +25,14 @@ call: the distinct split rules and the checked node records. A line in the
 compact layout that :func:`save_ensemble` writes is read node by node, and a
 node text seen on an earlier line is not decoded or checked again; a line in
 any other JSON layout is decoded whole (see :func:`~treebma.tree.deserialize`).
-Both give the same trees, logliks and shared objects. The metadata sidecar is
-checked where it is read: a JSON object whose ``config``, when present, is an
-object holding a finite positive ``dirichlet_alpha``.
+Both give the same trees, logliks and shared objects. An :class:`Ensemble` holds its
+chain's :class:`ChainRecord`, written to the ``metadata.json`` sidecar by :func:`save_ensemble`
+and read by :func:`load_ensemble` only; the leaf prior's α comes from it alone.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from itertools import chain
 from math import isfinite
 from pathlib import Path
@@ -49,6 +49,8 @@ from .tree import (
 )
 
 __all__ = [
+    "ChainConfig",
+    "ChainRecord",
     "Ensemble",
     "Prediction",
     "EvalReport",
@@ -56,19 +58,54 @@ __all__ = [
     "predict_batch",
     "evaluate",
     "evaluate_selection",
-    "max_loglikelihood",
     "save_ensemble",
     "load_ensemble",
 ]
 
 
 @dataclass(frozen=True)
+class ChainConfig:
+    """Sampler hyperparameters. Defaults match the full-scale run recipe."""
+
+    burn_in_steps: int = 200_000
+    collect_count: int = 10_000
+    thin: int = 7
+    min_leaf: int = 3
+    s_max: int | None = None  # None: floor(n / min_leaf) - 1, resolved at init
+    seed: int = 0
+    dirichlet_alpha: float = 1.0
+
+    def __post_init__(self):
+        if self.thin < 1 or self.collect_count < 1 or self.burn_in_steps < 0:
+            raise ValueError("invalid chain schedule")
+        if self.min_leaf < 1:
+            raise ValueError("min_leaf must be at least 1")
+        if self.s_max is not None and self.s_max < 1:
+            raise ValueError("s_max must be at least 1")
+        if not self.dirichlet_alpha > 0:
+            raise ValueError("dirichlet_alpha must be positive")
+
+
+@dataclass(frozen=True)
+class ChainRecord:
+    """One chain: config (``s_max`` resolved), data, per-move counts, seconds of its steps."""
+
+    config: ChainConfig
+    n: int
+    m: int
+    provenance: str
+    proposed: dict[str, int]
+    accepted: dict[str, int]
+    duration_s: float
+
+
+@dataclass(frozen=True)
 class Ensemble:
-    """Ordered post-burn-in trees with their training log marginal likelihoods."""
+    """Ordered post-burn-in trees, their training log marginal likelihoods, chain record."""
 
     trees: list[DecisionTree]
     logliks: list[float]
-    meta: dict = field(default_factory=dict)
+    chain: ChainRecord | None = None
 
     def __post_init__(self):
         if len(self.trees) < 1:
@@ -86,11 +123,10 @@ class Ensemble:
 
     @property
     def dirichlet_alpha(self) -> float:
-        """The leaf prior's alpha from the chain metadata; 1.0 when there is none."""
-        alpha = self.meta.get("config", {}).get("dirichlet_alpha", 1.0)
-        if not alpha > 0:
-            raise ValueError(f"dirichlet_alpha {alpha!r} in the metadata is not positive")
-        return alpha
+        """The leaf prior's alpha the chain sampled under; ValueError without a record."""
+        if self.chain is None:
+            raise ValueError("the ensemble has no chain record (metadata.json) to give its alpha")
+        return self.chain.config.dirichlet_alpha
 
 
 @dataclass(frozen=True)
@@ -272,22 +308,23 @@ def max_loglikelihood(ensemble: Ensemble) -> float:
 # ---------------------------------------------------------------------------
 
 def save_ensemble(ensemble: Ensemble, path, meta_path=None) -> None:
-    """Write trees as JSON lines; chain metadata goes to the sidecar file."""
-    path = Path(path)
+    """Write trees as JSON lines, and the chain record (ValueError if none) to ``meta_path``."""
+    if meta_path is not None:  # first: without a record nothing is written
+        if ensemble.chain is None:
+            raise ValueError(f"the ensemble has no chain record to write to {meta_path}")
+        Path(meta_path).write_text(
+            json.dumps(asdict(ensemble.chain), indent=2, sort_keys=True), encoding="utf-8")
     line, prev_tree, prev_ll = "", None, None
-    with path.open("w", encoding="utf-8") as fh:
+    with Path(path).open("w", encoding="utf-8") as fh:
         for tree, ll in zip(ensemble.trees, ensemble.logliks):
             if tree is not prev_tree or ll is not prev_ll:  # else the run goes on
                 line, prev_tree, prev_ll = serialize(tree, loglik=ll) + "\n", tree, ll
             fh.write(line)
-    if meta_path is not None:
-        Path(meta_path).write_text(
-            json.dumps(ensemble.meta, indent=2, sort_keys=True), encoding="utf-8"
-        )
 
 
 def load_ensemble(path, meta_path=None, schema: Schema | None = None) -> Ensemble:
-    """Read an ensemble file (and optionally its metadata sidecar).
+    """Read an ensemble file, with the chain record in ``meta_path`` (by default the
+    ``metadata.json`` beside it) when that file exists.
 
     With a ``schema``, every split must fit it; each distinct rule of the
     file is built and checked once, and each distinct node text of a compact
@@ -315,30 +352,42 @@ def load_ensemble(path, meta_path=None, schema: Schema | None = None) -> Ensembl
             trees.append(tree)
             logliks.append(ll)
             prev = line
-    meta = {}
-    if meta_path is not None and Path(meta_path).exists():
-        meta = _read_meta(Path(meta_path))
-    return Ensemble(trees=trees, logliks=logliks, meta=meta)
+    meta_path = Path(path).with_name("metadata.json") if meta_path is None else Path(meta_path)
+    return Ensemble(trees, logliks, _read_chain(meta_path) if meta_path.exists() else None)
 
 
-def _read_meta(path: Path) -> dict:
-    """A metadata sidecar: a JSON object whose ``config``, when present, is an object
-    and whose ``config.dirichlet_alpha``, when present, is a finite positive number
-    (not a bool). Anything else raises DataValidationError naming ``path``."""
+def _read_chain(path: Path) -> ChainRecord:
+    """The :class:`ChainRecord` in a metadata file, checked key by key (README, "Ensemble
+    files"); a fault raises DataValidationError naming ``path`` and the key at fault."""
+    def bad(message: str) -> DataValidationError:
+        return DataValidationError(f"metadata file {path}{message}")
+
     try:
-        meta = json.loads(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as e:
-        raise DataValidationError(f"metadata file {path} is not UTF-8 text: {e}") from None
-    except (ValueError, RecursionError) as e:  # not JSON; nested too deep
-        raise DataValidationError(f"metadata file {path} is not valid JSON: {e}") from None
-    if type(meta) is not dict:
-        raise DataValidationError(f"metadata file {path} holds a {type(meta).__name__}, "
-                                  "not a JSON object")
-    config = meta.get("config", {})
-    if type(config) is not dict:
-        raise DataValidationError(f"metadata file {path}: config {config!r} is not an object")
-    alpha = config.get("dirichlet_alpha", 1.0)
-    if not (type(alpha) in (int, float) and isfinite(alpha) and alpha > 0):
-        raise DataValidationError(f"metadata file {path}: dirichlet_alpha {alpha!r} is not "
-                                  "a finite positive number")
-    return meta
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as e:  # not UTF-8 or not JSON; nested too deep
+        raise bad(f" is not valid JSON: {e}") from None
+    obj, where = doc, ""
+    for cls in (ChainRecord, ChainConfig):  # the record's keys, then its config's
+        if type(obj) is not dict:
+            raise bad(f"{where} holds a {type(obj).__name__}, not a JSON object")
+        names = [f.name for f in fields(cls)]
+        faults = [f"missing key {k!r}" for k in names if k not in obj] \
+            + [f"unknown key {k!r}" for k in sorted(obj.keys() - set(names))]
+        if faults:
+            raise bad(f"{where}: {', '.join(faults)}")
+        obj, where = doc["config"], ": config"
+    config, proposed, accepted = doc["config"], doc["proposed"], doc["accepted"]
+    if type(doc["provenance"]) is not str:
+        raise bad(f": provenance {doc['provenance']!r} is not a string")
+    for key, value in [("n", doc["n"]), ("m", doc["m"]), ("duration_s", doc["duration_s"]),
+                       *config.items()]:  # integers, and two numbers that may be floats
+        number = key in ("duration_s", "dirichlet_alpha")
+        if not (type(value) is int or number and type(value) is float and isfinite(value)):
+            raise bad(f": {key} {value!r} is not {'a finite number' if number else 'an integer'}")
+    if not (type(proposed) is type(accepted) is dict and proposed.keys() == accepted.keys()
+            and all(type(c) is int for c in [*proposed.values(), *accepted.values()])):
+        raise bad(": proposed and accepted are not integer counts of the same moves")
+    try:
+        return ChainRecord(**{**doc, "config": ChainConfig(**config)})
+    except ValueError as e:
+        raise bad(f": config {e}") from None

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import filter_ensemble, fold_chains, run_comparison, variable_importance
-from .bma import evaluate, evaluate_selection, load_ensemble, save_ensemble
+from .bma import ChainConfig, evaluate, evaluate_selection, load_ensemble, save_ensemble
 from .dataset import (
     DataValidationError,
     Schema,
@@ -39,7 +39,7 @@ from .reports import (
     importance_bar_chart,
     importance_csv,
 )
-from .sampler import ChainConfig, chain_diagnostics, run_chain
+from .sampler import chain_diagnostics, run_chain
 
 DESK_BURN_IN = 20_000
 DESK_COLLECT = 1_000
@@ -152,12 +152,11 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     out, inputs = _prepare(args, args.data)
     data, _ = _load(args)
-    config = _chain_config(args)
-    ensemble = run_chain(data, config)
+    ensemble = run_chain(data, _chain_config(args))
     out.mkdir(parents=True, exist_ok=True)
     ens_path, meta_path = out / "ensemble.jsonl", out / "metadata.json"
     save_ensemble(ensemble, ens_path, meta_path)
-    _write_manifest(out, args, inputs, [ens_path, meta_path], config)
+    _write_manifest(out, args, inputs, [ens_path, meta_path], ensemble.chain.config)
     _print_diagnostics(ensemble)
     print(f"wrote {len(ensemble)} trees to {ens_path}")
     return 0
@@ -182,8 +181,7 @@ def cmd_eval(args) -> int:
 def cmd_importance(args) -> int:
     out, inputs = _prepare(args, args.ensemble)
     schema = Schema.from_file(args.schema) if args.schema else trauma_schema()
-    sidecar = Path(args.ensemble).with_name("metadata.json")  # holds the chain's alpha
-    ensemble = load_ensemble(args.ensemble, sidecar, schema=schema)
+    ensemble = load_ensemble(args.ensemble, schema=schema)
     imp = variable_importance(ensemble, m=schema.m, per_tree=args.per_tree)
     out.mkdir(parents=True, exist_ok=True)
     csv_path, txt_path = out / "importance.csv", out / "importance.txt"
@@ -199,8 +197,7 @@ def cmd_filter(args) -> int:
     out, inputs = _prepare(args, args.ensemble, args.data)
     data, schema = _load(args)
     _check_variable(args.variable, schema)
-    sidecar = Path(args.ensemble).with_name("metadata.json")  # holds the chain's alpha
-    ensemble = load_ensemble(args.ensemble, sidecar, schema=schema)
+    ensemble = load_ensemble(args.ensemble, schema=schema)
     result = filter_ensemble(ensemble, args.variable)
     before, after = evaluate_selection(ensemble, result, data)
     out.mkdir(parents=True, exist_ok=True)

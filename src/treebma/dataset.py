@@ -29,7 +29,6 @@ __all__ = [
     "drop_variable",
     "add_noise",
     "synth_trauma",
-    "planted_risk_scores",
 ]
 
 CONTINUOUS = "continuous"

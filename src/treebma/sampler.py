@@ -27,7 +27,8 @@ the picked node's rows by the new rule and rejects if either child is below
 ``min_leaf`` (where most of them fail); only then does it walk the subtree
 below, counting each node's rows once. Leaf terms are plain lookups in a
 per-chain memo (:class:`_Terms`) that calls :func:`leaf_log_marginal` on a
-miss, once per distinct leaf counts.
+miss, once per distinct leaf counts. :func:`run_chain` returns the trees with the
+chain's :class:`~treebma.bma.ChainRecord`, whose move counts give the acceptance rates.
 
 The chain's draws are exactly numpy's ``default_rng(seed)`` sequence of
 ``random()`` and ``integers(k)`` values, read through a buffered reader of the
@@ -39,7 +40,7 @@ from __future__ import annotations
 import time
 from bisect import insort
 from collections import namedtuple
-from dataclasses import dataclass, field, replace, asdict
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import chain
 from math import log
@@ -48,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Dataset
-from .bma import Ensemble
+from .bma import ChainConfig, ChainRecord, Ensemble
 from .tree import (
     DecisionTree,
     SplitRule,
@@ -58,7 +59,6 @@ from .tree import (
 
 __all__ = [
     "MOVES",
-    "ChainConfig",
     "ChainState",
     "Proposal",
     "init_chain",
@@ -66,33 +66,9 @@ __all__ = [
     "mh_step",
     "run_chain",
     "chain_diagnostics",
-    "default_s_max",
 ]
 
 MOVES = ("birth", "death", "change_split", "change_rule")
-
-
-@dataclass(frozen=True)
-class ChainConfig:
-    """Sampler hyperparameters. Defaults match the full-scale run recipe."""
-
-    burn_in_steps: int = 200_000
-    collect_count: int = 10_000
-    thin: int = 7
-    min_leaf: int = 3
-    s_max: int | None = None  # None: floor(n / min_leaf) - 1, resolved at init
-    seed: int = 0
-    dirichlet_alpha: float = 1.0
-
-    def __post_init__(self):
-        if self.thin < 1 or self.collect_count < 1 or self.burn_in_steps < 0:
-            raise ValueError("invalid chain schedule")
-        if self.min_leaf < 1:
-            raise ValueError("min_leaf must be at least 1")
-        if self.s_max is not None and self.s_max < 1:
-            raise ValueError("s_max must be at least 1")
-        if not self.dirichlet_alpha > 0:
-            raise ValueError("dirichlet_alpha must be positive")
 
 
 def default_s_max(n: int, min_leaf: int) -> int:
@@ -484,30 +460,9 @@ def run_chain(data: Dataset, config: ChainConfig) -> Ensemble:
         unchanged = trees and sum(state.accept_counts.values()) == accepted
         trees.append(trees[-1] if unchanged else state.current)
         logliks.append(state.current_loglik)
-    elapsed = time.perf_counter() - t0
-
-    proposed = sum(state.propose_counts.values())
-    accepted = sum(state.accept_counts.values())
-    meta = {
-        "config": asdict(config),
-        "seed": config.seed,
-        "n": data.n,
-        "m": data.m,
-        "s_max": state.config.s_max,
-        "provenance": data.provenance,
-        "acceptance": {
-            "overall": accepted / proposed if proposed else 0.0,
-            "per_move": {
-                mv: (state.accept_counts[mv] / state.propose_counts[mv]
-                     if state.propose_counts[mv] else 0.0)
-                for mv in MOVES
-            },
-            "proposed": dict(state.propose_counts),
-            "accepted": dict(state.accept_counts),
-        },
-        "duration_s": elapsed,
-    }
-    return Ensemble(trees=trees, logliks=logliks, meta=meta)
+    return Ensemble(trees, logliks, ChainRecord(
+        state.config, data.n, data.m, data.provenance, state.propose_counts,
+        state.accept_counts, time.perf_counter() - t0))
 
 
 def _batch_se(trace: np.ndarray, n_batches: int = 20) -> float:
@@ -522,7 +477,12 @@ def _batch_se(trace: np.ndarray, n_batches: int = 20) -> float:
 
 
 def chain_diagnostics(ensemble: Ensemble) -> dict:
-    """Acceptance rates, log-likelihood trace summary, and leaf-count histogram."""
+    """Acceptance rates (none without a chain record), loglik trace summary, tree sizes."""
+    chain = ensemble.chain
+    acceptance = {} if chain is None else {  # with no proposal there is no acceptance
+        "overall": sum(chain.accepted.values()) / max(1, sum(chain.proposed.values())),
+        "per_move": {mv: chain.accepted[mv] / max(1, k) for mv, k in chain.proposed.items()},
+        "proposed": dict(chain.proposed), "accepted": dict(chain.accepted)}
     trace = np.asarray(ensemble.logliks)
     half = trace.size // 2
     first, second = trace[:half], trace[half:]
@@ -535,7 +495,7 @@ def chain_diagnostics(ensemble: Ensemble) -> dict:
     leaf_counts = np.repeat([t.k_leaves for t in firsts], lengths)
     hist = {int(k): int(c) for k, c in zip(*np.unique(leaf_counts, return_counts=True))}
     return {
-        "acceptance": ensemble.meta.get("acceptance", {}),
+        "acceptance": acceptance,
         "loglik_mean": float(trace.mean()),
         "loglik_max": float(trace.max()),
         "loglik_first_half_mean": float(first.mean()) if half else float(trace.mean()),

@@ -1,12 +1,14 @@
-"""Shared test helpers: hand-built trees, generators of valid trees and of records with
-one fault, a routing oracle, a row-bitset oracle, the tree's id queries and loglik, the
-candidate rules and the chain state check."""
+"""Shared test helpers: hand-built trees and chain records, generators of valid trees and
+of records with one fault, a routing oracle, a row-bitset oracle, the tree's id queries and
+loglik, the candidate rules and the chain state check."""
 import json
 
 import numpy as np
 from hypothesis import strategies as st
 
-from treebma import DecisionTree, SplitRule, deserialize, serialize
+from treebma import ChainConfig, DecisionTree, SplitRule, deserialize, serialize
+from treebma.bma import ChainRecord
+from treebma.sampler import MOVES
 from treebma.tree import candidate_splits, leaf_log_marginal, leaf_rows
 
 
@@ -74,6 +76,12 @@ def check_state(state) -> None:
         if (state.rows[nid], state.nodes[nid].counts) != \
                 (sum(1 << int(i) for i in idx), (idx.size - n1, n1)):
             raise AssertionError(f"leaf {nid}: rows or counts differ from leaf_rows")
+
+
+def chain_record(alpha: float = 1.0) -> ChainRecord:
+    """The record of a short chain with leaf prior ``alpha``, for a hand-built ensemble."""
+    return ChainRecord(ChainConfig(100, 10, 1, 1, 5, 0, alpha), 8, 2, "hand-built",
+                       dict.fromkeys(MOVES, 30), dict.fromkeys(MOVES, 6), 0.01)
 
 
 def make_tree(nodes: dict, root: int) -> DecisionTree:

@@ -14,7 +14,7 @@ from treebma import (
 )
 from treebma.analysis import ARMS, derive_seed
 
-from helpers import make_tree
+from helpers import chain_record, make_tree
 
 
 def leaf_tree(counts=(1, 1)) -> DecisionTree:
@@ -67,12 +67,12 @@ class TestVariableImportance:
 class TestFilterEnsemble:
     def test_keeps_only_nonusers_in_order(self):
         ens = Ensemble(trees=[stump_on(0), stump_on(1), two_split_on(0, 1), leaf_tree()],
-                       logliks=[-1.0, -2.0, -3.0, -4.0])
+                       logliks=[-1.0, -2.0, -3.0, -4.0], chain=chain_record())
         result = filter_ensemble(ens, 0)
         assert result.omitted_count == 2
         assert result.kept.trees == [stump_on(1), leaf_tree()]
         assert result.kept.logliks == [-2.0, -4.0]
-        assert result.kept.meta["filtered_variable"] == 0
+        assert result.kept.chain is ens.chain  # the source's record, passed through
 
     def test_nothing_kept_rejected(self):
         ens = Ensemble(trees=[stump_on(0)], logliks=[-1.0])

@@ -2,6 +2,7 @@
 import json
 import math
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -18,16 +19,15 @@ from treebma import (
     evaluate_selection,
     filter_ensemble,
     load_ensemble,
-    max_loglikelihood,
     predict,
     predict_batch,
     save_ensemble,
 )
-from treebma.bma import PREDICT_CHUNK, _stack
-from treebma.dataset import Dataset, Schema, VariableSpec
+from treebma.bma import PREDICT_CHUNK, _stack, max_loglikelihood
+from treebma.dataset import DataValidationError, Dataset, Schema, VariableSpec
 from treebma.tree import TreeFormatError, _compact, deserialize, leaf_predictive, serialize
 
-from helpers import make_tree, mutated_records, route, valid_trees
+from helpers import chain_record, make_tree, mutated_records, route, valid_trees
 
 
 def leaf_tree(counts) -> DecisionTree:
@@ -48,15 +48,14 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="one loglik per tree"):
             Ensemble(trees=[leaf_tree((1, 1))], logliks=[])
 
-    def test_prior_read_from_meta(self):
-        ens = Ensemble(trees=[leaf_tree((1, 1))], logliks=[-1.0],
-                       meta={"s_max": 9, "config": {"min_leaf": 4, "dirichlet_alpha": 2.0}})
+    def test_alpha_read_from_chain_record(self):
+        """alpha comes from the chain record only; scoring trees without one raises."""
+        ens = Ensemble(trees=[leaf_tree((1, 1))], logliks=[-1.0], chain=chain_record(2.0))
         assert ens.dirichlet_alpha == 2.0
-        assert Ensemble(trees=[leaf_tree((1, 1))], logliks=[-1.0]).dirichlet_alpha == 1.0
-        bad = Ensemble(trees=[leaf_tree((1, 1))], logliks=[-1.0],
-                       meta={"config": {"dirichlet_alpha": 0.0}})
-        with pytest.raises(ValueError, match="not positive"):
-            bad.dirichlet_alpha
+        bare = Ensemble(trees=[leaf_tree((1, 1))], logliks=[-1.0])
+        for score in (lambda: bare.dirichlet_alpha, lambda: predict(bare, [0.0])):
+            with pytest.raises(ValueError, match="no chain record"):
+                score()
 
 
 class TestPrediction:
@@ -76,7 +75,7 @@ class TestPrediction:
 class TestPredict:
     def test_single_leaf_posterior_mean(self):
         # counts (3,1), alpha=1: p = (4/6, 2/6)
-        ens = Ensemble(trees=[leaf_tree((3, 1))], logliks=[-1.0])
+        ens = Ensemble(trees=[leaf_tree((3, 1))], logliks=[-1.0], chain=chain_record())
         p = predict(ens, [0.0])
         assert p.p == pytest.approx((4 / 6, 2 / 6), abs=1e-12)
 
@@ -85,13 +84,13 @@ class TestPredict:
         # leaf tree (1,3): p=(2/6, 4/6); average = (13/24, 11/24)
         ens = Ensemble(
             trees=[stump(1.5, (2, 0), (0, 2)), leaf_tree((1, 3))],
-            logliks=[-1.0, -2.0],
+            logliks=[-1.0, -2.0], chain=chain_record(),
         )
         p = predict(ens, [1.0])
         assert p.p == pytest.approx((13 / 24, 11 / 24), abs=1e-12)
 
     def test_batch_shape_and_rows(self):
-        ens = Ensemble(trees=[stump(1.5, (2, 0), (0, 2))], logliks=[-1.0])
+        ens = Ensemble(trees=[stump(1.5, (2, 0), (0, 2))], logliks=[-1.0], chain=chain_record())
         X = np.array([[1.0], [2.0]])
         probs = predict_batch(ens, X)
         assert probs.shape == (2, 2)
@@ -99,12 +98,12 @@ class TestPredict:
         assert probs[1] == pytest.approx((1 / 4, 3 / 4))
 
     def test_arity_check(self):
-        ens = Ensemble(trees=[stump(1.5, (1, 0), (0, 1))], logliks=[-1.0])
+        ens = Ensemble(trees=[stump(1.5, (1, 0), (0, 1))], logliks=[-1.0], chain=chain_record())
         with pytest.raises(ValueError, match="arity"):
             predict_batch(ens, np.zeros((2, 0)))
 
     def test_requires_2d(self):
-        ens = Ensemble(trees=[leaf_tree((1, 1))], logliks=[-1.0])
+        ens = Ensemble(trees=[leaf_tree((1, 1))], logliks=[-1.0], chain=chain_record())
         with pytest.raises(ValueError, match="2-d"):
             predict_batch(ens, np.zeros(3))
 
@@ -158,7 +157,7 @@ class TestPredictBatchExact:
         """Bit-identical to the per-row oracle: consecutive and scattered repeats of one object."""
         trees = [pool[i % len(pool)] for i in picks]
         ens = Ensemble(trees=trees, logliks=[-1.0] * len(trees),
-                       meta={"config": {"dirichlet_alpha": alpha}})
+                       chain=chain_record(alpha))
         X = grid_rows(np.random.default_rng(seed), n_rows)
         assert np.array_equal(predict_batch(ens, X), routed_oracle(ens, X))
 
@@ -169,7 +168,7 @@ class TestPredictBatchExact:
         """150 runs (150 to 450 trees), more than PREDICT_CHUNK: single leaves, far repeats."""
         pool.append(leaf_tree((4, 1)))
         trees = [pool[i % len(pool)] for i, k in enumerate(lengths) for _ in range(k)]
-        ens = Ensemble(trees=trees, logliks=[-1.0] * len(trees))
+        ens = Ensemble(trees=trees, logliks=[-1.0] * len(trees), chain=chain_record())
         assert sum(a is not b for a, b in zip(trees, [None] + trees)) > PREDICT_CHUNK
         X = grid_rows(np.random.default_rng(len(trees)), 30)
         assert np.array_equal(predict_batch(ens, X), routed_oracle(ens, X))
@@ -181,14 +180,15 @@ class TestPredictBatchExact:
                  for k in range(14)}
         leaves = {2 * k + 1: (k % 3, 1 + k % 2) for k in range(14)}
         deep = make_tree({**spine, **leaves, 28: (0, 5)}, 0)
-        ens = Ensemble(trees=[deep, stump(0.5, (1, 2), (3, 0)), deep], logliks=[-1.0] * 3)
+        ens = Ensemble(trees=[deep, stump(0.5, (1, 2), (3, 0)), deep], logliks=[-1.0] * 3,
+                       chain=chain_record())
         X = np.column_stack([np.arange(-1.0, 16.0, 0.5), np.zeros(34)])
         assert np.array_equal(predict_batch(ens, X), routed_oracle(ens, X))
 
     def test_single_leaf_trees_only(self):
         """No split rule, so no mask: every row gets the leaves' mean pair."""
         a, b = leaf_tree((4, 1)), leaf_tree((0, 3))
-        ens = Ensemble(trees=[a, a, b], logliks=[-1.0, -1.0, -2.0])
+        ens = Ensemble(trees=[a, a, b], logliks=[-1.0, -1.0, -2.0], chain=chain_record())
         X = grid_rows(np.random.default_rng(5), 7)
         expected = (2 * np.array(leaf_predictive((4, 1), 1.0))
                     + np.array(leaf_predictive((0, 3), 1.0))) / 3
@@ -212,9 +212,9 @@ class TestDistinctRules:
         lines = [serialize(pool[i % len(pool)]) for i in picks]
         interned: dict = {}
         shared = Ensemble(trees=[deserialize(ln, rules=interned)[0] for ln in lines],
-                          logliks=[-1.0] * len(lines))
+                          logliks=[-1.0] * len(lines), chain=chain_record())
         distinct = Ensemble(trees=[deserialize(ln)[0] for ln in lines],
-                            logliks=[-1.0] * len(lines))
+                            logliks=[-1.0] * len(lines), chain=chain_record())
         X = grid_rows(np.random.default_rng(seed), 15)
         assert np.array_equal(predict_batch(distinct, X), predict_batch(shared, X))
         assert len(_stack(shared.runs()[0], 1.0)[0]) == len(interned)
@@ -248,14 +248,14 @@ class TestEvaluateSelection:
         """Shared-object runs, scattered repeats and any filtered variable (2 is unused)."""
         trees = [pool[i % len(pool)] for i in picks]
         ens = Ensemble(trees=trees, logliks=[float(-i % 7) for i in range(len(trees))],
-                       meta={"config": {"dirichlet_alpha": alpha}})
+                       chain=chain_record(alpha))
         self.check(ens, variable, grid_rows(np.random.default_rng(seed), n_rows))
 
     def test_dropped_run_between_kept_runs(self):
         """[A, B, A] with B filtered out: the kept trees form one run of A."""
         a = stump(1.0, (3, 1), (0, 2))
         b = make_tree({0: (SplitRule(1, level=2), 1, 2), 1: (1, 1), 2: (4, 0)}, 0)
-        ens = Ensemble(trees=[a, a, b, a], logliks=[-3.0, -3.0, -1.0, -2.0])
+        ens = Ensemble(trees=[a, a, b, a], logliks=[-3.0, -3.0, -1.0, -2.0], chain=chain_record())
         selection = filter_ensemble(ens, 1)
         assert selection.kept_runs == [True, False, True]
         assert len(selection.kept.runs()[0]) == 1
@@ -265,7 +265,7 @@ class TestEvaluateSelection:
         """Run flags of an ensemble with more or fewer runs raise instead of
         cutting the full sum short."""
         a, b = stump(1.0, (3, 1), (0, 2)), leaf_tree((1, 1))
-        ens = Ensemble(trees=[a, b], logliks=[-1.0, -2.0])
+        ens = Ensemble(trees=[a, b], logliks=[-1.0, -2.0], chain=chain_record())
         test = Dataset(GRID_SCHEMA, grid_rows(np.random.default_rng(0), 4), np.array([0, 1] * 2))
         for other in ([a], [a, b, a]):
             selection = filter_ensemble(Ensemble(trees=other, logliks=[-1.0] * len(other)), 1)
@@ -279,7 +279,7 @@ class TestEvaluateSelection:
     def test_longer_than_one_chunk(self, pool, lengths, variable):
         pool.append(leaf_tree((4, 1)))
         trees = [pool[i % len(pool)] for i, k in enumerate(lengths) for _ in range(k)]
-        ens = Ensemble(trees=trees, logliks=[-1.0] * len(trees))
+        ens = Ensemble(trees=trees, logliks=[-1.0] * len(trees), chain=chain_record())
         assert len(ens.runs()[0]) > PREDICT_CHUNK
         self.check(ens, variable, grid_rows(np.random.default_rng(len(trees)), 30))
 
@@ -292,7 +292,7 @@ class TestEvaluate:
         return Dataset(schema, X, np.array([0, 0, 1, 1]))
 
     def test_metrics_by_hand(self, one_var_data):
-        ens = Ensemble(trees=[stump(2.5, (4, 0), (0, 4))], logliks=[-3.5])
+        ens = Ensemble(trees=[stump(2.5, (4, 0), (0, 4))], logliks=[-3.5], chain=chain_record())
         rep = evaluate(ens, one_var_data)
         assert rep.performance_pct == 100.0
         # each point: p = (5/6, 1/6) or (1/6, 5/6); entropy identical per point
@@ -304,7 +304,7 @@ class TestEvaluate:
         assert rep.per_point[0][0] == 0  # true label recorded
 
     def test_tie_counts_as_class_zero(self, one_var_data):
-        ens = Ensemble(trees=[leaf_tree((2, 2))], logliks=[-1.0])
+        ens = Ensemble(trees=[leaf_tree((2, 2))], logliks=[-1.0], chain=chain_record())
         rep = evaluate(ens, one_var_data)
         assert rep.performance_pct == 50.0  # predicts 0 everywhere
 
@@ -312,6 +312,28 @@ class TestEvaluate:
         ens = Ensemble(trees=[leaf_tree((1, 1)), leaf_tree((2, 2))],
                        logliks=[-5.0, -3.0])
         assert max_loglikelihood(ens) == -3.0
+
+
+OTHER_VALUES = [None, True, 7, 2.5, "x", [1], {"a": 1}]  # one of each JSON type
+
+
+@st.composite
+def mutated_sidecars(draw):
+    """A valid metadata.json document with one field, of the record, its config or its
+    move counts, dropped, given a value of another JSON type, or joined by an unknown key."""
+    doc = json.loads(json.dumps(asdict(chain_record(2.5))))
+    owner = draw(st.sampled_from([doc, doc["config"], doc["proposed"], doc["accepted"]]))
+    key = draw(st.sampled_from(sorted(owner)))
+    kind = draw(st.sampled_from(["drop", "retype", "add"]))
+    if kind == "drop":
+        del owner[key]
+    elif kind == "add":
+        owner["extra"] = draw(st.sampled_from(OTHER_VALUES))
+    else:  # a float field may hold an integer: it is still a number
+        owner[key] = draw(st.sampled_from([
+            v for v in OTHER_VALUES if type(v) is not type(owner[key])
+            and not (type(owner[key]) is float and type(v) is int)]))
+    return doc
 
 
 class TestEnsembleIO:
@@ -322,7 +344,33 @@ class TestEnsembleIO:
         assert len(back) == len(small_ensemble)
         assert back.trees == small_ensemble.trees
         assert back.logliks == pytest.approx(small_ensemble.logliks)
-        assert back.meta["n"] == small_ensemble.meta["n"]
+        assert back.chain == small_ensemble.chain
+
+    def test_sidecar_beside_the_file(self, tmp_path, small_ensemble):
+        """load_ensemble reads the metadata.json beside the file unless given a path; with
+        none there the ensemble has no record. Writing a sidecar needs a record."""
+        ens_path = tmp_path / "e.jsonl"
+        save_ensemble(small_ensemble, ens_path, tmp_path / "metadata.json")
+        assert load_ensemble(ens_path).chain == small_ensemble.chain
+        (tmp_path / "metadata.json").unlink()
+        bare = load_ensemble(ens_path)
+        assert bare.chain is None and bare.trees == small_ensemble.trees
+        with pytest.raises(ValueError, match="no chain record to write"):
+            save_ensemble(bare, tmp_path / "again.jsonl", tmp_path / "metadata.json")
+        assert not (tmp_path / "again.jsonl").exists()
+
+    @settings(max_examples=120, deadline=None)
+    @given(doc=mutated_sidecars())
+    def test_mutated_sidecar_is_refused(self, doc):
+        """A valid record with one field dropped, retyped or added beside it is a
+        DataValidationError naming the file, and nothing else."""
+        with tempfile.TemporaryDirectory() as tmp:
+            ens_path, meta_path = Path(tmp) / "e.jsonl", Path(tmp) / "metadata.json"
+            save_ensemble(Ensemble([leaf_tree((1, 1))], [-1.0], chain_record()), ens_path)
+            meta_path.write_text(json.dumps(doc))
+            with pytest.raises(DataValidationError) as caught:
+                load_ensemble(ens_path)
+            assert str(caught.value).startswith(f"metadata file {meta_path}: ")
 
     def test_missing_loglik_rejected(self, tmp_path):
         p = tmp_path / "e.jsonl"

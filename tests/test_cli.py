@@ -2,6 +2,7 @@
 import csv
 import json
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from treebma import (
     ChainConfig,
     Dataset,
+    chain_diagnostics,
     evaluate,
     load_csv,
     load_ensemble,
@@ -22,9 +24,24 @@ from treebma import (
 from treebma.cli import main
 from treebma.tree import TreeFormatError
 
-from helpers import mutated_records
+from helpers import chain_record, mutated_records
 
 FAST = ["--burn-in", "400", "--collect", "40", "--thin", "1", "--min-leaf", "8"]
+
+
+def record_text(change=lambda doc: None) -> str:
+    """A valid metadata.json text, or one that ``change`` has edited in place."""
+    doc = json.loads(json.dumps(asdict(chain_record())))
+    change(doc)
+    return json.dumps(doc)
+
+
+def old_layout(doc):
+    """The sidecar layout before the chain record: seed and s_max beside the config (whose
+    s_max is null), and the rates with the counts under acceptance."""
+    counts = {"proposed": doc.pop("proposed"), "accepted": doc.pop("accepted")}
+    doc.update(seed=0, s_max=doc["config"]["s_max"], acceptance={"overall": 0.2, **counts})
+    doc["config"]["s_max"] = None
 
 
 def stump_line(right_leaf=(60, 30), split=None) -> str:
@@ -71,8 +88,8 @@ class TestTrain:
     def test_ensemble_file_and_metadata(self, trained_dir):
         ens = load_ensemble(trained_dir / "ensemble.jsonl", trained_dir / "metadata.json")
         assert len(ens) == 40
-        assert ens.meta["config"]["burn_in_steps"] == 400
-        assert 0.0 <= ens.meta["acceptance"]["overall"] <= 1.0
+        assert ens.chain.config.burn_in_steps == 400 and ens.chain.config.s_max is not None
+        assert 0.0 <= chain_diagnostics(ens)["acceptance"]["overall"] <= 1.0
 
     def test_manifest_digests_inputs(self, trained_dir, synth_dir):
         manifest = json.loads((trained_dir / "manifest.json").read_text())
@@ -345,8 +362,14 @@ class TestExitCodes:
         "[1,2]", '{"config": 3}', '{"config": {"dirichlet_alpha": "2"}}',
         '{"config": {"dirichlet_alpha": true}}', '{"config": {"dirichlet_alpha": NaN}}',
         '{"config": {"dirichlet_alpha": -1}}', "{not json", "[" * 100_000,
+        record_text(old_layout), record_text(lambda doc: doc.pop("m")),
+        record_text(lambda doc: doc.update(filtered_variable=8)),
+        record_text(lambda doc: doc["config"].update(s_max=None)),
+        record_text(lambda doc: doc["accepted"].update(birth=True)),
+        record_text(lambda doc: doc["config"].update(dirichlet_alpha=float("inf"))),
     ], ids=["list", "config-int", "alpha-str", "alpha-bool", "alpha-nan", "alpha-negative",
-            "not-json", "nested-too-deep"])
+            "not-json", "nested-too-deep", "old-layout", "missing-key", "unknown-key",
+            "s-max-null", "bool-count", "alpha-infinity"])
     def test_malformed_metadata_sidecar(self, synth_dir, trained_dir, tmp_path, capsys,
                                         command, sidecar):
         """A metadata.json beside --ensemble that is not a JSON object with an object
@@ -364,6 +387,35 @@ class TestExitCodes:
         assert rc == 1
         assert err.startswith(f"error: metadata file {meta}")
         assert "Traceback" not in err
+
+    def test_old_sidecar_names_its_keys(self, trained_dir, tmp_path, capsys):
+        """A sidecar in the layout from before the chain record is refused, naming the
+        keys it lacks and the keys the record does not have."""
+        model = tmp_path / "model"
+        model.mkdir()
+        (model / "ensemble.jsonl").write_bytes((trained_dir / "ensemble.jsonl").read_bytes())
+        (model / "metadata.json").write_text(record_text(old_layout))
+        assert main(["importance", "--ensemble", str(model / "ensemble.jsonl"),
+                     "--out-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: metadata file {model / 'metadata.json'}: missing key 'proposed', "
+            "missing key 'accepted', unknown key 'acceptance', unknown key 's_max', "
+            "unknown key 'seed'\n")
+
+    def test_alpha_is_never_assumed(self, synth_dir, trained_dir, tmp_path, capsys):
+        """Without a metadata.json beside the ensemble, filter (which scores) exits 1 and
+        leaves no --out-dir, while importance (which only counts) still runs."""
+        model = tmp_path / "model"
+        model.mkdir()
+        (model / "ensemble.jsonl").write_bytes((trained_dir / "ensemble.jsonl").read_bytes())
+        out = tmp_path / "o"
+        rc = main(["filter", "--ensemble", str(model / "ensemble.jsonl"), "--variable", "8",
+                   "--data", str(synth_dir / "data.csv"), "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and not out.exists()
+        assert err.startswith("error: the ensemble has no chain record (metadata.json)")
+        assert main(["importance", "--ensemble", str(model / "ensemble.jsonl"),
+                     "--out-dir", str(out)]) == 0
 
     @pytest.mark.parametrize("text, message", [
         (b'{"variables": []}', "error: malformed schema document: 'outcome' (in {path})"),

@@ -200,7 +200,7 @@ def test_leaf_terms_memo(small_data, monkeypatch):
     cfg = ChainConfig(burn_in_steps=1000, collect_count=200, thin=3, min_leaf=3, seed=9)
     ens = run_chain(small_data, cfg)
     assert set(ens.logliks) == {0.0}
-    assert ens.meta["acceptance"]["overall"] > 0
+    assert sum(ens.chain.accepted.values()) > 0
     assert len(calls) > 20 and set(calls.values()) == {1}
 
     state = init_chain(small_data, cfg)
@@ -443,12 +443,19 @@ class TestRunChain:
             for idx in tree_leaf_rows(t, small_data.X).values():
                 assert idx.size >= 7
 
-    def test_meta_records_run(self, small_ensemble):
-        meta = small_ensemble.meta
-        assert meta["config"]["burn_in_steps"] == 2000
-        assert meta["n"] == 120 and meta["m"] == 16
-        assert 0.0 < meta["acceptance"]["overall"] < 1.0
-        assert meta["duration_s"] > 0
+    def test_record_describes_run(self, small_data, small_ensemble):
+        """The chain record holds the resolved config, the data's shape and provenance, the
+        per-move counts (one proposal a step) and the duration; diagnostics derive rates."""
+        chain = small_ensemble.chain
+        assert chain.config == ChainConfig(burn_in_steps=2000, collect_count=200, thin=1,
+                                           min_leaf=8, s_max=10, seed=17)
+        assert (chain.n, chain.m, chain.provenance) == (120, 16, small_data.provenance)
+        assert list(chain.proposed) == list(chain.accepted) == list(MOVES)
+        assert sum(chain.proposed.values()) == 2000 + 200
+        assert chain.duration_s > 0
+        acc = chain_diagnostics(small_ensemble)["acceptance"]
+        assert 0.0 < acc["overall"] < 1.0
+        assert acc["per_move"] == {mv: chain.accepted[mv] / chain.proposed[mv] for mv in MOVES}
 
     def test_logliks_match_recomputation(self, small_data, small_ensemble):
         alpha = small_ensemble.dirichlet_alpha
