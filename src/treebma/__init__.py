@@ -35,15 +35,7 @@ from .bma import (
     predict_batch,
     save_ensemble,
 )
-from .sampler import (
-    ChainState,
-    Proposal,
-    chain_diagnostics,
-    init_chain,
-    mh_step,
-    propose,
-    run_chain,
-)
+from .sampler import chain_diagnostics, run_chain
 from .analysis import (
     ComparisonReport,
     SelectionResult,

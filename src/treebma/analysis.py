@@ -109,16 +109,15 @@ def fold_chains(data: Dataset, folds: FoldPlan, config: ChainConfig,
 class ComparisonReport:
     """Per-arm, per-fold evaluation reports plus shared experiment metadata."""
 
-    folds: FoldPlan
     weakest: int
     noise_intensity: float
     reports: dict[str, list[EvalReport]]
     omitted_counts: list[int]
     importance: np.ndarray
 
-    def deltas(self, arm: str, baseline: str = "all_vars") -> dict[str, tuple[float, float]]:
-        """Paired per-fold differences (arm - baseline), mean and std."""
-        pairs = list(zip(self.reports[arm], self.reports[baseline]))
+    def deltas(self, arm: str) -> dict[str, tuple[float, float]]:
+        """Paired per-fold differences (arm - all_vars), mean and std."""
+        pairs = list(zip(self.reports[arm], self.reports["all_vars"]))
         return {"performance_pct": _mean_std([a.performance_pct - b.performance_pct
                                               for a, b in pairs]),
                 "entropy_bits": _mean_std([a.entropy_bits - b.entropy_bits
@@ -170,7 +169,6 @@ def run_comparison(data: Dataset, config: ChainConfig, weakest: int | None = Non
         reports["dropped_noise"].append(evaluate(ens_d, test_d))
 
     return ComparisonReport(
-        folds=folds,
         weakest=weakest,
         noise_intensity=noise_intensity,
         reports=reports,

@@ -34,7 +34,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 from itertools import chain
-from math import isfinite
+from math import inf, isfinite
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -82,8 +83,9 @@ class ChainConfig:
             raise ValueError("min_leaf must be at least 1")
         if self.s_max is not None and self.s_max < 1:
             raise ValueError("s_max must be at least 1")
-        if not self.dirichlet_alpha > 0:
-            raise ValueError("dirichlet_alpha must be positive")
+        alpha = self.dirichlet_alpha  # as the metadata.json reader requires it
+        if isinstance(alpha, bool) or not isinstance(alpha, Real) or not 0 < alpha < inf:
+            raise ValueError(f"dirichlet_alpha {alpha!r} is not a finite positive number")
 
 
 @dataclass(frozen=True)
@@ -323,8 +325,9 @@ def save_ensemble(ensemble: Ensemble, path, meta_path=None) -> None:
 
 
 def load_ensemble(path, meta_path=None, schema: Schema | None = None) -> Ensemble:
-    """Read an ensemble file, with the chain record in ``meta_path`` (by default the
-    ``metadata.json`` beside it) when that file exists.
+    """Read an ensemble file, with the chain record in ``meta_path``, or else in the
+    ``metadata.json`` beside it when that file exists (an explicit ``meta_path`` that
+    does not exist raises DataValidationError naming it).
 
     With a ``schema``, every split must fit it; each distinct rule of the
     file is built and checked once, and each distinct node text of a compact
@@ -352,8 +355,11 @@ def load_ensemble(path, meta_path=None, schema: Schema | None = None) -> Ensembl
             trees.append(tree)
             logliks.append(ll)
             prev = line
-    meta_path = Path(path).with_name("metadata.json") if meta_path is None else Path(meta_path)
-    return Ensemble(trees, logliks, _read_chain(meta_path) if meta_path.exists() else None)
+    if meta_path is None:  # only the default sidecar may be absent
+        meta_path = Path(path).with_name("metadata.json")
+        if not meta_path.exists():
+            return Ensemble(trees, logliks)
+    return Ensemble(trees, logliks, _read_chain(Path(meta_path)))
 
 
 def _read_chain(path: Path) -> ChainRecord:
@@ -364,6 +370,8 @@ def _read_chain(path: Path) -> ChainRecord:
 
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise bad(" does not exist") from None
     except (ValueError, RecursionError) as e:  # not UTF-8 or not JSON; nested too deep
         raise bad(f" is not valid JSON: {e}") from None
     obj, where = doc, ""

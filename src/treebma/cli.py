@@ -1,8 +1,13 @@
 """Command-line surface: synth, train, eval, importance, filter, compare.
 
-Every command writes its artifacts plus a ``manifest.json`` recording the
-command line, resolved configuration, seed, input file digests, and emitted
-artifact paths, so any run can be reproduced from its output directory.
+A command (``cmd_*``) checks its inputs and does its work without touching a
+file. It hands back its artifacts by file name, its chain config and the text
+it prints, and :func:`_finish` completes every command alike: it makes
+``--out-dir``, writes the artifacts, then a ``manifest.json`` recording the
+command line, resolved configuration, seed, input file digests and artifact
+paths, so any run can be reproduced from its output directory, and prints the
+text last. So a command whose checks or work fail makes no directory.
+
 All randomness flows from ``--seed``. The per-fold chains of ``eval`` and
 ``compare`` all run in :func:`treebma.analysis.fold_chains`, the one place
 their seeds are derived, with :func:`treebma.analysis.derive_seed` (a seed
@@ -18,12 +23,14 @@ import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .analysis import filter_ensemble, fold_chains, run_comparison, variable_importance
 from .bma import ChainConfig, evaluate, evaluate_selection, load_ensemble, save_ensemble
 from .dataset import (
     DataValidationError,
+    Dataset,
     Schema,
     load_csv,
     make_folds,
@@ -55,51 +62,71 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: Path, args: argparse.Namespace, inputs: list[Path],
-                    artifacts: list[Path], config: ChainConfig | None = None) -> Path:
+class _Result(NamedTuple):
+    """What a command hands :func:`_finish`: its artifacts by file name, in the manifest's
+    order (text, or a Dataset or an Ensemble to save), its chain config, its printout."""
+
+    artifacts: dict
+    config: ChainConfig | None
+    text: str
+
+
+def _finish(args, result: _Result) -> int:
+    """Make ``--out-dir``, write the artifacts in order (a Dataset by ``save_csv``, an
+    Ensemble by ``save_ensemble``, which writes its ``metadata.json`` too) and
+    ``manifest.json`` last, then print the text. The manifest's inputs are the files
+    that ``--ensemble``, ``--data`` and ``--schema`` name."""
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    for name, value in result.artifacts.items():
+        path = out / name
+        written.append(path)
+        if isinstance(value, str):
+            path.write_text(value, encoding="utf-8")
+        elif isinstance(value, Dataset):
+            save_csv(value, path)
+        else:  # an Ensemble, whose chain record save_ensemble writes beside it
+            written.append(out / "metadata.json")
+            save_ensemble(value, path, written[-1])
+    inputs = [Path(getattr(args, k)) for k in ("ensemble", "data", "schema")
+              if getattr(args, k, None)]
     manifest = {
         "command": sys.argv,
         "subcommand": args.cmd,
         "args": {k: v for k, v in vars(args).items() if k not in ("func", "cmd")},
         "seed": getattr(args, "seed", None),
-        "config": None if config is None else asdict(config),
+        "config": None if result.config is None else asdict(result.config),
         "inputs": {str(p): _sha256(p) for p in inputs},
-        "artifacts": [str(p) for p in artifacts],
+        "artifacts": [str(p) for p in written],
         "version": __version__,
     }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
-    return path
-
-
-def _prepare(args, *inputs) -> tuple[Path, list[Path]]:
-    """The output directory's path; the input files, plus ``--schema`` if given.
-
-    An ``--out-dir`` that is the ``--ensemble``'s own directory is refused: the
-    run would replace the model's ``manifest.json`` (and ``filter`` its
-    ``metadata.json``). Each command makes the directory only when its first
-    artifact is ready to be written, so a command that fails leaves none.
-    """
-    out = Path(args.out_dir)
-    ensemble = getattr(args, "ensemble", None)
-    if ensemble is not None and out.resolve() == Path(ensemble).resolve().parent:
-        raise ValueError(f"--out-dir {out} is the ensemble's own directory; "
-                         "its manifest.json and metadata.json would be overwritten")
-    paths = [Path(p) for p in inputs]
-    if getattr(args, "schema", None):
-        paths.append(Path(args.schema))
-    return out, paths
-
-
-def _check_variable(variable: int, schema: Schema) -> None:
-    if not 0 <= variable < schema.m:
-        raise DataValidationError(f"variable index {variable} out of range [0, {schema.m})")
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True),
+                                       encoding="utf-8")
+    print(result.text)
+    return 0
 
 
 def _load(args) -> tuple:
+    """The schema, the ``--data`` rows and the ``--ensemble`` trees the command names
+    (None for a flag it lacks), with ``--variable`` checked before the trees load.
+
+    An ``--out-dir`` that is the ``--ensemble``'s own directory is refused: the
+    run would replace the model's ``manifest.json`` (and ``filter`` its
+    ``metadata.json``).
+    """
+    ensemble = getattr(args, "ensemble", None)
+    if ensemble is not None and Path(args.out_dir).resolve() == Path(ensemble).resolve().parent:
+        raise ValueError(f"--out-dir {args.out_dir} is the ensemble's own directory; "
+                         "its manifest.json and metadata.json would be overwritten")
     schema = Schema.from_file(args.schema) if args.schema else trauma_schema()
-    data = load_csv(args.data, schema)
-    return data, schema
+    data = load_csv(args.data, schema) if hasattr(args, "data") else None
+    variable = getattr(args, "variable", None)
+    if variable is not None and not 0 <= variable < schema.m:
+        raise DataValidationError(f"variable index {variable} out of range [0, {schema.m})")
+    if ensemble is not None:
+        ensemble = load_ensemble(ensemble, schema=schema)
+    return schema, data, ensemble
 
 
 def _chain_config(args, desk_default: bool = False) -> ChainConfig:
@@ -121,117 +148,74 @@ def _chain_config(args, desk_default: bool = False) -> ChainConfig:
     )
 
 
-def _print_diagnostics(ensemble) -> None:
+def _diagnostics_text(ensemble) -> str:
     d = chain_diagnostics(ensemble)
     acc = d["acceptance"]
-    print(f"acceptance overall: {acc['overall']:.3f}")
-    for mv, rate in acc["per_move"].items():
-        print(f"  {mv:>12}: {rate:.3f} ({acc['accepted'][mv]}/{acc['proposed'][mv]})")
-    print(f"loglik trace: mean {d['loglik_mean']:.2f}, max {d['loglik_max']:.2f}, "
-          f"half-means {d['loglik_first_half_mean']:.2f} / "
-          f"{d['loglik_second_half_mean']:.2f} (drift z={d['drift_z']:.2f})")
     hist = d["leaf_count_histogram"]
-    print("leaf-count histogram: " + ", ".join(f"{k}:{v}" for k, v in sorted(hist.items())))
+    return "\n".join([
+        f"acceptance overall: {acc['overall']:.3f}",
+        *(f"  {mv:>12}: {rate:.3f} ({acc['accepted'][mv]}/{acc['proposed'][mv]})"
+          for mv, rate in acc["per_move"].items()),
+        f"loglik trace: mean {d['loglik_mean']:.2f}, max {d['loglik_max']:.2f}, "
+        f"half-means {d['loglik_first_half_mean']:.2f} / "
+        f"{d['loglik_second_half_mean']:.2f} (drift z={d['drift_z']:.2f})",
+        "leaf-count histogram: " + ", ".join(f"{k}:{v}" for k, v in sorted(hist.items()))])
 
 
-def cmd_synth(args) -> int:
-    out, inputs = _prepare(args)
+def cmd_synth(args) -> _Result:
     irrelevant = frozenset(int(s) for s in args.irrelevant.split(",")) \
         if args.irrelevant else frozenset()
     data = synth_trauma(args.rows, args.seed, irrelevant)
-    out.mkdir(parents=True, exist_ok=True)
-    data_path, schema_path = out / "data.csv", out / "schema.json"
-    save_csv(data, data_path)
-    schema_path.write_text(data.schema.to_json(), encoding="utf-8")
-    (out / "provenance.txt").write_text(data.provenance + "\n", encoding="utf-8")
-    _write_manifest(out, args, inputs, [data_path, schema_path, out / "provenance.txt"])
-    print(f"wrote {data.n} rows x {data.m} variables to {data_path}")
-    return 0
+    return _Result({"data.csv": data, "schema.json": data.schema.to_json(),
+                    "provenance.txt": data.provenance + "\n"}, None,
+                   f"wrote {data.n} rows x {data.m} variables to {Path(args.out_dir, 'data.csv')}")
 
 
-def cmd_train(args) -> int:
-    out, inputs = _prepare(args, args.data)
-    data, _ = _load(args)
+def cmd_train(args) -> _Result:
+    _, data, _ = _load(args)
     ensemble = run_chain(data, _chain_config(args))
-    out.mkdir(parents=True, exist_ok=True)
-    ens_path, meta_path = out / "ensemble.jsonl", out / "metadata.json"
-    save_ensemble(ensemble, ens_path, meta_path)
-    _write_manifest(out, args, inputs, [ens_path, meta_path], ensemble.chain.config)
-    _print_diagnostics(ensemble)
-    print(f"wrote {len(ensemble)} trees to {ens_path}")
-    return 0
+    return _Result({"ensemble.jsonl": ensemble}, ensemble.chain.config,
+                   f"{_diagnostics_text(ensemble)}\n"
+                   f"wrote {len(ensemble)} trees to {Path(args.out_dir, 'ensemble.jsonl')}")
 
 
-def cmd_eval(args) -> int:
-    out, inputs = _prepare(args, args.data)
-    data, _ = _load(args)
+def cmd_eval(args) -> _Result:
+    _, data, _ = _load(args)
     config = _chain_config(args, desk_default=True)
     folds = make_folds(data, args.folds, seed=args.seed)
     reports = [evaluate(ens, test) for ens, test in fold_chains(data, folds, config, 0)]
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path, txt_path = out / "report.csv", out / "report.txt"
-    csv_path.write_text(eval_reports_csv(reports), encoding="utf-8")
     text = eval_reports_table(reports, title=f"{args.folds}-fold cross-validation")
-    txt_path.write_text(text, encoding="utf-8")
-    _write_manifest(out, args, inputs, [csv_path, txt_path], config)
-    print(text)
-    return 0
+    return _Result({"report.csv": eval_reports_csv(reports), "report.txt": text}, config, text)
 
 
-def cmd_importance(args) -> int:
-    out, inputs = _prepare(args, args.ensemble)
-    schema = Schema.from_file(args.schema) if args.schema else trauma_schema()
-    ensemble = load_ensemble(args.ensemble, schema=schema)
+def cmd_importance(args) -> _Result:
+    schema, _, ensemble = _load(args)
     imp = variable_importance(ensemble, m=schema.m, per_tree=args.per_tree)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path, txt_path = out / "importance.csv", out / "importance.txt"
-    csv_path.write_text(importance_csv(schema.names, imp), encoding="utf-8")
     text = importance_bar_chart(schema.names, imp)
-    txt_path.write_text(text, encoding="utf-8")
-    _write_manifest(out, args, inputs, [csv_path, txt_path])
-    print(text)
-    return 0
+    return _Result({"importance.csv": importance_csv(schema.names, imp),
+                    "importance.txt": text}, None, text)
 
 
-def cmd_filter(args) -> int:
-    out, inputs = _prepare(args, args.ensemble, args.data)
-    data, schema = _load(args)
-    _check_variable(args.variable, schema)
-    ensemble = load_ensemble(args.ensemble, schema=schema)
+def cmd_filter(args) -> _Result:
+    _, data, ensemble = _load(args)
     result = filter_ensemble(ensemble, args.variable)
     before, after = evaluate_selection(ensemble, result, data)
-    out.mkdir(parents=True, exist_ok=True)
-    ens_path, meta_path = out / "filtered_ensemble.jsonl", out / "metadata.json"
-    save_ensemble(result.kept, ens_path, meta_path)
-    txt_path = out / "report.txt"
     text = (f"excluded variable: {args.variable}\n"
             f"trees omitted: {result.omitted_count} of {len(ensemble)}\n\n"
             + eval_reports_table([before], title="original ensemble")
             + "\n" + eval_reports_table([after], title="selected ensemble"))
-    txt_path.write_text(text, encoding="utf-8")
-    _write_manifest(out, args, inputs, [ens_path, meta_path, txt_path])
-    print(text)
-    return 0
+    return _Result({"filtered_ensemble.jsonl": result.kept, "report.txt": text}, None, text)
 
 
-def cmd_compare(args) -> int:
-    out, inputs = _prepare(args, args.data)
-    data, schema = _load(args)
-    if args.variable is not None:  # before any chain runs
-        _check_variable(args.variable, schema)
+def cmd_compare(args) -> _Result:
+    schema, data, _ = _load(args)  # checks --variable before any chain runs
     config = _chain_config(args, desk_default=True)
     report = run_comparison(data, config, weakest=args.variable,
                             noise_intensity=args.noise, k=args.folds)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path, txt_path = out / "compare.csv", out / "compare.txt"
-    csv_path.write_text(comparison_csv(report), encoding="utf-8")
     text = comparison_table(report, schema.names)
-    txt_path.write_text(text, encoding="utf-8")
-    imp_path = out / "importance.csv"
-    imp_path.write_text(importance_csv(schema.names, report.importance), encoding="utf-8")
-    _write_manifest(out, args, inputs, [csv_path, txt_path, imp_path], config)
-    print(text)
-    return 0
+    return _Result({"compare.csv": comparison_csv(report), "compare.txt": text,
+                    "importance.csv": importance_csv(schema.names, report.importance)},
+                   config, text)
 
 
 def _add_chain_flags(p: argparse.ArgumentParser) -> None:
@@ -315,7 +299,7 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed {args.seed}: expected a non-negative integer")
-        return args.func(args)
+        return _finish(args, args.func(args))
     except (DataValidationError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

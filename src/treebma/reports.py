@@ -63,14 +63,13 @@ def importance_csv(names: list[str], importance: np.ndarray) -> str:
     return buf.getvalue()
 
 
-def importance_bar_chart(names: list[str], importance: np.ndarray,
-                         width: int = 50) -> str:
-    """Horizontal text bar chart of posterior usage probabilities."""
+def importance_bar_chart(names: list[str], importance: np.ndarray) -> str:
+    """Horizontal text bar chart of posterior usage probabilities, the largest 50 wide."""
     top = max(float(importance.max()), 1e-12)
     name_w = max(len(n) for n in names)
     lines = ["Posterior probabilities of variables used in the ensemble"]
     for j, (name, p) in enumerate(zip(names, importance)):
-        bar = "#" * max(1 if p > 0 else 0, round(width * p / top))
+        bar = "#" * max(1 if p > 0 else 0, round(50 * p / top))
         lines.append(f"{j:>3} {name:<{name_w}} {p:8.4f} {bar}")
     return "\n".join(lines) + "\n"
 

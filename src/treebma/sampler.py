@@ -128,8 +128,9 @@ class _Draws:
         return m >> 32
 
 
-# The chain's node: a split (rule and child ids, counts None) or a leaf (class counts only).
-_Node = namedtuple("_Node", "split left right counts")
+# The chain's node: a split (rule, the rows it sends left, child ids; counts None) or a
+# leaf (class counts only).
+_Node = namedtuple("_Node", "split mask left right counts")
 
 
 class _Terms(dict):
@@ -162,9 +163,10 @@ class ChainState:
     to its parent; a birth's children take the two ids after the largest.
     ``values[j]`` are variable j's candidate thresholds or levels, and
     ``rules[j][i]`` is the one :class:`SplitRule` of ``values[j][i]``, shared by
-    the chain's trees (None until first drawn). Row sets are bitsets (bit i is row i): ``rows`` holds every
-    node's, ``masks[j][i]`` the rows that ``values[j][i]`` sends left,
-    ``node_mask`` that mask for each split, ``ones`` the rows with y = 1.
+    the chain's trees (None until first drawn). Row sets are bitsets (bit i is
+    row i): ``rows`` holds every node's, ``masks[j][i]`` the rows that
+    ``values[j][i]`` sends left (a split's node holds its rule's beside the
+    rule), ``ones`` the rows with y = 1.
     ``terms`` memoises :func:`leaf_log_marginal` by leaf counts (n0, n1) (see :class:`_Terms`).
     ``config`` has ``s_max`` resolved; ``current_loglik`` is the current tree's loglik.
     """
@@ -183,7 +185,6 @@ class ChainState:
     splits: list[int] = field(default_factory=list)
     prunable: list[int] = field(default_factory=list)
     parent: dict[int, int] = field(default_factory=dict)
-    node_mask: dict[int, int] = field(default_factory=dict)
     propose_counts: dict[str, int] = field(default_factory=lambda: {mv: 0 for mv in MOVES})
     accept_counts: dict[str, int] = field(default_factory=lambda: {mv: 0 for mv in MOVES})
 
@@ -192,7 +193,7 @@ class ChainState:
         """The tree as a record; valid by construction, so nothing is checked."""
         slot = {nid: s for s, nid in enumerate(self.nodes)}
         slot[None] = -1  # a leaf's children
-        rules, left, right, counts = zip(*self.nodes.values())
+        rules, _, left, right, counts = zip(*self.nodes.values())
         return DecisionTree(tuple(self.nodes), rules, tuple(map(slot.__getitem__, left)),
                             tuple(map(slot.__getitem__, right)), counts, 0)  # root: node 0
 
@@ -258,7 +259,7 @@ def init_chain(data: Dataset, config: ChainConfig, rng=None) -> ChainState:
                        nodes={}, rows={0: all_rows}, leaves=[0],
                        terms=_Terms(config.dirichlet_alpha))
     root_counts = (data.n - ones.bit_count(), ones.bit_count())
-    state.nodes[0] = _Node(None, None, None, root_counts)
+    state.nodes[0] = _Node(None, None, None, None, root_counts)
     state.current_loglik = state.terms[root_counts]
     for _ in range(100):
         birth = _propose_birth(state, rng)
@@ -353,7 +354,7 @@ def _propose_change(state: ChainState, rng, redraw_variable: bool) -> Proposal |
         return _REJECTED[kind]
     # Then the subtree below them, depth-first, right child first, as leaf_rows walks it;
     # the loglik takes off the old leaf terms, then adds the new ones, in that order.
-    node_mask, ones = state.node_mask, state.ones
+    ones = state.ones
     stack = [(node.left, left, n_left), (node.right, right, n_right)]
     sub_rows, old, new, leaf_counts = [], [], [], []
     while stack:
@@ -367,7 +368,7 @@ def _propose_change(state: ChainState, rng, redraw_variable: bool) -> Proposal |
             new.append(counts)
             leaf_counts.append((nid, counts))
         else:
-            left = rows & node_mask[nid]
+            left = rows & node.mask
             n_left = left.bit_count()
             if n_left < min_leaf or n - n_left < min_leaf:
                 return _REJECTED[kind]
@@ -396,7 +397,6 @@ def _apply(state: ChainState, prop: Proposal) -> None:
         for child in (node.left, node.right):
             del nodes[child], state.rows[child], state.parent[child]
             state.leaves.remove(child)
-        del state.node_mask[pick]
         insort(state.leaves, pick)
         state.splits.remove(pick)
         state.prunable.remove(pick)
@@ -414,11 +414,10 @@ def _apply(state: ChainState, prop: Proposal) -> None:
     else:
         left, right = nodes[pick].left, nodes[pick].right
     if rule is not None:
-        nodes[pick] = _Node(rule, left, right, None)
-        state.node_mask[pick] = mask
+        nodes[pick] = _Node(rule, mask, left, right, None)
     state.rows.update(sub_rows)
     for nid, counts in leaf_counts:
-        nodes[nid] = _Node(None, None, None, counts)
+        nodes[nid] = _Node(None, None, None, None, counts)
     state.current_loglik = prop.loglik
 
 
@@ -465,10 +464,10 @@ def run_chain(data: Dataset, config: ChainConfig) -> Ensemble:
         state.accept_counts, time.perf_counter() - t0))
 
 
-def _batch_se(trace: np.ndarray, n_batches: int = 20) -> float:
-    """Batch-means standard error of the mean for a correlated trace."""
+def _batch_se(trace: np.ndarray) -> float:
+    """Batch-means standard error of the mean for a correlated trace, in 20 batches."""
     n = trace.size
-    b = max(1, n // n_batches)
+    b = max(1, n // 20)
     nb = n // b
     if nb < 2:
         return float(np.std(trace, ddof=1) / np.sqrt(n)) if n > 1 else 0.0

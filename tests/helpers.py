@@ -60,8 +60,9 @@ def split_rules(data) -> list[list[SplitRule]]:
 
 
 def check_state(state) -> None:
-    """Recompute a chain state's loglik, id index and each leaf's rows and counts from its
-    tree; raises AssertionError on the first cached value that differs."""
+    """Recompute a chain state's loglik, id index, each leaf's rows and counts and each
+    split's mask from its tree; raises AssertionError on the first cached value that
+    differs."""
     tree, data = state.current, state.data
     recomputed = tree_loglik(tree, state.config.dirichlet_alpha)
     if abs(recomputed - state.current_loglik) > 1e-8 * max(1.0, abs(recomputed)):
@@ -76,6 +77,9 @@ def check_state(state) -> None:
         if (state.rows[nid], state.nodes[nid].counts) != \
                 (sum(1 << int(i) for i in idx), (idx.size - n1, n1)):
             raise AssertionError(f"leaf {nid}: rows or counts differ from leaf_rows")
+    for nid, node in state.nodes.items():
+        if node.split and node.mask != bits(node.split.goes_left(data.X[:, node.split.variable])):
+            raise AssertionError(f"split {nid}: mask differs from its rule's left rows")
 
 
 def chain_record(alpha: float = 1.0) -> ChainRecord:

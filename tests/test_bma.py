@@ -359,6 +359,15 @@ class TestEnsembleIO:
             save_ensemble(bare, tmp_path / "again.jsonl", tmp_path / "metadata.json")
         assert not (tmp_path / "again.jsonl").exists()
 
+    def test_explicit_sidecar_must_exist(self, tmp_path, small_ensemble):
+        """An explicit sidecar path that does not exist (a typo here) is refused, naming
+        it; only the default metadata.json beside the file may be absent."""
+        ens_path, typo = tmp_path / "e.jsonl", tmp_path / "chian.json"
+        save_ensemble(small_ensemble, ens_path, tmp_path / "chain.json")
+        with pytest.raises(DataValidationError) as caught:
+            load_ensemble(ens_path, typo)
+        assert str(caught.value) == f"metadata file {typo} does not exist"
+
     @settings(max_examples=120, deadline=None)
     @given(doc=mutated_sidecars())
     def test_mutated_sidecar_is_refused(self, doc):

@@ -461,16 +461,24 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: variable index 99 out of range [0, 16)\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, code", [("filter", 1), ("train", 2)],
-                             ids=["filter-bad-variable", "train-missing-data"])
-    def test_failed_command_leaves_no_out_dir(self, synth_dir, trained_dir, tmp_path,
-                                              command, code):
-        """A command whose inputs fail to load or validate creates no --out-dir."""
-        if command == "filter":
-            argv = ["filter", "--ensemble", str(trained_dir / "ensemble.jsonl"),
-                    "--variable", "16", "--data", str(synth_dir / "data.csv")]
-        else:
-            argv = ["train", "--data", str(tmp_path / "nope.csv"), *FAST]
+    @pytest.mark.parametrize("case", [
+        "synth-bad-irrelevant", "train-missing-data", "eval-one-fold",
+        "importance-missing-ensemble", "filter-bad-variable", "compare-nan-noise"])
+    def test_failed_command_leaves_no_out_dir(self, synth_dir, trained_dir, tmp_path, case):
+        """Each of the six commands, given an input that fails to load or validate, exits
+        1 or 2 and creates no --out-dir."""
+        data = ["--data", str(synth_dir / "data.csv")]
+        code, argv = {
+            "synth-bad-irrelevant": (1, ["synth", "--rows", "50", "--irrelevant", "99"]),
+            "train-missing-data": (2, ["train", "--data", str(tmp_path / "nope.csv"), *FAST]),
+            "eval-one-fold": (1, ["eval", *data, "--folds", "1", *FAST]),
+            "importance-missing-ensemble": (2, ["importance", "--ensemble",
+                                                str(tmp_path / "nope.jsonl")]),
+            "filter-bad-variable": (1, ["filter", "--ensemble",
+                                        str(trained_dir / "ensemble.jsonl"),
+                                        "--variable", "16", *data]),
+            "compare-nan-noise": (1, ["compare", *data, "--noise", "nan", *FAST]),
+        }[case]
         out = tmp_path / "o"
         assert main([*argv, "--out-dir", str(out)]) == code
         assert not out.exists()

@@ -8,9 +8,14 @@ and ``eval`` on fixed inputs, then ``importance``
 and ``filter`` on the trained ensembles, and compares the sha256 of their
 outputs with constants recorded from an earlier commit. A change that alters
 the chain's output on purpose updates the constants below and says so in
-CHANGES.md; any other mismatch is a regression.
+CHANGES.md; any other mismatch is a regression. What each command (``synth``
+too) prints, and its ``manifest.json`` but for the test runner's own command
+line, are pinned the same way, with the temporary directory written ``<root>``.
 """
+import contextlib
 import hashlib
+import io
+import json
 
 import numpy as np
 import pytest
@@ -53,29 +58,57 @@ PINNED = {
 }
 
 
+PRINTED = {
+    "compare": "45b2b6e0673a328eb44984884b625c58f416b1da9dfeaf52c2765859e8e847f1",
+    "eval": "204d69f494516018c8d98986f082ecc7c6128a36f8806965f508b334f407f82f",
+    "filter": "0d7d43cc7c3ea103aa040a21f6386dfea9f4f48ba65ef3cdb704dbbf3588a0aa",
+    "filter_deep": "d2ad3adcdd9a2d4b371e0b0c613de8411034aa147d4cbec37eacfe436d726379",
+    "importance": "fb13a8bbe44fb0d4438b5d88e8c1e311a710235d3e11d1eb2d504d739bb037c3",
+    "synth": "b151aa04c447ed7b6ed8da586add131f51169646fe60a29eabf6faa786ab4e71",
+    "train": "d2d018cd190282910be4c1e4584aa6b39a726f67e8fde2385c0fdcf9d7044299",
+    "train_deep": "2f549b123ed64f85dd575648570e5c4ea0898469c0d3aea8f5b3cc6444ee1e92",
+    "train_signed_zero": "bfed5d212718f8bffdda5f03ce3481899670e30233bbffdcc5de1861680b1fee",
+}
+
+MANIFESTS = {
+    "compare": "f041e9a54172eff5e1f3d4ff70dfdc1ed0a33dc611c8b6ddc9533a97c8cdee50",
+    "eval": "0276bbf0b0ac64dece5bd767c6c6c3335ef836cadd00782171b8a2d288349113",
+    "filter": "5ba35f519754580e4c9de722f64a694d31a5c836525e7fd275a8f6fb526646b4",
+    "filter_deep": "5e6dc3d42b059c9f9d52ebf2f95f29c7695eec25142cc701a3353768db20d8f3",
+    "importance": "3b2ab534d97c528610483c9d1da13fa49b1b553d32816e8fd047f690cee4e055",
+    "synth": "c7bff03c6468f1898acd9393b7896d5e0e7006ba69c705161cd2bc5baaeeb5e3",
+    "train": "4915710f8d373c9172af4dcc79c5e22dbef1a5645bb7d0af301c58bc5a96cb0b",
+    "train_deep": "d5639d57b5acb5e54bbe8004e1fc36871ae128a96feebcce3cd29d3a0b8b62b4",
+    "train_signed_zero": "3f562a2b553717688e88feea9586773be0b08c1eca5836c38858786e482b213f",
+}
+
+
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory, small_data):
     root = tmp_path_factory.mktemp("pinned")
+    (root / "printed").mkdir()
+
+    def run(name, *argv):
+        """main(argv) into root/name; what it prints goes to root/printed/name."""
+        with contextlib.redirect_stdout(io.StringIO()) as printed:
+            assert main([*argv, "--out-dir", str(root / name)]) == 0
+        (root / "printed" / name).write_text(printed.getvalue(), encoding="utf-8")
+
     data = root / "data.csv"
     save_csv(small_data, data)
-    assert main(["train", "--data", str(data), *TRAIN, "--out-dir", str(root / "train")]) == 0
-    assert main(["train", "--data", str(data), *TRAIN_DEEP,
-                 "--out-dir", str(root / "train_deep")]) == 0
-    assert main(["compare", "--data", str(data), *COMPARE,
-                 "--out-dir", str(root / "compare")]) == 0
-    assert main(["eval", "--data", str(data), *EVAL, "--out-dir", str(root / "eval")]) == 0
+    run("train", "train", "--data", str(data), *TRAIN)
+    run("train_deep", "train", "--data", str(data), *TRAIN_DEEP)
+    run("compare", "compare", "--data", str(data), *COMPARE)
+    run("eval", "eval", "--data", str(data), *EVAL)
     ensemble = str(root / "train" / "ensemble.jsonl")
-    assert main(["importance", "--ensemble", ensemble,
-                 "--out-dir", str(root / "importance")]) == 0
-    assert main(["filter", "--ensemble", ensemble, *FILTER, "--data", str(data),
-                 "--out-dir", str(root / "filter")]) == 0
+    run("importance", "importance", "--ensemble", ensemble)
+    run("filter", "filter", "--ensemble", ensemble, *FILTER, "--data", str(data))
     signed = root / "signed_zero.csv"
     _write_signed_zero(small_data, signed)
-    assert main(["train", "--data", str(signed), *TRAIN,
-                 "--out-dir", str(root / "train_signed_zero")]) == 0
+    run("train_signed_zero", "train", "--data", str(signed), *TRAIN)
     deep = str(root / "train_deep" / "ensemble.jsonl")
-    assert main(["filter", "--ensemble", deep, *FILTER_DEEP, "--data", str(data),
-                 "--out-dir", str(root / "filter_deep")]) == 0
+    run("filter_deep", "filter", "--ensemble", deep, *FILTER_DEEP, "--data", str(data))
+    run("synth", "synth", "--rows", "60", "--seed", "4", "--irrelevant", "3")
     return root
 
 
@@ -94,3 +127,20 @@ def _write_signed_zero(data, path):
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_output_bytes_pinned(outputs, name):
     assert hashlib.sha256((outputs / name).read_bytes()).hexdigest() == PINNED[name]
+
+
+def _digest(text: str, root) -> str:
+    return hashlib.sha256(text.replace(str(root), "<root>").encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PRINTED))
+def test_printout_pinned(outputs, name):
+    assert _digest((outputs / "printed" / name).read_text(encoding="utf-8"), outputs) \
+        == PRINTED[name]
+
+
+@pytest.mark.parametrize("name", sorted(MANIFESTS))
+def test_manifest_pinned(outputs, name):
+    manifest = json.loads((outputs / name / "manifest.json").read_text(encoding="utf-8"))
+    del manifest["command"]  # the test runner's own argv
+    assert _digest(json.dumps(manifest, sort_keys=True), outputs) == MANIFESTS[name]

@@ -50,18 +50,17 @@ class TestImportance:
         assert rows[2] == ["1", "b", "0.250000"]
 
     def test_bar_chart_scales_to_max(self):
-        text = importance_bar_chart(["a", "b"], np.array([0.8, 0.4]), width=10)
+        text = importance_bar_chart(["a", "b"], np.array([0.8, 0.4]))
         lines = text.splitlines()
-        assert lines[1].count("#") == 10
-        assert lines[2].count("#") == 5
+        assert lines[1].count("#") == 50
+        assert lines[2].count("#") == 25
 
 
 class TestComparison:
     @pytest.fixture
-    def report(self, small_data):
+    def report(self):
         # assembled by hand to keep rendering tests fast
         from treebma.analysis import ComparisonReport
-        from treebma.dataset import make_folds
 
         reports = {
             "all_vars": [make_report(80.0, 12.0, -50.0)],
@@ -69,11 +68,8 @@ class TestComparison:
             "filtered": [make_report(80.0, 12.1, -50.0)],
             "dropped_noise": [make_report(79.0, 12.5, -51.0)],
         }
-        return ComparisonReport(
-            folds=make_folds(small_data, 2, seed=0), weakest=8, noise_intensity=0.01,
-            reports=reports, omitted_counts=[3],
-            importance=np.full(16, 1 / 16),
-        )
+        return ComparisonReport(weakest=8, noise_intensity=0.01, reports=reports,
+                                omitted_counts=[3], importance=np.full(16, 1 / 16))
 
     def test_table_lists_all_arms(self, report, small_data):
         text = comparison_table(report, small_data.schema.names)

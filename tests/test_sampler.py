@@ -9,19 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treebma import (
-    ChainConfig,
-    SplitRule,
-    chain_diagnostics,
-    init_chain,
-    mh_step,
-    propose,
-    run_chain,
-    synth_trauma,
-)
+from treebma import ChainConfig, SplitRule, chain_diagnostics, run_chain, synth_trauma
 from treebma.dataset import Dataset, Schema, VariableSpec
 from treebma import sampler
-from treebma.sampler import MOVES, _apply, _Draws, default_s_max
+from treebma.sampler import MOVES, _apply, _Draws, default_s_max, init_chain, mh_step, propose
 from treebma.tree import (
     candidate_splits,
     leaf_log_marginal,
@@ -37,6 +28,13 @@ class TestChainConfig:
         for kwargs in ({"s_max": 0}, {"min_leaf": 0}, {"dirichlet_alpha": 0.0}):
             with pytest.raises(ValueError):
                 ChainConfig(**kwargs)
+
+    @pytest.mark.parametrize("alpha", [float("inf"), True, float("nan"), "2"])
+    def test_alpha_is_a_finite_number(self, alpha):
+        """An alpha that the metadata.json reader refuses is refused here too: inf would
+        give a chain of nan logliks, and True would run as 1."""
+        with pytest.raises(ValueError, match="is not a finite positive number"):
+            ChainConfig(dirichlet_alpha=alpha)
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
