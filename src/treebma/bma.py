@@ -76,14 +76,13 @@ class ChainConfig:
     seed: int = 0
     dirichlet_alpha: float = 1.0
 
-    def __post_init__(self):
-        if self.thin < 1 or self.collect_count < 1 or self.burn_in_steps < 0:
-            raise ValueError("invalid chain schedule")
-        if self.min_leaf < 1:
-            raise ValueError("min_leaf must be at least 1")
-        if self.s_max is not None and self.s_max < 1:
-            raise ValueError("s_max must be at least 1")
-        alpha = self.dirichlet_alpha  # as the metadata.json reader requires it
+    def __post_init__(self):  # types as the metadata.json reader requires them
+        for name, low in (("burn_in_steps", 0), ("collect_count", 1), ("thin", 1),
+                          ("min_leaf", 1), ("s_max", 1), ("seed", 0)):
+            value = getattr(self, name)  # s_max None is resolved at chain start
+            if not (type(value) is int and value >= low or name == "s_max" and value is None):
+                raise ValueError(f"{name} {value!r} is not an integer >= {low}")
+        alpha = self.dirichlet_alpha
         if isinstance(alpha, bool) or not isinstance(alpha, Real) or not 0 < alpha < inf:
             raise ValueError(f"dirichlet_alpha {alpha!r} is not a finite positive number")
 

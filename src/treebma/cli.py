@@ -163,8 +163,11 @@ def _diagnostics_text(ensemble) -> str:
 
 
 def cmd_synth(args) -> _Result:
-    irrelevant = frozenset(int(s) for s in args.irrelevant.split(",")) \
-        if args.irrelevant else frozenset()
+    try:
+        irrelevant = [int(s) for s in args.irrelevant.split(",")] if args.irrelevant else []
+    except ValueError:
+        raise ValueError(f"--irrelevant {args.irrelevant}: expected comma-separated "
+                         "variable indices") from None
     data = synth_trauma(args.rows, args.seed, irrelevant)
     return _Result({"data.csv": data, "schema.json": data.schema.to_json(),
                     "provenance.txt": data.provenance + "\n"}, None,

@@ -10,9 +10,13 @@ cut it, the mass on s splits grows like the Catalan numbers 1, 1, 2, 5, 14, ...
 (times (m'/m)**s when only m' variables admit a rule). Each step proposes one
 of four equiprobable moves: birth, death, change_split, change_rule.
 Birth/death are mutually reverse dimension changes; the change moves rework
-one split in place. The chain starts with a birth from the single-leaf tree.
-Its candidate values and their row bitsets come from one sort per column
-(:func:`~treebma.tree.candidate_splits`); a rule object is built when first drawn.
+one split in place. A split's prior 1/(m * L_var) is the probability of the draws that
+propose it, so it cancels in every move (Denison, Mallick & Smith 1998): the acceptance
+ratio is the likelihood ratio times k/d (birth), d/k (death) or 1 (changes), with k the
+smaller tree's leaves and d the larger one's prunable splits. The chain starts with a
+birth from the single-leaf tree. Its candidate values and their row bitsets come from one
+sort per column (:func:`~treebma.tree.candidate_splits`); a rule object is built when
+first drawn.
 
 Proposals that are inapplicable (death on a single leaf, birth past s_max,
 empty candidate list) or that produce a leaf below ``min_leaf`` count as
@@ -199,7 +203,7 @@ class ChainState:
 
 
 class Proposal(NamedTuple):
-    """A move's log ratios and candidate loglik, plus the delta that commits it.
+    """A move's log ratio (prior times proposal), candidate loglik and committing delta.
 
     ``delta`` is (node id, new rule, its left-row mask, new (id, rows) pairs,
     new leaf (id, counts) pairs), with no rule or mask for a death. It fits
@@ -207,15 +211,14 @@ class Proposal(NamedTuple):
     """
 
     kind: str
-    log_proposal_ratio: float
-    log_prior_ratio: float
+    log_ratio: float
     loglik: float
     min_leaf_ok: bool
     delta: tuple | None
 
 
 # Returned as soon as a child falls below min_leaf, before any count or marginal.
-_REJECTED = {mv: Proposal(mv, 0.0, 0.0, 0.0, False, None) for mv in MOVES}
+_REJECTED = {mv: Proposal(mv, 0.0, 0.0, False, None) for mv in MOVES}
 
 
 def _rule(state: ChainState, var: int, i: int) -> SplitRule:
@@ -302,13 +305,12 @@ def _propose_birth(state: ChainState, rng) -> Proposal | None:
     lc, rc = (n_left - left1, left1), (n_right - n1 + left1, n1 - left1)
     loglik = _loglik(state, [(n0, n1)], [lc, rc])
 
-    # pick becomes prunable; its parent stops being prunable if it was
+    # pick becomes prunable, its parent stops being if it was; the new split's prior
+    # 1/(m * n_values) cancels the draw of its variable and value
     d_after = len(prunable) + 1 - (state.parent.get(pick) in prunable)
-    ml = log(m) + log(n_values)
-    log_q = log(k) + ml - log(d_after)
     l_id = next(reversed(state.nodes)) + 1  # nodes are in ascending id order
     r_id = l_id + 1
-    return Proposal("birth", log_q, -ml, loglik, True,
+    return Proposal("birth", log(k) - log(d_after), loglik, True,
                     (pick, _rule(state, var, i), mask,
                      ((l_id, left), (r_id, rows ^ left)), ((l_id, lc), (r_id, rc))))
 
@@ -323,10 +325,9 @@ def _propose_death(state: ChainState, rng) -> Proposal | None:
     merged = (lc[0] + rc[0], lc[1] + rc[1])
     loglik = _loglik(state, [lc, rc], [merged])
 
-    k_after = len(state.leaves) - 1
-    ml = log(len(state.values)) + log(len(state.values[node.split.variable]))
-    log_q = log(d) - log(k_after) - ml
-    return Proposal("death", log_q, ml, loglik, True, (pick, None, None, (), ((pick, merged),)))
+    # a birth's reverse: the pruned split's prior cancels that birth's draw of its rule
+    return Proposal("death", log(d) - log(len(state.leaves) - 1), loglik, True,
+                    (pick, None, None, (), ((pick, merged),)))
 
 
 def _propose_change(state: ChainState, rng, redraw_variable: bool) -> Proposal | None:
@@ -336,8 +337,7 @@ def _propose_change(state: ChainState, rng, redraw_variable: bool) -> Proposal |
         return None
     pick = splits[int(rng.integers(len(splits)))]
     node = nodes[pick]
-    old_var = node.split.variable
-    var = int(rng.integers(len(values))) if redraw_variable else old_var
+    var = int(rng.integers(len(values))) if redraw_variable else node.split.variable
     n_values = len(values[var])
     if not n_values:
         return None
@@ -374,9 +374,8 @@ def _propose_change(state: ChainState, rng, redraw_variable: bool) -> Proposal |
                 return _REJECTED[kind]
             stack += ((node.left, left, n_left), (node.right, rows ^ left, n - n_left))
 
-    loglik = _loglik(state, old, new)
-    log_q = log(n_values) - log(len(values[old_var])) if redraw_variable else 0.0
-    return Proposal(kind, log_q, -log_q, loglik, True,
+    # the old and new splits' priors cancel the draws that propose each from the other
+    return Proposal(kind, 0.0, _loglik(state, old, new), True,
                     (pick, _rule(state, var, i), mask, sub_rows, leaf_counts))
 
 
@@ -424,16 +423,14 @@ def _apply(state: ChainState, prop: Proposal) -> None:
 def mh_step(state: ChainState, rng) -> ChainState:
     """One Metropolis-Hastings step; mutates and returns the state.
 
-    Accepts with probability min(1, exp(dloglik + log_prior_ratio +
-    log_proposal_ratio)); inapplicable or min_leaf-violating proposals are
-    rejections.
+    Accepts with probability min(1, exp(dloglik + log_ratio)); inapplicable or
+    min_leaf-violating proposals are rejections.
     """
     kind = MOVES[int(4 * rng.random())]
     state.propose_counts[kind] += 1
     prop = propose(state, kind, rng)
     if prop is not None and prop.min_leaf_ok:
-        log_alpha = (prop.loglik - state.current_loglik) \
-            + prop.log_prior_ratio + prop.log_proposal_ratio
+        log_alpha = (prop.loglik - state.current_loglik) + prop.log_ratio
         if log_alpha >= 0 or rng.random() < np.exp(log_alpha):
             _apply(state, prop)
             state.accept_counts[kind] += 1

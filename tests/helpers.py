@@ -1,13 +1,16 @@
 """Shared test helpers: hand-built trees and chain records, generators of valid trees and
 of records with one fault, a routing oracle, a row-bitset oracle, the tree's id queries and
-loglik, the candidate rules and the chain state check."""
+loglik, the candidate rules, the chain state check, a scripted draw source, and the
+posterior oracles' 12 rows with every legal tree on them."""
 import json
+from math import log
 
 import numpy as np
 from hypothesis import strategies as st
 
 from treebma import ChainConfig, DecisionTree, SplitRule, deserialize, serialize
 from treebma.bma import ChainRecord
+from treebma.dataset import Dataset, Schema, VariableSpec
 from treebma.sampler import MOVES
 from treebma.tree import candidate_splits, leaf_log_marginal, leaf_rows
 
@@ -57,6 +60,61 @@ def split_rules(data) -> list[list[SplitRule]]:
              for v in values]
             for j, (var, (values, _)) in enumerate(zip(data.schema.variables,
                                                        candidate_splits(data)))]
+
+
+def oracle_data(v0_last: float = 4.0) -> Dataset:
+    """The posterior oracles' 12 rows: v0 continuous in 1..4, v1 categorical with 3 levels.
+    Row 12's v0 is ``v0_last``; at 5.0, v0 has 4 candidate values to v1's 3."""
+    schema = Schema(
+        (VariableSpec("v0", "continuous"), VariableSpec("v1", "categorical", (0, 1, 2))),
+        "y",
+    )
+    X = np.array([
+        [1.0, 0], [1.0, 1], [2.0, 0], [2.0, 2], [3.0, 1], [3.0, 0],
+        [4.0, 2], [4.0, 1], [1.0, 2], [2.0, 1], [3.0, 2], [v0_last, 0],
+    ])
+    y = np.array([0, 0, 0, 1, 1, 0, 1, 1, 0, 1, 0, 1])
+    return Dataset(schema, X, y, provenance=f"oracle:v0_last={v0_last}")
+
+
+def legal_trees(data, s_max: int, min_leaf: int = 1, alpha: float = 1.0) -> dict:
+    """Every tree on ``data`` with at most ``s_max`` splits and ``min_leaf`` rows per leaf,
+    enumerated recursively, as {shape: log posterior weight}. A shape is None for a leaf
+    and (rule, left shape, right shape) for a split; the weight is the tree's loglik plus
+    -log(m * L_var) per split, the prior stated in the sampler's docstring."""
+    rules = [(rule, -log(data.m * len(c))) for c in split_rules(data) for rule in c]
+
+    def grow(rows, budget):  # [(shape, splits used, log weight)] of the subtrees on rows
+        n1 = int(data.y[rows].sum())
+        trees = [(None, 0, leaf_log_marginal(rows.size - n1, n1, alpha))]
+        if not budget:
+            return trees
+        for rule, log_prior in rules:
+            left = rule.goes_left(data.X[rows, rule.variable])
+            if min(left.sum(), (~left).sum()) < min_leaf:
+                continue
+            for ls, lu, lw in grow(rows[left], budget - 1):
+                for rs, ru, rw in grow(rows[~left], budget - 1 - lu):
+                    trees.append(((rule, ls, rs), 1 + lu + ru, log_prior + lw + rw))
+        return trees
+
+    return {shape: w for shape, _, w in grow(np.arange(data.n), s_max)}
+
+
+class Script:
+    """A draw source that gives scripted ``integers(k)`` values, each checked against k,
+    and scripted ``random()`` values; a draw past the script raises IndexError."""
+
+    def __init__(self, *values, randoms=()):
+        self.values, self.randoms = list(values), list(randoms)
+
+    def integers(self, k):
+        value = self.values.pop(0)
+        assert 0 <= value < k
+        return value
+
+    def random(self):
+        return self.randoms.pop(0)
 
 
 def check_state(state) -> None:

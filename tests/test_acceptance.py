@@ -30,7 +30,7 @@ from treebma.tree import (
     leaf_predictive,
 )
 
-from helpers import chain_record, make_tree, split_rules
+from helpers import chain_record, make_tree, oracle_data, split_rules
 
 
 def verdict(n: int, ok: bool, detail: str) -> None:
@@ -42,20 +42,13 @@ def verdict(n: int, ok: bool, detail: str) -> None:
 # ---------------------------------------------------------------------------
 
 def test_criterion_1_stump_posterior_oracle():
-    schema = Schema(
-        (VariableSpec("v0", "continuous"), VariableSpec("v1", "categorical", (0, 1, 2))),
-        "y",
-    )
-    X = np.array([
-        [1.0, 0], [1.0, 1], [2.0, 0], [2.0, 2], [3.0, 1], [3.0, 0],
-        [4.0, 2], [4.0, 1], [1.0, 2], [2.0, 1], [3.0, 2], [4.0, 0],
-    ])
-    y = np.array([0, 0, 0, 1, 1, 0, 1, 1, 0, 1, 0, 1])
-    data = Dataset(schema, X, y, provenance="stump-oracle")
+    data = oracle_data()
+    X, y = data.X, data.y
 
     # enumerate every legal tree: the single leaf plus every stump, under the
-    # size-uniform prior (sizes 0 and 1 each probability 1/2; a specific stump
-    # carries weight 1/(m * L_var) within size 1)
+    # sampler's prior (the leaf weighs 1 and a stump 1/(m * L_var); at min_leaf 1
+    # every candidate rule makes a stump, so the leaf and the stumps weigh the
+    # same at s_max 1, 1/2 each)
     alpha, min_leaf, m = 1.0, 1, 2
     cands = split_rules(data)
 

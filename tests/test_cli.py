@@ -278,6 +278,15 @@ class TestExitCodes:
         assert err == "error: --seed -3: expected a non-negative integer\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("irrelevant", ["x", "8,", "8;9"])
+    def test_irrelevant_not_indices_names_flag(self, tmp_path, capsys, irrelevant):
+        rc = main(["synth", "--rows", "50", "--irrelevant", irrelevant,
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"error: --irrelevant {irrelevant}: expected comma-separated variable indices\n"
+        assert not (tmp_path / "o").exists()
+
     def test_bad_irrelevant_index(self, tmp_path):
         rc = main(["synth", "--rows", "50", "--irrelevant", "99",
                    "--out-dir", str(tmp_path / "o")])

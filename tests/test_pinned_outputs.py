@@ -11,6 +11,11 @@ the chain's output on purpose updates the constants below and says so in
 CHANGES.md; any other mismatch is a regression. What each command (``synth``
 too) prints, and its ``manifest.json`` but for the test runner's own command
 line, are pinned the same way, with the temporary directory written ``<root>``.
+
+These constants pin bytes, not the posterior: a re-record would pin a wrong
+kernel as readily as a right one. The net under a re-record is
+``tests/test_kernel.py``, the chain's exact transition kernel checked against
+the stated posterior; it must pass before any constant here is re-recorded.
 """
 import contextlib
 import hashlib

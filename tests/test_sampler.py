@@ -2,7 +2,7 @@
 import random
 from collections import Counter
 from dataclasses import replace
-from math import exp, log
+from math import exp
 
 import numpy as np
 import pytest
@@ -13,14 +13,10 @@ from treebma import ChainConfig, SplitRule, chain_diagnostics, run_chain, synth_
 from treebma.dataset import Dataset, Schema, VariableSpec
 from treebma import sampler
 from treebma.sampler import MOVES, _apply, _Draws, default_s_max, init_chain, mh_step, propose
-from treebma.tree import (
-    candidate_splits,
-    leaf_log_marginal,
-    leaf_rows,
-    serialize,
-)
+from treebma.tree import candidate_splits, leaf_rows, serialize
 
-from helpers import bits, check_state, split_rules, tree_loglik
+from helpers import (Script, bits, check_state, legal_trees, oracle_data, split_rules,
+                     tree_loglik)
 
 
 class TestChainConfig:
@@ -35,6 +31,14 @@ class TestChainConfig:
         give a chain of nan logliks, and True would run as 1."""
         with pytest.raises(ValueError, match="is not a finite positive number"):
             ChainConfig(dirichlet_alpha=alpha)
+
+    @pytest.mark.parametrize("field,value", [
+        ("thin", True), ("min_leaf", 2.0), ("s_max", 3.5), ("seed", True),
+        ("burn_in_steps", np.int64(5)), ("collect_count", "10"), ("seed", -1)])
+    def test_integer_fields_are_ints(self, field, value):
+        """A field that the metadata.json reader would refuse is refused here too."""
+        with pytest.raises(ValueError, match=f"^{field} .* is not an integer >= "):
+            ChainConfig(**{field: value})
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
@@ -88,7 +92,7 @@ class TestProposals:
             propose(state, "teleport", np.random.default_rng(0))
 
     def test_birth_death_are_reverse_ratios(self, small_data):
-        """A death proposal undoing a just-accepted birth negates its log ratios."""
+        """A death proposal undoing a just-accepted birth negates its log ratio."""
         state = init_chain(small_data, ChainConfig(seed=0))
         rng = np.random.default_rng(1)
         birth = None
@@ -99,23 +103,10 @@ class TestProposals:
         for attempt in range(500):
             death = propose(state, "death", np.random.default_rng(attempt))
             if death is not None and death.delta[0] == birth.delta[0]:
-                assert death.log_prior_ratio == pytest.approx(-birth.log_prior_ratio)
-                assert death.log_proposal_ratio == pytest.approx(-birth.log_proposal_ratio)
+                assert death.log_ratio == -birth.log_ratio  # exact: IEEE a - b == -(b - a)
                 break
         else:
             pytest.fail("matching reverse death never proposed")
-
-
-class _Script:
-    """A draw source that gives scripted ``integers(k)`` values, each checked against k."""
-
-    def __init__(self, *values):
-        self.values = list(values)
-
-    def integers(self, k):
-        value = self.values.pop(0)
-        assert 0 <= value < k
-        return value
 
 
 def _leaf_slots(tree, s):
@@ -157,7 +148,7 @@ class TestChangeOracle:
                     if not rules[var]:
                         continue
                     i = draws.randrange(len(rules[var]))
-                    script = _Script(p, var, i) if kind == "change_split" else _Script(p, i)
+                    script = Script(p, var, i) if kind == "change_split" else Script(p, i)
                     prop = propose(state, kind, script)
                     assert not script.values
                     proposed += 1
@@ -476,42 +467,8 @@ def test_two_split_posterior_oracle():
     trees; each weighs exp(loglik) times the product over its splits of
     1/(m * L_var), the prior stated in the sampler's docstring.
     """
-    schema = Schema(
-        (VariableSpec("v0", "continuous"), VariableSpec("v1", "categorical", (0, 1, 2))),
-        "y",
-    )
-    X = np.array([
-        [1.0, 0], [1.0, 1], [2.0, 0], [2.0, 2], [3.0, 1], [3.0, 0],
-        [4.0, 2], [4.0, 1], [1.0, 2], [2.0, 1], [3.0, 2], [4.0, 0],
-    ])
-    y = np.array([0, 0, 0, 1, 1, 0, 1, 1, 0, 1, 0, 1])
-    data = Dataset(schema, X, y, provenance="two-split-oracle")
-    alpha = 1.0
-    cands = split_rules(data)
-    rules = [(r, -log(data.m * len(c))) for c in cands for r in c]
-
-    def leaf(rows):
-        n1 = int(y[rows].sum())
-        return leaf_log_marginal(rows.size - n1, n1, alpha)
-
-    def split(rule, rows):
-        left = rule.goes_left(X[rows, rule.variable])
-        return rows[left], rows[~left]
-
-    rows = np.arange(data.n)
-    log_w = {None: leaf(rows)}
-    for r1, p1 in rules:
-        left, right = split(r1, rows)
-        if not (left.size and right.size):
-            continue
-        log_w[(r1, None, None)] = p1 + leaf(left) + leaf(right)
-        for r2, p2 in rules:
-            ll, lr = split(r2, left)
-            if ll.size and lr.size:
-                log_w[(r1, (r2, None, None), None)] = p1 + p2 + leaf(ll) + leaf(lr) + leaf(right)
-            rl, rr = split(r2, right)
-            if rl.size and rr.size:
-                log_w[(r1, None, (r2, None, None))] = p1 + p2 + leaf(left) + leaf(rl) + leaf(rr)
+    data = oracle_data()
+    log_w = legal_trees(data, s_max=2)
     assert len(log_w) == 55
     top = max(log_w.values())
     z = sum(exp(v - top) for v in log_w.values())
