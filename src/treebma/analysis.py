@@ -54,19 +54,14 @@ def variable_importance(ensemble: Ensemble, m: int, per_tree: bool = False) -> n
     if top >= m:
         raise ValueError(f"ensemble splits on variable {top}, beyond the {m} variables")
     imp = np.zeros(m)
-    if per_tree:
-        for vs, k in zip(used, lengths):
-            for v in set(vs):
-                imp[v] += k
-        return imp / len(ensemble)
-    total = 0
     for vs, k in zip(used, lengths):
-        total += len(vs) * k
-        for v in vs:
+        for v in (set(vs) if per_tree else vs):
             imp[v] += k
-    if total == 0:
+    if per_tree:
+        return imp / len(ensemble)
+    if not imp.any():
         raise ValueError("importance undefined: no split nodes in the ensemble")
-    return imp / total
+    return imp / imp.sum()
 
 
 @dataclass(frozen=True)

@@ -20,14 +20,12 @@ each tree's leaf pairs in ensemble order, so every sum is bit-identical to
 routing the trees one by one; :func:`evaluate_selection` adds a kept run's
 pairs to a second sum too, scoring ``filter``'s before and after at once.
 
-:func:`load_ensemble` reads a file with two tables that live for that one
-call: the distinct split rules and the checked node records. A line in the
-compact layout that :func:`save_ensemble` writes is read node by node, and a
-node text seen on an earlier line is not decoded or checked again; a line in
-any other JSON layout is decoded whole (see :func:`~treebma.tree.deserialize`).
-Both give the same trees, logliks and shared objects. An :class:`Ensemble` holds its
-chain's :class:`ChainRecord`, written to the ``metadata.json`` sidecar by :func:`save_ensemble`
-and read by :func:`load_ensemble` only; the leaf prior's α comes from it alone.
+:func:`load_ensemble` reads a file through :func:`~treebma.tree.deserialize` with
+two tables that live for that one call, the distinct split rules and the checked
+node records (:mod:`treebma.tree` gives the two record sources and the one tree
+check). An :class:`Ensemble` holds its chain's :class:`ChainRecord`, written to the
+``metadata.json`` sidecar by :func:`save_ensemble` and read by :func:`load_ensemble`
+only; the leaf prior's α comes from it alone.
 """
 from __future__ import annotations
 

@@ -105,9 +105,11 @@ class Schema:
 
     @classmethod
     def from_json(cls, text: str) -> "Schema":
+        """The schema in JSON text. Names and the outcome must be strings, and levels
+        integers of magnitude at most 2**53, which a float64 column holds exactly."""
         try:
             doc = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
+        except (ValueError, RecursionError) as e:  # nested too deep; an integer too long
             raise DataValidationError(f"schema file is not valid JSON: {e}") from None
         try:
             variables = tuple(
@@ -118,9 +120,17 @@ class Schema:
                 )
                 for v in doc["variables"]
             )
-            return cls(variables=variables, outcome=doc["outcome"])
+            schema = cls(variables=variables, outcome=doc["outcome"])
         except (KeyError, TypeError) as e:
             raise DataValidationError(f"malformed schema document: {e}") from e
+        for name in (*schema.names, schema.outcome):
+            if type(name) is not str:
+                raise DataValidationError(f"name {name!r} is not a string")
+        for v in schema.variables:
+            if not all(type(x) is int and abs(x) <= 2**53 for x in v.levels or ()):
+                raise DataValidationError(f"levels of {v.name!r} are not integers of "
+                                          f"magnitude at most 2**53: {v.levels!r}")
+        return schema
 
     @classmethod
     def from_file(cls, path) -> "Schema":
@@ -267,6 +277,8 @@ def load_csv(path, schema: Schema) -> Dataset:
                 labels.append(int(lab))
         except csv.Error as e:
             raise DataValidationError(f"{path}: line {reader.line_num}: {e}") from None
+        except UnicodeDecodeError as e:
+            raise DataValidationError(f"{path}: not UTF-8 text: {e}") from None
     if not rows:
         raise DataValidationError(f"{path}: no data rows")
     return Dataset(schema, np.array(rows, dtype=np.float64),

@@ -9,14 +9,13 @@ probabilities are computed from the leaf counts. A record is checked once,
 where it enters the program (:func:`deserialize`); the sampler builds its
 snapshots valid by construction.
 
-A record is read by two routes that share one per-node check (:func:`_node`).
-A line in the compact layout that :func:`serialize` writes is cut into node texts,
-each decoded and checked once per file, then found in a table of checked node
-records (the trees of a chain differ by one move, so they share almost all of
-them); the chain writes ids ascending from the root, each child's above its
-parent's, and on such a line a few set operations prove the tree. Any other layout
-or order, and any line on which that route meets anything, is decoded whole and
-walked by :func:`_tree`; only that route raises, so a fault gives one error on both.
+One check reads a record: each node passes :func:`_node` in file order, then the
+tree passes :func:`_tree`, which proves a chain's ordering (ids ascending from the
+root, each child's above its parent's) by a few set operations and sorts and walks
+any other. Two sources supply the node records: a line in :func:`serialize`'s layout
+is cut into node texts, each decoded and checked once per file and then found in a
+table of checked node records (a chain's trees differ by one move, so they share
+almost all of them); any other line is decoded whole.
 """
 from __future__ import annotations
 
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress, repeat
 from math import isfinite, lgamma
-from operator import lt, or_, xor
+from operator import itemgetter, lt, or_, xor
 
 import numpy as np
 
@@ -127,32 +126,38 @@ def _node(rec: dict, schema: Schema | None, rules: dict) -> tuple:
     raise TreeFormatError(f"node {nid} is neither split nor leaf")
 
 
-def _tree(doc: dict, schema: Schema | None, rules: dict) -> tuple[DecisionTree, float | None]:
-    """The per-tree check: the tree and loglik of a decoded record. Ids must be distinct
-    integers, a split's children and the root must name nodes, every node must be
-    reachable from the root exactly once, and the loglik must be None or finite.
-    Nodes are checked (:func:`_node`) in ascending id order, each with its children's ids."""
-    recs = doc["nodes"]
-    ids = [rec["id"] for rec in recs]
+def _proof(recs: list, root) -> DecisionTree | None:
+    """The tree of checked node records when a few set operations prove it, else None.
+    Ids ascending from the root, each below its children's, and (n - 1) / 2 splits
+    naming n - 1 distinct ids as children give each node but the root one parent, of a
+    smaller id: each is reached exactly once. Every line a chain writes passes."""
+    ids, node_rules, left, right, counts, ordered = zip(*recs)
+    if all(ordered) and all(map(lt, ids, ids[1:])) and type(root) is int and root == ids[0]:
+        slot = dict(zip(ids, range(len(ids))))  # a leaf's and a dangling child's slot: -1
+        left, right = (tuple(map(slot.get, side, repeat(-1))) for side in (left, right))
+        if 2 * counts.count(None) + 1 == len(ids) == len({*left, *right}):
+            return DecisionTree(ids, node_rules, left, right, counts, 0)
+    return None
+
+
+def _tree(recs: list, root) -> DecisionTree:
+    """The per-tree check of node records (:func:`_node`) and a root id, set proof
+    (:func:`_proof`) first: ids must be distinct integers, a split's children and the
+    root must name nodes, and every node must be reachable from the root exactly once."""
+    if recs and (tree := _proof(recs, root)) is not None:
+        return tree
+    ids = [rec[0] for rec in recs]
     if set(map(type, ids)) != {int}:
         raise TreeFormatError(f"node ids {ids!r} are not a non-empty list of integers")
-    order = range(len(ids))
-    if not all(map(lt, ids, ids[1:])):
-        order = sorted(order, key=ids.__getitem__)
-        ids = [ids[i] for i in order]
-        dup = next((a for a, b in zip(ids, ids[1:]) if a == b), None)
-        if dup is not None:
-            raise TreeFormatError(f"duplicate node id {dup}")
+    ids, node_rules, left, right, counts, _ = zip(*sorted(recs, key=itemgetter(0)))
+    dup = next((a for a, b in zip(ids, ids[1:]) if a == b), None)
+    if dup is not None:
+        raise TreeFormatError(f"duplicate node id {dup}")
     slot = dict(zip(ids, range(len(ids))))
-    checked = []  # per slot
-    for i in order:
-        rec = _node(recs[i], schema, rules)
-        if rec[1] is not None and not (rec[2] in slot and rec[3] in slot):
-            raise TreeFormatError(f"dangling child id {rec[3] if rec[2] in slot else rec[2]}")
-        checked.append(rec)
-    _, node_rules, left, right, counts, _ = zip(*checked)
+    for rule, kid_l, kid_r in zip(node_rules, left, right):
+        if rule is not None and not (kid_l in slot and kid_r in slot):
+            raise TreeFormatError(f"dangling child id {kid_r if kid_l in slot else kid_l}")
     left, right = (tuple(map(slot.get, kids, repeat(-1))) for kids in (left, right))
-    root = doc["root"]
     if type(root) is not int or root not in slot:
         raise TreeFormatError(f"root id {root!r} is not a node")
     root = slot[root]
@@ -170,7 +175,7 @@ def _tree(doc: dict, schema: Schema | None, rules: dict) -> tuple[DecisionTree, 
             stack += (left[s], right[s])
     if reached != len(ids):
         raise TreeFormatError("unreachable nodes present")
-    return DecisionTree(tuple(ids), node_rules, left, right, counts, root), _loglik(doc)
+    return DecisionTree(ids, node_rules, left, right, counts, root)
 
 
 def _loglik(doc: dict) -> float | None:
@@ -294,55 +299,41 @@ def serialize(tree: DecisionTree, loglik: float | None = None) -> str:
 
 
 _HEAD, _NEXT, _TAIL = '{"nodes":[{"id":', '},{"id":', '}],"root":'  # serialize's layout
-# json.loads' scanner without its whitespace skipping: the value that starts at an
-# index and the index after it; StopIteration where no value starts
-_scan = json.JSONDecoder().scan_once
-# what decoding and checking a line's pieces can raise; each sends it to the whole-line route
-_FALLBACK = (ValueError, KeyError, TypeError, OverflowError, RecursionError, StopIteration)
+_scan = json.JSONDecoder().scan_once  # (value, end) of the JSON value at an index
 
 
-def _compact(line: str, schema: Schema | None, rules: dict,
-             nodes: dict) -> tuple[DecisionTree, float | None] | None:
-    """The record of a line in :func:`serialize`'s layout, read node by node: each
-    node's text (between ``{"id":`` and ``}``) is looked up in ``nodes``, the file's
+def _compact(line: str, schema: Schema | None, rules: dict, nodes: dict) -> tuple | None:
+    """The node records, root id and decoded tail of a line in :func:`serialize`'s layout:
+    each node's text (between ``{"id":`` and ``}``) is looked up in ``nodes``, the file's
     table of checked node records, and decoded and checked (:func:`_node`) only when
-    missing. None when the line is laid out or ordered otherwise or anything fails to
-    decode or check; the whole-line route then reads it and raises the error.
+    missing. None when a piece or the tail does not decode or the tail repeats ``"nodes"``.
 
     Sound: ``},{"id":`` cannot lie inside a JSON string, and where it lies inside a
     node, the text before it has an unclosed bracket and does not decode. So when
     every piece and the tail decode, the line is ``{"nodes":[`` the pieces ``],``
     the tail's members ``}``, and the whole-line decoder reads the same values,
-    unless the tail repeats ``"nodes"``. Ids ascending from the root, each above its
-    parent's, and (n - 1) / 2 splits naming n - 1 distinct ids as children give each
-    node but the root one parent, of a smaller id: each is reached exactly once."""
+    unless the tail repeats ``"nodes"``. Pieces are checked only once all decode."""
     body, cut, tail = line.rpartition(_TAIL)
     if not cut:
         return None
+    pieces = body[len(_HEAD):].split(_NEXT)
+    recs = list(map(nodes.get, pieces))
+    fresh = {}  # piece index: decoded record, of the pieces the table does not hold
     try:
         tail = json.loads('{"root":' + tail)
-        if "nodes" in tail:
-            return None
-        pieces = body[len(_HEAD):].split(_NEXT)
-        recs = list(map(nodes.get, pieces))
-        if None in recs:
-            for i, piece in enumerate(pieces):
-                if recs[i] is None:
-                    text = '{"id":' + piece + '}'
-                    rec, end = _scan(text, 0)
-                    if end != len(text):
-                        return None
-                    recs[i] = nodes[piece] = _node(rec, schema, rules)
-        ids, node_rules, left, right, counts, ordered = zip(*recs)
-        root, n = tail["root"], len(ids)
-        slot = dict(zip(ids, range(n)))  # a leaf's and a dangling child's slot: -1
-        left, right = (tuple(map(slot.get, side, repeat(-1))) for side in (left, right))
-        if not (all(ordered) and all(map(lt, ids, ids[1:])) and type(root) is int
-                and root == ids[0] and 2 * counts.count(None) + 1 == n == len({*left, *right})):
-            return None
-        return DecisionTree(ids, node_rules, left, right, counts, 0), _loglik(tail)
-    except _FALLBACK:
+        for i, piece in enumerate(pieces):
+            if recs[i] is None:
+                text = '{"id":' + piece + '}'
+                fresh[i], end = _scan(text, 0)
+                if end != len(text):
+                    return None
+    except (ValueError, RecursionError):  # not JSON; nested too deep; an integer too long
         return None
+    if "nodes" in tail:
+        return None
+    for i, rec in fresh.items():
+        recs[i] = nodes[pieces[i]] = _node(rec, schema, rules)
+    return recs, tail["root"], tail
 
 
 def deserialize(line: str, schema: Schema | None = None, rules: dict | None = None,
@@ -352,23 +343,21 @@ def deserialize(line: str, schema: Schema | None = None, rules: dict | None = No
     ``rules`` interns split rules across the lines of one file: a rule is
     type-checked on every occurrence, and built and checked against
     ``schema`` (when given) only the first time. ``nodes`` is the file's
-    table of checked node records: a line in :func:`serialize`'s layout is
-    read from it node by node (see the module doc); any other line is decoded
-    whole, and only that route raises.
+    table of checked node records (see the module doc).
     """
-    rules = {} if rules is None else rules
-    if line.startswith(_HEAD):
-        found = _compact(line, schema, rules, {} if nodes is None else nodes)
-        if found is not None:
-            return found
+    rules, nodes = ({} if rules is None else rules), ({} if nodes is None else nodes)
     try:
-        doc = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise TreeFormatError(f"invalid JSON at position {e.pos}: {e.msg}") from e
-    except (RecursionError, ValueError) as e:  # nested too deep; an integer too long
-        raise TreeFormatError(f"invalid JSON: {e}") from None
-    try:
-        return _tree(doc, schema, rules)
+        found = line.startswith(_HEAD) and _compact(line, schema, rules, nodes)
+        if not found:
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise TreeFormatError(f"invalid JSON at position {e.pos}: {e.msg}") from e
+            except (RecursionError, ValueError) as e:  # nested too deep; an integer too long
+                raise TreeFormatError(f"invalid JSON: {e}") from None
+            found = [_node(rec, schema, rules) for rec in doc["nodes"]], doc["root"], doc
+        recs, root, doc = found
+        return _tree(recs, root), _loglik(doc)
     except TreeFormatError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as e:

@@ -58,6 +58,10 @@ class TestVariableImportance:
         with pytest.raises(ValueError, match="no split nodes"):
             variable_importance(ens, m=2)
 
+    def test_all_leaf_ensemble_per_tree_is_zero(self):
+        ens = Ensemble(trees=[leaf_tree(), leaf_tree()], logliks=[-1, -1])
+        assert variable_importance(ens, m=2, per_tree=True).tolist() == [0.0, 0.0]
+
     def test_sampled_ensemble_normalized(self, small_ensemble):
         imp = variable_importance(small_ensemble, m=16)
         assert imp.sum() == pytest.approx(1.0)

@@ -25,7 +25,8 @@ from treebma import (
 )
 from treebma.bma import PREDICT_CHUNK, _stack, max_loglikelihood
 from treebma.dataset import DataValidationError, Dataset, Schema, VariableSpec
-from treebma.tree import TreeFormatError, _compact, deserialize, leaf_predictive, serialize
+from treebma.tree import (TreeFormatError, _compact, _proof, deserialize, leaf_predictive,
+                          serialize)
 
 from helpers import chain_record, make_tree, mutated_records, route, valid_trees
 
@@ -481,12 +482,15 @@ def read_both(lines, schema=None) -> list:
 
 STUMP = ('{"nodes":[{"id":0,"split":{"var":1,"level":1},"left":1,"right":2},'
          '{"id":1,"leaf":[1,0]},{"id":2,"leaf":[0,1]}],"root":0,"loglik":-1.0}')
+BELOW = ('{"nodes":[{"id":0,"leaf":[1,0]},{"id":1,"leaf":[0,1]},{"id":2,"leaf":[2,2]},'
+         '{"id":3,"split":{"var":0,"thr":2.0},"left":0,"right":1},{"id":4,"split":{"var":1,'
+         '"level":1},"left":3,"right":2}],"root":4,"loglik":-3.0}')  # children below parents
 
 
 class TestReadRoutes:
     """A file in serialize's layout is read node by node from a table of checked node
-    records; any other layout, and any line that fails there, is decoded whole. Both
-    routes give the same trees, logliks and shared objects, or the same error."""
+    records; any other layout is decoded whole. Both routes feed one tree check and give
+    the same trees, logliks and shared objects, or the same error."""
 
     @settings(max_examples=100, deadline=None)
     @given(pool=st.lists(st.tuples(st.one_of(valid_trees(), valid_trees(chain_ids=True)),
@@ -508,15 +512,33 @@ class TestReadRoutes:
         assert set(table) == node_texts and not whole
 
     def test_chain_lines_read_by_set_checks(self, tmp_path, small_ensemble):
-        """Every line a chain writes passes the compact route's set checks, and reads
-        back the tree and loglik it was written from."""
+        """Every line a chain writes is read from the node table and passes the tree
+        check's set proof, which gives back the tree it was written from."""
         path = tmp_path / "e.jsonl"
         save_ensemble(small_ensemble, path)
         rules, nodes = {}, {}
         found = [_compact(line, None, rules, nodes) for line in path.read_text().splitlines()]
-        assert None not in found and max(tree.n_splits for tree, _ in found) > 1
-        assert [repr(tree) for tree, _ in found] == list(map(repr, small_ensemble.trees))
-        assert [loglik for _, loglik in found] == small_ensemble.logliks
+        assert None not in found
+        trees = [_proof(recs, root) for recs, root, _ in found]
+        assert None not in trees and max(tree.n_splits for tree in trees) > 1
+        assert list(map(repr, trees)) == list(map(repr, small_ensemble.trees))
+        assert [tail["loglik"] for _, _, tail in found] == small_ensemble.logliks
+
+    def test_unordered_compact_line_read_from_table(self):
+        """A compact line whose children sit below their parents fails the set proof, yet
+        its node records come from the node table, and it reads as its spaced form."""
+        recs, root, _ = _compact(BELOW, None, {}, table := {})
+        assert _proof(recs, root) is None and len(table) == len(recs) == 5
+        assert repr(deserialize(BELOW, None, {}, table)) == repr(deserialize(spaced(BELOW)))
+
+    def test_undecodable_line_names_json_error(self):
+        """A compact line that does not decode is refused as invalid JSON, even where a
+        node before the fault decodes and fails its node check."""
+        line = '{"nodes":[{"id":0,"leaf":[1]},{"id":1,"leaf":[1,1}],"root":0,"loglik":-1.0}'
+        with pytest.raises(TreeFormatError) as caught:
+            deserialize(line, None, {}, table := {})
+        assert str(caught.value) == "invalid JSON at position 49: Expecting ',' delimiter"
+        assert not table
 
     @settings(max_examples=150, deadline=None)
     @given(line=mutated_records())
@@ -557,11 +579,18 @@ class TestReadRoutes:
         (STUMP.replace('"root":0', '"root":false'), "e.jsonl:2: root id False is not a node"),
         (STUMP.replace('{"id":2,', '{"id":2.0,'),
          "e.jsonl:2: node ids [0, 1, 2.0] are not a non-empty list of integers"),
+        ('{"nodes":[{"id":2,"leaf":[1]},{"id":0,"split":{"var":1,"level":1},"left":1,'
+         '"right":2},{"id":1,"leaf":null}],"root":0,"loglik":-1.0}',
+         "e.jsonl:2: leaf 2 counts [1] are not two non-negative integers"),
+        ('{"nodes":[],"root":0,"loglik":-1.0}',
+         "e.jsonl:2: node ids [] are not a non-empty list of integers"),
+        (BELOW, None),
     ], ids=["tail-repeats-nodes", "bool-root", "ids-out-of-order", "nested-node-separator",
             "nan-loglik", "rule-outside-schema-on-line-2", "leaf-without-counts",
             "child-below-parent", "root-not-smallest", "self-loop-unreachable",
             "root-first-ids-out-of-order", "child-of-two-splits", "root-is-a-child",
-            "false-root", "float-leaf-id"])
+            "false-root", "float-leaf-id", "two-faults-first-in-file-order", "no-nodes",
+            "children-below-parents"])
     def test_explicit_lines(self, tiny_schema, line, expected):
         """Each line after a valid one; a read line means what the whole-line decoder
         reads (a repeated key keeps its last value)."""

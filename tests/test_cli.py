@@ -432,7 +432,10 @@ class TestExitCodes:
          "error: unknown variable kind 'ordinal' for 'a' (in {path})"),
         (b"\xff\xfe{}", "error: schema file {path} is not UTF-8 text: 'utf-8' codec can't "
                         "decode byte 0xff in position 0: invalid start byte"),
-    ], ids=["missing-key", "bad-kind", "not-utf8"])
+        (b'{"variables": [{"name": "a", "kind": "categorical", "levels": [0, 1.5]}], '
+         b'"outcome": "y"}', "error: levels of 'a' are not integers of magnitude at most "
+                             "2**53: (0, 1.5) (in {path})"),
+    ], ids=["missing-key", "bad-kind", "not-utf8", "float-level"])
     def test_schema_error_names_file(self, synth_dir, tmp_path, capsys, text, message):
         schema = tmp_path / "schema.json"
         schema.write_bytes(text)

@@ -1,5 +1,10 @@
 """Schema/dataset validation, CSV round-trips, folds, noise, and synthesis."""
+import contextlib
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ from treebma import (
     synth_trauma,
     trauma_schema,
 )
+from treebma.cli import main
 from treebma.dataset import (
     FLIP_PROB,
     Dataset,
@@ -75,6 +81,36 @@ class TestSchema:
             Schema.from_json("{nope")
         with pytest.raises(DataValidationError, match="malformed schema"):
             Schema.from_json('{"variables": [{"kind": "continuous"}], "outcome": "y"}')
+
+    @pytest.mark.parametrize("variable, outcome, message", [
+        ('{"name": "a", "kind": "categorical", "levels": [0, 1.5]}', '"y"',
+         "levels of 'a' are not integers of magnitude at most 2**53: (0, 1.5)"),
+        ('{"name": "a", "kind": "categorical", "levels": [0, 1%s]}' % ("0" * 400), '"y"',
+         "levels of 'a' are not integers of magnitude at most 2**53: (0, 1%s)" % ("0" * 400)),
+        ('{"name": "a", "kind": "categorical", "levels": [0, 9007199254740993]}', '"y"',
+         "levels of 'a' are not integers of magnitude at most 2**53: (0, 9007199254740993)"),
+        ('{"name": "a", "kind": "categorical", "levels": [false, true]}', '"y"',
+         "levels of 'a' are not integers of magnitude at most 2**53: (False, True)"),
+        ('{"name": "a", "kind": "categorical", "levels": "ab"}', '"y"',
+         "levels of 'a' are not integers of magnitude at most 2**53: ('a', 'b')"),
+        ('{"name": 5, "kind": "continuous"}', '"y"', "name 5 is not a string"),
+        ('{"name": "a", "kind": "continuous"}', "7", "name 7 is not a string"),
+    ], ids=["float-level", "huge-level", "level-past-2**53", "bool-levels", "string-levels",
+            "integer-name", "integer-outcome"])
+    def test_field_types_checked_naming_file(self, tmp_path, variable, outcome, message):
+        """Names are strings and levels integers a float64 column holds exactly; a fault
+        is refused where the schema is read, naming the file."""
+        path = tmp_path / "schema.json"
+        path.write_text(f'{{"variables": [{variable}], "outcome": {outcome}}}')
+        with pytest.raises(DataValidationError) as caught:
+            Schema.from_file(path)
+        assert str(caught.value) == f"{message} (in {path})"
+
+    def test_largest_exact_levels_accepted(self):
+        schema = Schema.from_json('{"variables": [{"name": "a", "kind": "categorical", '
+                                  '"levels": [-9007199254740992, 9007199254740992]}], '
+                                  '"outcome": "y"}')
+        assert schema.variables[0].levels == (-2**53, 2**53)
 
 
 def test_trauma_schema_shape():
@@ -167,6 +203,14 @@ class TestCsv:
         with pytest.raises(DataValidationError, match=r"d\.csv: line 3: field larger"):
             load_csv(p, tiny_schema)
 
+    def test_not_utf8_names_file(self, tiny_schema, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"x0,x1,y\n1.0,0,\xff\n")
+        with pytest.raises(DataValidationError) as caught:
+            load_csv(p, tiny_schema)
+        assert str(caught.value) == (f"{p}: not UTF-8 text: 'utf-8' codec can't decode byte "
+                                     "0xff in position 14: invalid start byte")
+
     def test_missing_file(self, tiny_schema, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "nope.csv", tiny_schema)
@@ -200,6 +244,99 @@ class TestCsv:
         p.write_text("")
         with pytest.raises(DataValidationError, match="empty file"):
             load_csv(p, tiny_schema)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed schema text and CSV bytes
+# ---------------------------------------------------------------------------
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats()
+    | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids,
+                                                              max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def schema_texts(draw):
+    """Any text, any JSON, or a schema document whose fields may hold any JSON value."""
+    shape = draw(st.sampled_from(["text", "json", "schema"]))
+    if shape == "text":
+        return draw(st.text(max_size=30))
+    if shape == "json":
+        return json.dumps(draw(JSON))
+    variables = []
+    for _ in range(draw(st.integers(0, 3))):
+        var = {"name": draw(st.sampled_from(["a", "b", "y"]) | JSON),
+               "kind": draw(st.sampled_from(["continuous", "categorical"]) | JSON),
+               "levels": draw(st.lists(st.integers(-2**54, 2**54) | JSON, max_size=4) | JSON)}
+        variables.append({k: var[k] for k in draw(st.sets(st.sampled_from(list(var))))})
+    return json.dumps({"variables": variables, "outcome": draw(st.just("y") | JSON)})
+
+
+CELLS = ["0", "1", "2", "-0", "1.5", "nan", "inf", "1e400", "", " 1", "x", '"', "1_0"]
+
+
+@st.composite
+def csv_bytes(draw):
+    """Any bytes, or rows of cells under a header, as UTF-8 with any bytes appended."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=40))
+    cell = st.sampled_from(CELLS) | st.text(max_size=3)
+    header = draw(st.sampled_from([["x0", "x1", "y"], ["x1", "x0", "y"], [" x0", "x1 ", "y"]])
+                  | st.lists(cell, max_size=4))
+    rows = draw(st.lists(st.lists(cell, max_size=4), max_size=4))
+    sep = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return sep.join(map(",".join, [header, *rows])).encode() + draw(st.binary(max_size=3))
+
+
+def run_main(argv: list[str]) -> tuple[int, str]:
+    """main's exit code and standard error; any exception that escapes main fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        return main(argv), err.getvalue()
+
+
+class TestFuzzedInputs:
+    """Every schema text and CSV file gives a value or a typed error, never another
+    exception, and through the CLI an exit code of 0, 1 or 2 with no traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=schema_texts())
+    def test_schema_text(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, ens = Path(tmp) / "schema.json", Path(tmp) / "e.jsonl"
+            path.write_text(text, encoding="utf-8", errors="surrogatepass")
+            ens.write_text('{"nodes":[{"id":0,"leaf":[1,1]}],"root":0,"loglik":-1.0}\n')
+            try:
+                Schema.from_file(path)
+                message = "error: importance undefined: no split nodes in the ensemble"
+            except DataValidationError as e:
+                message = f"error: {e}"
+            rc, err = run_main(["importance", "--ensemble", str(ens), "--schema", str(path),
+                                "--out-dir", str(Path(tmp) / "o")])
+            assert (rc, err) == (1, message + "\n")
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=csv_bytes())
+    def test_csv_bytes(self, tiny_schema, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, schema = Path(tmp) / "d.csv", Path(tmp) / "schema.json"
+            path.write_bytes(data)
+            schema.write_text(tiny_schema.to_json())
+            try:
+                load_csv(path, tiny_schema)
+                message = None
+            except DataValidationError as e:
+                message = f"error: {e}\n"
+            rc, err = run_main(["train", "--data", str(path), "--schema", str(schema),
+                                "--burn-in", "0", "--collect", "1", "--thin", "1",
+                                "--min-leaf", "1", "--out-dir", str(Path(tmp) / "o")])
+            if message is not None:
+                assert (rc, err) == (1, message)
+            else:  # rows that load may still admit no split (exit 1)
+                assert rc in (0, 1) and (rc == 0) != err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------
