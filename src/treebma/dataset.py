@@ -278,7 +278,7 @@ def load_csv(path, schema: Schema) -> Dataset:
         except csv.Error as e:
             raise DataValidationError(f"{path}: line {reader.line_num}: {e}") from None
         except UnicodeDecodeError as e:
-            raise DataValidationError(f"{path}: not UTF-8 text: {e}") from None
+            raise DataValidationError(f"{path}: not UTF-8 text ({e.reason})") from None
     if not rows:
         raise DataValidationError(f"{path}: no data rows")
     return Dataset(schema, np.array(rows, dtype=np.float64),

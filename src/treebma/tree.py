@@ -299,7 +299,8 @@ def serialize(tree: DecisionTree, loglik: float | None = None) -> str:
 
 
 _HEAD, _NEXT, _TAIL = '{"nodes":[{"id":', '},{"id":', '}],"root":'  # serialize's layout
-_scan = json.JSONDecoder().scan_once  # (value, end) of the JSON value at an index
+# (value, end) of the JSON value at an index; StopIteration where no value starts
+_scan = json.JSONDecoder().scan_once
 
 
 def _compact(line: str, schema: Schema | None, rules: dict, nodes: dict) -> tuple | None:
@@ -327,7 +328,7 @@ def _compact(line: str, schema: Schema | None, rules: dict, nodes: dict) -> tupl
                 fresh[i], end = _scan(text, 0)
                 if end != len(text):
                     return None
-    except (ValueError, RecursionError):  # not JSON; nested too deep; an integer too long
+    except (ValueError, RecursionError, StopIteration):  # not JSON; too deep; no value
         return None
     if "nodes" in tail:
         return None

@@ -526,19 +526,32 @@ class TestReadRoutes:
 
     def test_unordered_compact_line_read_from_table(self):
         """A compact line whose children sit below their parents fails the set proof, yet
-        its node records come from the node table, and it reads as its spaced form."""
+        its node records come from the node table."""
         recs, root, _ = _compact(BELOW, None, {}, table := {})
         assert _proof(recs, root) is None and len(table) == len(recs) == 5
-        assert repr(deserialize(BELOW, None, {}, table)) == repr(deserialize(spaced(BELOW)))
 
-    def test_undecodable_line_names_json_error(self):
+    @pytest.mark.parametrize("line, expected", [
+        ('{"nodes":[{"id":0,"leaf":[1]},{"id":1,"leaf":[1,1}],"root":0,"loglik":-1.0}',
+         "invalid JSON at position 49: Expecting ',' delimiter"),
+        ('{"nodes":[{"id":0,"leaf":}],"root":0,"loglik":-1.0}',
+         "invalid JSON at position 25: Expecting value"),
+        ('{"nodes":[{"id":1,"leaf":[1,]}],"root":1,"loglik":-1.0}',
+         "invalid JSON at position 28: Expecting value"),
+        ('{"nodes":[{"id":}],"root":0,"loglik":-1.0}',
+         "invalid JSON at position 16: Expecting value"),
+    ], ids=["node-check-before-fault", "missing-leaf", "missing-count", "missing-id"])
+    def test_undecodable_line_names_json_error(self, tmp_path, line, expected):
         """A compact line that does not decode is refused as invalid JSON, even where a
-        node before the fault decodes and fails its node check."""
-        line = '{"nodes":[{"id":0,"leaf":[1]},{"id":1,"leaf":[1,1}],"root":0,"loglik":-1.0}'
+        node before the fault decodes and fails its node check or a value is missing."""
         with pytest.raises(TreeFormatError) as caught:
             deserialize(line, None, {}, table := {})
-        assert str(caught.value) == "invalid JSON at position 49: Expecting ',' delimiter"
+        assert str(caught.value) == expected
         assert not table
+        path = tmp_path / "e.jsonl"
+        path.write_text(STUMP + "\n" + line + "\n")
+        with pytest.raises(TreeFormatError) as caught:
+            load_ensemble(path)
+        assert str(caught.value) == f"{path}:2: {expected}"
 
     @settings(max_examples=150, deadline=None)
     @given(line=mutated_records())
@@ -584,13 +597,11 @@ class TestReadRoutes:
          "e.jsonl:2: leaf 2 counts [1] are not two non-negative integers"),
         ('{"nodes":[],"root":0,"loglik":-1.0}',
          "e.jsonl:2: node ids [] are not a non-empty list of integers"),
-        (BELOW, None),
     ], ids=["tail-repeats-nodes", "bool-root", "ids-out-of-order", "nested-node-separator",
             "nan-loglik", "rule-outside-schema-on-line-2", "leaf-without-counts",
             "child-below-parent", "root-not-smallest", "self-loop-unreachable",
             "root-first-ids-out-of-order", "child-of-two-splits", "root-is-a-child",
-            "false-root", "float-leaf-id", "two-faults-first-in-file-order", "no-nodes",
-            "children-below-parents"])
+            "false-root", "float-leaf-id", "two-faults-first-in-file-order", "no-nodes"])
     def test_explicit_lines(self, tiny_schema, line, expected):
         """Each line after a valid one; a read line means what the whole-line decoder
         reads (a repeated key keeps its last value)."""

@@ -208,8 +208,7 @@ class TestCsv:
         p.write_bytes(b"x0,x1,y\n1.0,0,\xff\n")
         with pytest.raises(DataValidationError) as caught:
             load_csv(p, tiny_schema)
-        assert str(caught.value) == (f"{p}: not UTF-8 text: 'utf-8' codec can't decode byte "
-                                     "0xff in position 14: invalid start byte")
+        assert str(caught.value) == f"{p}: not UTF-8 text (invalid start byte)"
 
     def test_missing_file(self, tiny_schema, tmp_path):
         with pytest.raises(FileNotFoundError):
