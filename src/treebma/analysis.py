@@ -45,18 +45,17 @@ def variable_importance(ensemble: Ensemble, m: int, per_tree: bool = False) -> n
     Default: split-node proportions (counts of split nodes testing variable j,
     normalized by total split nodes; entries sum to 1). With ``per_tree=True``,
     the fraction of trees containing at least one split on the variable
-    (entries then need not sum to 1). A run of one tree object counts once,
-    weighted by its length; the counts are integers, so the sums are exact.
+    (entries then need not sum to 1). A run's tree counts once, weighted by
+    the run's length; the counts are integers, so the sums are exact.
     """
-    firsts, lengths = ensemble.runs()
-    used = [t.variables_used() for t in firsts]
+    used = [r.tree.variables_used() for r in ensemble.runs]
     top = max((v for vs in used for v in vs), default=-1)
     if top >= m:
         raise ValueError(f"ensemble splits on variable {top}, beyond the {m} variables")
     imp = np.zeros(m)
-    for vs, k in zip(used, lengths):
+    for vs, run in zip(used, ensemble.runs):
         for v in (set(vs) if per_tree else vs):
-            imp[v] += k
+            imp[v] += run.length
     if per_tree:
         return imp / len(ensemble)
     if not imp.any():
@@ -66,8 +65,8 @@ def variable_importance(ensemble: Ensemble, m: int, per_tree: bool = False) -> n
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Outcome of excluding trees that use one variable; ``kept_runs`` flags the kept runs
-    of the original ensemble (as :meth:`~treebma.bma.Ensemble.runs` lists them)."""
+    """Outcome of excluding trees that use one variable; ``kept_runs`` flags, per run of
+    the original ensemble's ``runs``, whether ``kept`` holds it."""
 
     kept: Ensemble
     omitted_count: int
@@ -76,14 +75,12 @@ class SelectionResult:
 
 def filter_ensemble(ensemble: Ensemble, variable: int) -> SelectionResult:
     """Keep only trees with zero splits on ``variable``, in order, with runs and chain record."""
-    firsts, lengths = ensemble.runs()
-    kept_runs = [variable not in t.variables_used() for t in firsts]
-    keep_idx = np.flatnonzero(np.repeat(kept_runs, lengths)).tolist()
-    if not keep_idx:
+    kept_runs = [variable not in r.tree.variables_used() for r in ensemble.runs]
+    runs = [r for r, k in zip(ensemble.runs, kept_runs) if k]
+    if not runs:
         raise ValueError(f"every tree splits on variable {variable}; nothing kept")
-    kept = Ensemble([ensemble.trees[i] for i in keep_idx],
-                    [ensemble.logliks[i] for i in keep_idx], ensemble.chain)
-    return SelectionResult(kept, len(ensemble) - len(keep_idx), kept_runs)
+    kept = Ensemble(runs, ensemble.chain)
+    return SelectionResult(kept, len(ensemble) - len(kept), kept_runs)
 
 
 def derive_seed(master_seed: int, fold: int, arm: int) -> int:

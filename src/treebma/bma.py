@@ -5,20 +5,17 @@ probabilities; sampled trees are posterior draws, so equal weights are the
 Monte Carlo estimate of the predictive distribution. Probability pairs are
 indexed by label value: p[0] is the probability of class 0.
 
-A chain that rejects a move keeps its tree, so an ensemble holds runs of
-identical consecutive trees. A run is one shared ``DecisionTree`` object at
-consecutive positions: :func:`~treebma.sampler.run_chain` and
-:func:`load_ensemble` build one object per run, and the read path does its
-work once per run (:meth:`Ensemble.runs`). :func:`save_ensemble` serializes
-a run once. A prediction stacks the flat records of the first tree of each
-run into one set of slot arrays (each tree's child slots shifted by the slots
-of the trees before it), builds one boolean row mask per distinct split rule
-with :meth:`~treebma.tree.SplitRule.goes_left` and routes all (tree, row)
-pairs of ``PREDICT_CHUNK`` runs at once, one tree level per pass (a leaf routes
-to itself, and the passes end when no pair moves). It adds
-each tree's leaf pairs in ensemble order, so every sum is bit-identical to
-routing the trees one by one; :func:`evaluate_selection` adds a kept run's
-pairs to a second sum too, scoring ``filter``'s before and after at once.
+A chain that rejects a move keeps its tree, so an :class:`Ensemble` holds :class:`Run`
+records: a tree, its loglik and its count of consecutive draws, built by
+:func:`~treebma.sampler.run_chain` and :func:`load_ensemble`. Every consumer works once per
+run; :func:`save_ensemble` serializes a run once. A prediction stacks the flat records of
+each run's tree into one set of slot arrays (each tree's child slots shifted by the slots of
+the trees before it), builds one boolean row mask per distinct split rule with
+:meth:`~treebma.tree.SplitRule.goes_left` and routes all (tree, row) pairs of
+``PREDICT_CHUNK`` runs at once, one tree level per pass (a leaf routes to itself, and the
+passes end when no pair moves). It adds each tree's leaf pairs in ensemble order, so every
+sum is bit-identical to routing the trees one by one; :func:`evaluate_selection` adds a kept
+run's pairs to a second sum too, scoring ``filter``'s before and after at once.
 
 :func:`load_ensemble` reads a file through :func:`~treebma.tree.deserialize` with
 two tables that live for that one call, the distinct split rules and the checked
@@ -35,6 +32,7 @@ from itertools import chain
 from math import inf, isfinite
 from numbers import Real
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +48,7 @@ from .tree import (
 __all__ = [
     "ChainConfig",
     "ChainRecord",
+    "Run",
     "Ensemble",
     "Prediction",
     "EvalReport",
@@ -98,27 +97,36 @@ class ChainRecord:
     duration_s: float
 
 
+class Run(NamedTuple):
+    """``length`` consecutive draws of one tree, and its training log marginal likelihood."""
+
+    tree: DecisionTree
+    loglik: float
+    length: int
+
+
 @dataclass(frozen=True)
 class Ensemble:
-    """Ordered post-burn-in trees, their training log marginal likelihoods, chain record."""
+    """Ordered post-burn-in draws as runs of one tree, and the chain record; ``trees`` and
+    ``logliks`` list each draw's tree and loglik, in order."""
 
-    trees: list[DecisionTree]
-    logliks: list[float]
+    runs: list[Run]
     chain: ChainRecord | None = None
 
     def __post_init__(self):
-        if len(self.trees) < 1:
-            raise ValueError("ensemble needs at least one tree")
-        if len(self.logliks) != len(self.trees):
-            raise ValueError("one loglik per tree required")
+        if not self.runs or min(r.length for r in self.runs) < 1:
+            raise ValueError("ensemble needs at least one tree, in runs of length >= 1")
 
     def __len__(self) -> int:
-        return len(self.trees)
+        return sum(r.length for r in self.runs)
 
-    def runs(self) -> tuple[list[DecisionTree], list[int]]:
-        """The first tree of each run of one object at consecutive positions, and run lengths."""
-        starts = [i for i, t in enumerate(self.trees) if i == 0 or t is not self.trees[i - 1]]
-        return [self.trees[i] for i in starts], np.diff([*starts, len(self.trees)]).tolist()
+    @property
+    def trees(self) -> list[DecisionTree]:
+        return [r.tree for r in self.runs for _ in range(r.length)]
+
+    @property
+    def logliks(self) -> list[float]:
+        return [r.loglik for r in self.runs for _ in range(r.length)]
 
     @property
     def dirichlet_alpha(self) -> float:
@@ -188,18 +196,17 @@ def _stack(trees: list[DecisionTree], alpha: float):
 
 
 def _route(ensemble: Ensemble, X: np.ndarray, keep=None) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's leaf pairs summed over all trees, and over the trees of the runs
-    (of :meth:`Ensemble.runs`) where ``keep`` is true; one add per tree, in order. Each
-    pass moves all pairs of a chunk (a leaf's kids are its own slot, its mask offset 0)
-    until none moves; there is no pass without a split rule."""
+    """Each row's leaf pairs summed over all trees, and over the trees of the runs where
+    ``keep`` is true; one add per tree, in order. Each pass moves all pairs of a chunk (a
+    leaf's kids are its own slot, its mask offset 0) until none moves; no split, no pass."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be 2-d")
-    firsts, lengths = ensemble.runs()
-    keep = [False] * len(lengths) if keep is None else keep
-    if len(keep) != len(lengths):
-        raise ValueError(f"{len(keep)} run flags for an ensemble of {len(lengths)} runs")
-    rules, rule, kids, leaf_p, roots = _stack(firsts, ensemble.dirichlet_alpha)
+    runs = ensemble.runs
+    keep = [False] * len(runs) if keep is None else keep
+    if len(keep) != len(runs):
+        raise ValueError(f"{len(keep)} run flags for an ensemble of {len(runs)} runs")
+    rules, rule, kids, leaf_p, roots = _stack([r.tree for r in runs], ensemble.dirichlet_alpha)
     if max((r.variable for r in rules), default=-1) >= X.shape[1]:
         raise ValueError(f"feature arity {X.shape[1]} too small for ensemble splits")
     n = X.shape[0]
@@ -219,9 +226,9 @@ def _route(ensemble: Ensemble, X: np.ndarray, keep=None) -> tuple[np.ndarray, np
             nxt = kids[2 * pos + masks[offset[pos] + rows]]
             moved, pos = not np.array_equal(nxt, pos), nxt
         probs = leaf_p[pos].reshape(chunk.size, n, 2)
-        for j, (k, kept_run) in enumerate(zip(lengths[start:start + PREDICT_CHUNK],
-                                              keep[start:start + PREDICT_CHUNK])):
-            for _ in range(k):  # one add per tree, in ensemble order
+        for j, (run, kept_run) in enumerate(zip(runs[start:start + PREDICT_CHUNK],
+                                                keep[start:start + PREDICT_CHUNK])):
+            for _ in range(run.length):  # one add per tree, in ensemble order
                 acc += probs[j]
                 if kept_run:
                     kept += probs[j]
@@ -299,7 +306,7 @@ def evaluate_selection(ensemble: Ensemble, selection,
 
 def max_loglikelihood(ensemble: Ensemble) -> float:
     """Best training log marginal likelihood over the sampled trees."""
-    return float(max(ensemble.logliks))
+    return float(max(r.loglik for r in ensemble.runs))
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +320,9 @@ def save_ensemble(ensemble: Ensemble, path, meta_path=None) -> None:
             raise ValueError(f"the ensemble has no chain record to write to {meta_path}")
         Path(meta_path).write_text(
             json.dumps(asdict(ensemble.chain), indent=2, sort_keys=True), encoding="utf-8")
-    line, prev_tree, prev_ll = "", None, None
     with Path(path).open("w", encoding="utf-8") as fh:
-        for tree, ll in zip(ensemble.trees, ensemble.logliks):
-            if tree is not prev_tree or ll is not prev_ll:  # else the run goes on
-                line, prev_tree, prev_ll = serialize(tree, loglik=ll) + "\n", tree, ll
-            fh.write(line)
+        for tree, ll, length in ensemble.runs:  # a run is serialized once
+            fh.write((serialize(tree, loglik=ll) + "\n") * length)
 
 
 def load_ensemble(path, meta_path=None, schema: Schema | None = None) -> Ensemble:
@@ -330,16 +334,14 @@ def load_ensemble(path, meta_path=None, schema: Schema | None = None) -> Ensembl
     file is built and checked once, and each distinct node text of a compact
     line decoded and checked once (see :func:`treebma.tree.deserialize`).
     A malformed record raises TreeFormatError naming ``path:line``. A line
-    identical to the record before it is not parsed again: it shares that
-    record's tree object and loglik (identical text passes the same checks).
+    identical to the record before it is not parsed again: it lengthens that
+    record's run (identical text passes the same checks).
     """
-    trees, logliks = [], []
-    prev, rules, nodes = None, {}, {}
+    runs, prev, rules, nodes = [], None, {}, {}  # runs: [tree, loglik, length] lists
     with Path(path).open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if line == prev:  # same text as the record before: share its tree
-                trees.append(trees[-1])
-                logliks.append(logliks[-1])
+            if line == prev:
+                runs[-1][2] += 1
                 continue
             if not line.strip():
                 continue
@@ -349,14 +351,14 @@ def load_ensemble(path, meta_path=None, schema: Schema | None = None) -> Ensembl
                 raise TreeFormatError(f"{path}:{lineno}: {e}") from e
             if ll is None:
                 raise TreeFormatError(f"{path}:{lineno}: tree record missing loglik")
-            trees.append(tree)
-            logliks.append(ll)
+            runs.append([tree, ll, 1])
             prev = line
+    runs = [Run(*r) for r in runs]
     if meta_path is None:  # only the default sidecar may be absent
         meta_path = Path(path).with_name("metadata.json")
         if not meta_path.exists():
-            return Ensemble(trees, logliks)
-    return Ensemble(trees, logliks, _read_chain(Path(meta_path)))
+            return Ensemble(runs)
+    return Ensemble(runs, _read_chain(Path(meta_path)))
 
 
 def _read_chain(path: Path) -> ChainRecord:

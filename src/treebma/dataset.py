@@ -12,6 +12,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,8 @@ class DataValidationError(ValueError):
 
 @dataclass(frozen=True)
 class VariableSpec:
-    """One feature column: a name, a kind, and (if categorical) its level codes."""
+    """One feature column: a name, a kind, and (if categorical) its level codes, distinct
+    ascending integers of magnitude at most 2**53."""
 
     name: str
     kind: str
@@ -53,12 +55,16 @@ class VariableSpec:
         if self.kind == CATEGORICAL:
             if not self.levels:
                 raise DataValidationError(f"categorical variable {self.name!r} needs levels")
-            lv = tuple(self.levels)
+            lv = tuple(self.levels)  # integers a float64 column holds exactly
+            if not all(isinstance(x, Integral) and not isinstance(x, bool) and abs(x) <= 2**53
+                       for x in lv):
+                raise DataValidationError(f"levels of {self.name!r} are not integers of "
+                                          f"magnitude at most 2**53: {lv!r}")
             if sorted(set(lv)) != list(lv):
                 raise DataValidationError(
                     f"levels of {self.name!r} must be distinct and ascending, got {lv}"
                 )
-            object.__setattr__(self, "levels", lv)
+            object.__setattr__(self, "levels", tuple(map(int, lv)))
         elif self.levels is not None:
             raise DataValidationError(f"continuous variable {self.name!r} must not list levels")
 
@@ -105,31 +111,21 @@ class Schema:
 
     @classmethod
     def from_json(cls, text: str) -> "Schema":
-        """The schema in JSON text. Names and the outcome must be strings, and levels
-        integers of magnitude at most 2**53, which a float64 column holds exactly."""
+        """The schema in JSON text. Names and the outcome must be strings; levels are
+        checked as every :class:`VariableSpec`'s are."""
         try:
             doc = json.loads(text)
         except (ValueError, RecursionError) as e:  # nested too deep; an integer too long
             raise DataValidationError(f"schema file is not valid JSON: {e}") from None
         try:
-            variables = tuple(
-                VariableSpec(
-                    name=v["name"],
-                    kind=v["kind"],
-                    levels=tuple(v["levels"]) if "levels" in v else None,
-                )
-                for v in doc["variables"]
-            )
-            schema = cls(variables=variables, outcome=doc["outcome"])
+            schema = cls(tuple(VariableSpec(v["name"], v["kind"],
+                                            tuple(v["levels"]) if "levels" in v else None)
+                               for v in doc["variables"]), doc["outcome"])
         except (KeyError, TypeError) as e:
             raise DataValidationError(f"malformed schema document: {e}") from e
         for name in (*schema.names, schema.outcome):
             if type(name) is not str:
                 raise DataValidationError(f"name {name!r} is not a string")
-        for v in schema.variables:
-            if not all(type(x) is int and abs(x) <= 2**53 for x in v.levels or ()):
-                raise DataValidationError(f"levels of {v.name!r} are not integers of "
-                                          f"magnitude at most 2**53: {v.levels!r}")
         return schema
 
     @classmethod
@@ -344,19 +340,23 @@ def add_noise(data: Dataset, intensity: float, seed: int) -> Dataset:
     u ~ Uniform(-intensity/2, +intensity/2); range_j is the observed max - min
     (1 if the column is constant). All columns become continuous in the output
     schema, since integer codes plus fractional noise no longer match declared
-    levels. Labels are untouched.
+    levels. Labels are untouched. An intensity taking a value past the float range
+    is refused.
     """
     if not 0 <= intensity < np.inf:  # also refuses nan
         raise DataValidationError(f"noise intensity {intensity} is not finite and nonnegative")
     rng = np.random.default_rng(seed)
     ranges = data.X.max(axis=0) - data.X.min(axis=0)
     ranges[ranges == 0] = 1.0
-    u = rng.uniform(-intensity / 2, intensity / 2, size=data.X.shape)
+    with np.errstate(over="ignore"):
+        X = data.X + ranges * rng.uniform(-intensity / 2, intensity / 2, size=data.X.shape)
+    if not np.isfinite(X).all():
+        raise DataValidationError(f"noise intensity {intensity} takes values past the float range")
     schema = Schema(
         tuple(VariableSpec(v.name, CONTINUOUS) for v in data.schema.variables),
         data.schema.outcome,
     )
-    return Dataset(schema, data.X + ranges * u, data.y,
+    return Dataset(schema, X, data.y,
                    provenance=f"{data.provenance}|noise:{intensity}:{seed}")
 
 

@@ -31,8 +31,8 @@ the picked node's rows by the new rule and rejects if either child is below
 ``min_leaf`` (where most of them fail); only then does it walk the subtree
 below, counting each node's rows once. Leaf terms are plain lookups in a
 per-chain memo (:class:`_Terms`) that calls :func:`leaf_log_marginal` on a
-miss, once per distinct leaf counts. :func:`run_chain` returns the trees with the
-chain's :class:`~treebma.bma.ChainRecord`, whose move counts give the acceptance rates.
+miss, once per distinct leaf counts. :func:`run_chain` returns the collected trees, in
+runs, with the chain's :class:`~treebma.bma.ChainRecord` (its move counts give the rates).
 
 The chain's draws are exactly numpy's ``default_rng(seed)`` sequence of
 ``random()`` and ``integers(k)`` values, read through a buffered reader of the
@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Dataset
-from .bma import ChainConfig, ChainRecord, Ensemble
+from .bma import ChainConfig, ChainRecord, Ensemble, Run
 from .tree import (
     DecisionTree,
     SplitRule,
@@ -440,23 +440,23 @@ def mh_step(state: ChainState, rng) -> ChainState:
 def run_chain(data: Dataset, config: ChainConfig) -> Ensemble:
     """Burn in, then collect a thinned sample of trees. Deterministic given seed.
 
-    A collection with no accepted move since the one before repeats that
-    tree object, so a run of identical trees is one shared object.
+    A collection with no accepted move since the one before lengthens that
+    collection's run; any other starts a run of the current tree.
     """
     rng = _Draws(config.seed)
     state = init_chain(data, config, rng)
     t0 = time.perf_counter()
     for _ in range(config.burn_in_steps):
         mh_step(state, rng)
-    trees, logliks = [], []
-    while len(trees) < config.collect_count:
+    runs = []  # [tree, loglik, length] lists, counted in place (cheaper than a new Run)
+    for _ in range(config.collect_count):
         accepted = sum(state.accept_counts.values())
         for _ in range(config.thin):
             mh_step(state, rng)
-        unchanged = trees and sum(state.accept_counts.values()) == accepted
-        trees.append(trees[-1] if unchanged else state.current)
-        logliks.append(state.current_loglik)
-    return Ensemble(trees, logliks, ChainRecord(
+        if not runs or sum(state.accept_counts.values()) != accepted:
+            runs.append([state.current, state.current_loglik, 0])
+        runs[-1][2] += 1
+    return Ensemble([Run(*r) for r in runs], ChainRecord(
         state.config, data.n, data.m, data.provenance, state.propose_counts,
         state.accept_counts, time.perf_counter() - t0))
 
@@ -487,8 +487,8 @@ def chain_diagnostics(ensemble: Ensemble) -> dict:
         drift_z = abs(second.mean() - first.mean()) / se if se > 0 else 0.0
     else:
         drift_z = 0.0
-    firsts, lengths = ensemble.runs()
-    leaf_counts = np.repeat([t.k_leaves for t in firsts], lengths)
+    leaf_counts = np.repeat([r.tree.k_leaves for r in ensemble.runs],
+                            [r.length for r in ensemble.runs])
     hist = {int(k): int(c) for k, c in zip(*np.unique(leaf_counts, return_counts=True))}
     return {
         "acceptance": acceptance,

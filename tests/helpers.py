@@ -1,7 +1,7 @@
-"""Shared test helpers: hand-built trees and chain records, generators of valid trees and
-of records with one fault, a routing oracle, a row-bitset oracle, the tree's id queries and
-loglik, the candidate rules, the chain state check, a scripted draw source, and the
-posterior oracles' 12 rows with every legal tree on them."""
+"""Shared test helpers: hand-built trees, ensembles and chain records, generators of
+valid trees and of records with one fault, a routing oracle, a row-bitset oracle, the
+tree's id queries and loglik, the candidate rules, the chain state check, a scripted draw
+source, and the posterior oracles' 12 rows with every legal tree on them."""
 import json
 from math import log
 
@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from treebma import ChainConfig, DecisionTree, SplitRule, deserialize, serialize
-from treebma.bma import ChainRecord
+from treebma.bma import ChainRecord, Ensemble, Run
 from treebma.dataset import Dataset, Schema, VariableSpec
 from treebma.sampler import MOVES
 from treebma.tree import candidate_splits, leaf_log_marginal, leaf_rows
@@ -144,6 +144,18 @@ def chain_record(alpha: float = 1.0) -> ChainRecord:
     """The record of a short chain with leaf prior ``alpha``, for a hand-built ensemble."""
     return ChainRecord(ChainConfig(100, 10, 1, 1, 5, 0, alpha), 8, 2, "hand-built",
                        dict.fromkeys(MOVES, 30), dict.fromkeys(MOVES, 6), 0.01)
+
+
+def ensemble(trees, logliks, chain=None) -> Ensemble:
+    """A hand-built ensemble: consecutive draws of one tree object with equal logliks
+    make one run."""
+    runs = []
+    for tree, ll in zip(trees, logliks, strict=True):
+        if runs and runs[-1].tree is tree and runs[-1].loglik == ll:
+            runs[-1] = runs[-1]._replace(length=runs[-1].length + 1)
+        else:
+            runs.append(Run(tree, ll, 1))
+    return Ensemble(runs, chain)
 
 
 def make_tree(nodes: dict, root: int) -> DecisionTree:

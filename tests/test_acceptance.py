@@ -12,7 +12,6 @@ import pytest
 
 from treebma import (
     ChainConfig,
-    Ensemble,
     chain_diagnostics,
     evaluate,
     filter_ensemble,
@@ -30,7 +29,7 @@ from treebma.tree import (
     leaf_predictive,
 )
 
-from helpers import chain_record, make_tree, oracle_data, split_rules
+from helpers import chain_record, ensemble, make_tree, oracle_data, split_rules
 
 
 def verdict(n: int, ok: bool, detail: str) -> None:
@@ -241,7 +240,7 @@ def test_criterion_7_metric_units(small_ensemble):
 
     # entropy of a deterministic predictor is 0; 63-row uniform predictor is 63 bits
     det_entropy = Prediction((1.0, 0.0)).entropy_bits
-    uniform = Ensemble(trees=[make_tree({0: (5, 5)}, 0)],
+    uniform = ensemble(trees=[make_tree({0: (5, 5)}, 0)],
                        logliks=[-1.0], chain=chain_record())
     one_var = Schema((VariableSpec("x", "continuous"),), "y")
     test63 = Dataset(one_var, np.arange(63, dtype=float)[:, None],

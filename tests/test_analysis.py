@@ -5,7 +5,6 @@ import pytest
 from treebma import (
     ChainConfig,
     DecisionTree,
-    Ensemble,
     SplitRule,
     filter_ensemble,
     predict_batch,
@@ -14,7 +13,7 @@ from treebma import (
 )
 from treebma.analysis import ARMS, derive_seed
 
-from helpers import chain_record, make_tree
+from helpers import chain_record, ensemble, make_tree
 
 
 def leaf_tree(counts=(1, 1)) -> DecisionTree:
@@ -42,24 +41,24 @@ def two_split_on(var_a: int, var_b: int) -> DecisionTree:
 class TestVariableImportance:
     def test_split_node_proportions_by_hand(self):
         # 3 split nodes total: var0 twice, var1 once
-        ens = Ensemble(trees=[stump_on(0), two_split_on(0, 1)], logliks=[-1, -1])
+        ens = ensemble(trees=[stump_on(0), two_split_on(0, 1)], logliks=[-1, -1])
         imp = variable_importance(ens, m=3)
         assert imp == pytest.approx([2 / 3, 1 / 3, 0.0])
         assert imp.sum() == pytest.approx(1.0)
 
     def test_per_tree_fractions(self):
-        ens = Ensemble(trees=[stump_on(0), two_split_on(0, 1), leaf_tree()],
+        ens = ensemble(trees=[stump_on(0), two_split_on(0, 1), leaf_tree()],
                        logliks=[-1, -1, -1])
         imp = variable_importance(ens, m=2, per_tree=True)
         assert imp == pytest.approx([2 / 3, 1 / 3])
 
     def test_all_leaf_ensemble_rejected(self):
-        ens = Ensemble(trees=[leaf_tree()], logliks=[-1])
+        ens = ensemble(trees=[leaf_tree()], logliks=[-1])
         with pytest.raises(ValueError, match="no split nodes"):
             variable_importance(ens, m=2)
 
     def test_all_leaf_ensemble_per_tree_is_zero(self):
-        ens = Ensemble(trees=[leaf_tree(), leaf_tree()], logliks=[-1, -1])
+        ens = ensemble(trees=[leaf_tree(), leaf_tree()], logliks=[-1, -1])
         assert variable_importance(ens, m=2, per_tree=True).tolist() == [0.0, 0.0]
 
     def test_sampled_ensemble_normalized(self, small_ensemble):
@@ -70,7 +69,7 @@ class TestVariableImportance:
 
 class TestFilterEnsemble:
     def test_keeps_only_nonusers_in_order(self):
-        ens = Ensemble(trees=[stump_on(0), stump_on(1), two_split_on(0, 1), leaf_tree()],
+        ens = ensemble(trees=[stump_on(0), stump_on(1), two_split_on(0, 1), leaf_tree()],
                        logliks=[-1.0, -2.0, -3.0, -4.0], chain=chain_record())
         result = filter_ensemble(ens, 0)
         assert result.omitted_count == 2
@@ -79,7 +78,7 @@ class TestFilterEnsemble:
         assert result.kept.chain is ens.chain  # the source's record, passed through
 
     def test_nothing_kept_rejected(self):
-        ens = Ensemble(trees=[stump_on(0)], logliks=[-1.0])
+        ens = ensemble(trees=[stump_on(0)], logliks=[-1.0])
         with pytest.raises(ValueError, match="nothing kept"):
             filter_ensemble(ens, 0)
 

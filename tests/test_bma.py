@@ -3,6 +3,7 @@ import json
 import math
 import tempfile
 from dataclasses import asdict
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -23,12 +24,12 @@ from treebma import (
     predict_batch,
     save_ensemble,
 )
-from treebma.bma import PREDICT_CHUNK, _stack, max_loglikelihood
+from treebma.bma import PREDICT_CHUNK, Run, _stack, max_loglikelihood
 from treebma.dataset import DataValidationError, Dataset, Schema, VariableSpec
 from treebma.tree import (TreeFormatError, _compact, _proof, deserialize, leaf_predictive,
                           serialize)
 
-from helpers import chain_record, make_tree, mutated_records, route, valid_trees
+from helpers import chain_record, ensemble, make_tree, mutated_records, route, valid_trees
 
 
 def leaf_tree(counts) -> DecisionTree:
@@ -43,17 +44,27 @@ def stump(threshold, left_counts, right_counts) -> DecisionTree:
 class TestEnsemble:
     def test_needs_trees(self):
         with pytest.raises(ValueError, match="at least one tree"):
-            Ensemble(trees=[], logliks=[])
+            ensemble(trees=[], logliks=[])
 
-    def test_loglik_count_must_match(self):
-        with pytest.raises(ValueError, match="one loglik per tree"):
-            Ensemble(trees=[leaf_tree((1, 1))], logliks=[])
+    def test_runs_must_be_nonempty(self):
+        """A run stands for at least one draw; an empty run list holds no tree."""
+        for runs in ([], [Run(leaf_tree((1, 1)), -1.0, 0)],
+                     [Run(leaf_tree((1, 1)), -1.0, 2), Run(leaf_tree((2, 1)), -2.0, 0)]):
+            with pytest.raises(ValueError, match="runs of length >= 1"):
+                Ensemble(runs)
+
+    def test_per_draw_views(self):
+        a, b = leaf_tree((1, 1)), leaf_tree((2, 1))
+        ens = Ensemble([Run(a, -1.0, 2), Run(b, -2.0, 1), Run(a, -1.0, 1)])
+        assert len(ens) == 4
+        assert ens.trees == [a, a, b, a] and ens.trees[1] is a
+        assert ens.logliks == [-1.0, -1.0, -2.0, -1.0]
 
     def test_alpha_read_from_chain_record(self):
         """alpha comes from the chain record only; scoring trees without one raises."""
-        ens = Ensemble(trees=[leaf_tree((1, 1))], logliks=[-1.0], chain=chain_record(2.0))
+        ens = ensemble(trees=[leaf_tree((1, 1))], logliks=[-1.0], chain=chain_record(2.0))
         assert ens.dirichlet_alpha == 2.0
-        bare = Ensemble(trees=[leaf_tree((1, 1))], logliks=[-1.0])
+        bare = ensemble(trees=[leaf_tree((1, 1))], logliks=[-1.0])
         for score in (lambda: bare.dirichlet_alpha, lambda: predict(bare, [0.0])):
             with pytest.raises(ValueError, match="no chain record"):
                 score()
@@ -76,14 +87,14 @@ class TestPrediction:
 class TestPredict:
     def test_single_leaf_posterior_mean(self):
         # counts (3,1), alpha=1: p = (4/6, 2/6)
-        ens = Ensemble(trees=[leaf_tree((3, 1))], logliks=[-1.0], chain=chain_record())
+        ens = ensemble(trees=[leaf_tree((3, 1))], logliks=[-1.0], chain=chain_record())
         p = predict(ens, [0.0])
         assert p.p == pytest.approx((4 / 6, 2 / 6), abs=1e-12)
 
     def test_two_tree_average_by_hand(self):
         # stump sends x=1 left -> leaf (2,0): p=(3/4, 1/4)
         # leaf tree (1,3): p=(2/6, 4/6); average = (13/24, 11/24)
-        ens = Ensemble(
+        ens = ensemble(
             trees=[stump(1.5, (2, 0), (0, 2)), leaf_tree((1, 3))],
             logliks=[-1.0, -2.0], chain=chain_record(),
         )
@@ -91,7 +102,7 @@ class TestPredict:
         assert p.p == pytest.approx((13 / 24, 11 / 24), abs=1e-12)
 
     def test_batch_shape_and_rows(self):
-        ens = Ensemble(trees=[stump(1.5, (2, 0), (0, 2))], logliks=[-1.0], chain=chain_record())
+        ens = ensemble(trees=[stump(1.5, (2, 0), (0, 2))], logliks=[-1.0], chain=chain_record())
         X = np.array([[1.0], [2.0]])
         probs = predict_batch(ens, X)
         assert probs.shape == (2, 2)
@@ -99,12 +110,12 @@ class TestPredict:
         assert probs[1] == pytest.approx((1 / 4, 3 / 4))
 
     def test_arity_check(self):
-        ens = Ensemble(trees=[stump(1.5, (1, 0), (0, 1))], logliks=[-1.0], chain=chain_record())
+        ens = ensemble(trees=[stump(1.5, (1, 0), (0, 1))], logliks=[-1.0], chain=chain_record())
         with pytest.raises(ValueError, match="arity"):
             predict_batch(ens, np.zeros((2, 0)))
 
     def test_requires_2d(self):
-        ens = Ensemble(trees=[leaf_tree((1, 1))], logliks=[-1.0], chain=chain_record())
+        ens = ensemble(trees=[leaf_tree((1, 1))], logliks=[-1.0], chain=chain_record())
         with pytest.raises(ValueError, match="2-d"):
             predict_batch(ens, np.zeros(3))
 
@@ -157,7 +168,7 @@ class TestPredictBatchExact:
     def test_matches_route_oracle(self, pool, picks, alpha, n_rows, seed):
         """Bit-identical to the per-row oracle: consecutive and scattered repeats of one object."""
         trees = [pool[i % len(pool)] for i in picks]
-        ens = Ensemble(trees=trees, logliks=[-1.0] * len(trees),
+        ens = ensemble(trees=trees, logliks=[-1.0] * len(trees),
                        chain=chain_record(alpha))
         X = grid_rows(np.random.default_rng(seed), n_rows)
         assert np.array_equal(predict_batch(ens, X), routed_oracle(ens, X))
@@ -169,7 +180,7 @@ class TestPredictBatchExact:
         """150 runs (150 to 450 trees), more than PREDICT_CHUNK: single leaves, far repeats."""
         pool.append(leaf_tree((4, 1)))
         trees = [pool[i % len(pool)] for i, k in enumerate(lengths) for _ in range(k)]
-        ens = Ensemble(trees=trees, logliks=[-1.0] * len(trees), chain=chain_record())
+        ens = ensemble(trees=trees, logliks=[-1.0] * len(trees), chain=chain_record())
         assert sum(a is not b for a, b in zip(trees, [None] + trees)) > PREDICT_CHUNK
         X = grid_rows(np.random.default_rng(len(trees)), 30)
         assert np.array_equal(predict_batch(ens, X), routed_oracle(ens, X))
@@ -181,7 +192,7 @@ class TestPredictBatchExact:
                  for k in range(14)}
         leaves = {2 * k + 1: (k % 3, 1 + k % 2) for k in range(14)}
         deep = make_tree({**spine, **leaves, 28: (0, 5)}, 0)
-        ens = Ensemble(trees=[deep, stump(0.5, (1, 2), (3, 0)), deep], logliks=[-1.0] * 3,
+        ens = ensemble(trees=[deep, stump(0.5, (1, 2), (3, 0)), deep], logliks=[-1.0] * 3,
                        chain=chain_record())
         X = np.column_stack([np.arange(-1.0, 16.0, 0.5), np.zeros(34)])
         assert np.array_equal(predict_batch(ens, X), routed_oracle(ens, X))
@@ -189,7 +200,7 @@ class TestPredictBatchExact:
     def test_single_leaf_trees_only(self):
         """No split rule, so no mask: every row gets the leaves' mean pair."""
         a, b = leaf_tree((4, 1)), leaf_tree((0, 3))
-        ens = Ensemble(trees=[a, a, b], logliks=[-1.0, -1.0, -2.0], chain=chain_record())
+        ens = ensemble(trees=[a, a, b], logliks=[-1.0, -1.0, -2.0], chain=chain_record())
         X = grid_rows(np.random.default_rng(5), 7)
         expected = (2 * np.array(leaf_predictive((4, 1), 1.0))
                     + np.array(leaf_predictive((0, 3), 1.0))) / 3
@@ -212,14 +223,14 @@ class TestDistinctRules:
         predict exactly as the same lines read with one shared table."""
         lines = [serialize(pool[i % len(pool)]) for i in picks]
         interned: dict = {}
-        shared = Ensemble(trees=[deserialize(ln, rules=interned)[0] for ln in lines],
+        shared = ensemble(trees=[deserialize(ln, rules=interned)[0] for ln in lines],
                           logliks=[-1.0] * len(lines), chain=chain_record())
-        distinct = Ensemble(trees=[deserialize(ln)[0] for ln in lines],
+        distinct = ensemble(trees=[deserialize(ln)[0] for ln in lines],
                             logliks=[-1.0] * len(lines), chain=chain_record())
         X = grid_rows(np.random.default_rng(seed), 15)
         assert np.array_equal(predict_batch(distinct, X), predict_batch(shared, X))
-        assert len(_stack(shared.runs()[0], 1.0)[0]) == len(interned)
-        assert len(_stack(distinct.runs()[0], 1.0)[0]) >= len(interned)
+        assert len(_stack([r.tree for r in shared.runs], 1.0)[0]) == len(interned)
+        assert len(_stack([r.tree for r in distinct.runs], 1.0)[0]) >= len(interned)
 
 
 class TestEvaluateSelection:
@@ -248,28 +259,29 @@ class TestEvaluateSelection:
     def test_matches_two_evaluations(self, pool, picks, variable, alpha, n_rows, seed):
         """Shared-object runs, scattered repeats and any filtered variable (2 is unused)."""
         trees = [pool[i % len(pool)] for i in picks]
-        ens = Ensemble(trees=trees, logliks=[float(-i % 7) for i in range(len(trees))],
+        ens = ensemble(trees=trees, logliks=[float(-i % 7) for i in range(len(trees))],
                        chain=chain_record(alpha))
         self.check(ens, variable, grid_rows(np.random.default_rng(seed), n_rows))
 
     def test_dropped_run_between_kept_runs(self):
-        """[A, B, A] with B filtered out: the kept trees form one run of A."""
+        """[A, B, A] with B filtered out: the kept runs stay as they were, A twice at
+        -3.0, then A once at -2.0."""
         a = stump(1.0, (3, 1), (0, 2))
         b = make_tree({0: (SplitRule(1, level=2), 1, 2), 1: (1, 1), 2: (4, 0)}, 0)
-        ens = Ensemble(trees=[a, a, b, a], logliks=[-3.0, -3.0, -1.0, -2.0], chain=chain_record())
+        ens = ensemble(trees=[a, a, b, a], logliks=[-3.0, -3.0, -1.0, -2.0], chain=chain_record())
         selection = filter_ensemble(ens, 1)
         assert selection.kept_runs == [True, False, True]
-        assert len(selection.kept.runs()[0]) == 1
+        assert selection.kept.runs == [Run(a, -3.0, 2), Run(a, -2.0, 1)]
         self.check(ens, 1, grid_rows(np.random.default_rng(3), 20))
 
     def test_selection_of_another_ensemble_rejected(self):
         """Run flags of an ensemble with more or fewer runs raise instead of
         cutting the full sum short."""
         a, b = stump(1.0, (3, 1), (0, 2)), leaf_tree((1, 1))
-        ens = Ensemble(trees=[a, b], logliks=[-1.0, -2.0], chain=chain_record())
+        ens = ensemble(trees=[a, b], logliks=[-1.0, -2.0], chain=chain_record())
         test = Dataset(GRID_SCHEMA, grid_rows(np.random.default_rng(0), 4), np.array([0, 1] * 2))
         for other in ([a], [a, b, a]):
-            selection = filter_ensemble(Ensemble(trees=other, logliks=[-1.0] * len(other)), 1)
+            selection = filter_ensemble(ensemble(trees=other, logliks=[-1.0] * len(other)), 1)
             with pytest.raises(ValueError, match="run flags"):
                 evaluate_selection(ens, selection, test)
 
@@ -280,8 +292,8 @@ class TestEvaluateSelection:
     def test_longer_than_one_chunk(self, pool, lengths, variable):
         pool.append(leaf_tree((4, 1)))
         trees = [pool[i % len(pool)] for i, k in enumerate(lengths) for _ in range(k)]
-        ens = Ensemble(trees=trees, logliks=[-1.0] * len(trees), chain=chain_record())
-        assert len(ens.runs()[0]) > PREDICT_CHUNK
+        ens = ensemble(trees=trees, logliks=[-1.0] * len(trees), chain=chain_record())
+        assert len(ens.runs) > PREDICT_CHUNK
         self.check(ens, variable, grid_rows(np.random.default_rng(len(trees)), 30))
 
 
@@ -293,7 +305,7 @@ class TestEvaluate:
         return Dataset(schema, X, np.array([0, 0, 1, 1]))
 
     def test_metrics_by_hand(self, one_var_data):
-        ens = Ensemble(trees=[stump(2.5, (4, 0), (0, 4))], logliks=[-3.5], chain=chain_record())
+        ens = ensemble(trees=[stump(2.5, (4, 0), (0, 4))], logliks=[-3.5], chain=chain_record())
         rep = evaluate(ens, one_var_data)
         assert rep.performance_pct == 100.0
         # each point: p = (5/6, 1/6) or (1/6, 5/6); entropy identical per point
@@ -305,12 +317,12 @@ class TestEvaluate:
         assert rep.per_point[0][0] == 0  # true label recorded
 
     def test_tie_counts_as_class_zero(self, one_var_data):
-        ens = Ensemble(trees=[leaf_tree((2, 2))], logliks=[-1.0], chain=chain_record())
+        ens = ensemble(trees=[leaf_tree((2, 2))], logliks=[-1.0], chain=chain_record())
         rep = evaluate(ens, one_var_data)
         assert rep.performance_pct == 50.0  # predicts 0 everywhere
 
     def test_max_loglikelihood(self):
-        ens = Ensemble(trees=[leaf_tree((1, 1)), leaf_tree((2, 2))],
+        ens = ensemble(trees=[leaf_tree((1, 1)), leaf_tree((2, 2))],
                        logliks=[-5.0, -3.0])
         assert max_loglikelihood(ens) == -3.0
 
@@ -376,7 +388,7 @@ class TestEnsembleIO:
         DataValidationError naming the file, and nothing else."""
         with tempfile.TemporaryDirectory() as tmp:
             ens_path, meta_path = Path(tmp) / "e.jsonl", Path(tmp) / "metadata.json"
-            save_ensemble(Ensemble([leaf_tree((1, 1))], [-1.0], chain_record()), ens_path)
+            save_ensemble(ensemble([leaf_tree((1, 1))], [-1.0], chain_record()), ens_path)
             meta_path.write_text(json.dumps(doc))
             with pytest.raises(DataValidationError) as caught:
                 load_ensemble(ens_path)
@@ -414,16 +426,31 @@ class TestEnsembleIO:
             load_ensemble(p, schema=tiny_schema)
 
     def test_repeated_line_shares_one_tree(self, tmp_path):
-        """A line equal to the one before shares its object; a later repeat is parsed again."""
+        """A line equal to the one before lengthens its run; a later repeat starts a run."""
         p = tmp_path / "e.jsonl"
         a = serialize(stump(1.5, (2, 0), (0, 2)), loglik=-1.0) + "\n"
         b = serialize(leaf_tree((1, 3)), loglik=-2.0) + "\n"
         p.write_text(a + a + b + a)
         ens = load_ensemble(p)
-        assert ens.trees[1] is ens.trees[0] and ens.logliks[1] is ens.logliks[0]
-        assert ens.trees[2] is not ens.trees[1]
-        assert ens.trees[3] is not ens.trees[0] and ens.trees[3] == ens.trees[0]
+        assert [(r.loglik, r.length) for r in ens.runs] == [(-1.0, 2), (-2.0, 1), (-1.0, 1)]
+        assert ens.runs[2].tree is not ens.runs[0].tree and ens.runs[2].tree == ens.runs[0].tree
         assert ens.logliks == [-1.0, -1.0, -2.0, -1.0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(pool=st.lists(valid_trees(max_splits=3), min_size=1, max_size=3),
+           picks=st.lists(st.integers(0, 5), min_size=1, max_size=25))
+    def test_one_run_per_block_of_identical_lines(self, pool, picks):
+        """Lines drawn from a few records: each maximal block of identical lines is one
+        run, with the block's length, and saving the runs gives the lines back."""
+        lines = [serialize(pool[i % len(pool)], loglik=-float(i % 2)) + "\n" for i in picks]
+        blocks = [len(list(g)) for _, g in groupby(lines)]
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "e.jsonl"
+            p.write_text("".join(lines))
+            ens = load_ensemble(p)
+            assert [r.length for r in ens.runs] == blocks
+            save_ensemble(ens, p)
+            assert p.read_text() == "".join(lines)
 
     def test_malformed_line_after_a_run_reports_lineno(self, tmp_path):
         p = tmp_path / "e.jsonl"
@@ -435,7 +462,7 @@ class TestEnsembleIO:
     def test_save_writes_a_run_line_per_tree(self, tmp_path):
         t, u = stump(1.5, (2, 0), (0, 2)), leaf_tree((1, 3))
         ll, ll_u = -1.0, -2.0
-        ens = Ensemble(trees=[t, t, t, u, t], logliks=[ll, ll, ll, ll_u, ll])
+        ens = ensemble(trees=[t, t, t, u, t], logliks=[ll, ll, ll, ll_u, ll])
         p = tmp_path / "e.jsonl"
         save_ensemble(ens, p)
         lines = p.read_text().splitlines()

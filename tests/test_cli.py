@@ -1,5 +1,7 @@
 """End-to-end command-line runs in a temp directory with small chain budgets."""
+import contextlib
 import csv
+import io
 import json
 import tempfile
 from dataclasses import asdict
@@ -8,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treebma import (
     ChainConfig,
@@ -233,6 +236,42 @@ class TestExitCodes:
         assert f"error: noise intensity {noise} is not finite and nonnegative" in err
         assert "Traceback" not in err
         assert not (out / "compare.csv").exists()
+
+    def test_compare_overflowing_noise(self, synth_dir, tmp_path, capsys):
+        """Noise past the float range is the --noise value's fault, not the data's."""
+        out = tmp_path / "cmp"
+        rc = main(["compare", "--data", str(synth_dir / "data.csv"), "--noise", "1e308",
+                   *FAST, "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: noise intensity 1e+308 takes values past the float range\n"
+        assert not out.exists()
+
+    @settings(max_examples=100, deadline=None)
+    @given(command=st.sampled_from(["train", "compare"]),
+           ints=st.fixed_dictionaries({}, optional={
+               flag: st.integers(-3, 40) | st.integers(-2**70, 2**70)
+               for flag in ("--seed", "--variable", "--min-leaf", "--s-max")}),
+           noise=st.none() | st.floats() | st.floats(0, 0.5))
+    @example(command="compare", ints={}, noise=1e308)
+    def test_numeric_flags_end_in_exit_0_or_an_error_line(self, synth_dir, command, ints,
+                                                           noise):
+        """Any integer for --seed, --variable, --min-leaf and --s-max, and any float for
+        --noise, ends in exit 0 or in exit 1 with one ``error:`` line, never a traceback."""
+        flags = dict(ints)
+        if command == "train":  # train has no --variable or --noise
+            flags.pop("--variable", None)
+        elif noise is not None:
+            flags["--noise"] = noise
+        argv = [command, "--data", str(synth_dir / "data.csv"), "--burn-in", "20",
+                "--collect", "5", *(["--folds", "2"] if command == "compare" else []),
+                *(f"{flag}={value!r}" for flag, value in flags.items())]
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            rc = main([*argv, "--out-dir", str(Path(tmp) / "o")])
+        assert (rc, err.getvalue()) == (0, "") or \
+            rc == 1 and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
     def test_missing_data_file_is_io_error(self, tmp_path):
         rc = main(["train", "--data", str(tmp_path / "nope.csv"), *FAST,

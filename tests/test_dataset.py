@@ -50,6 +50,21 @@ class TestVariableSpec:
         with pytest.raises(DataValidationError, match="distinct and ascending"):
             VariableSpec("a", "categorical", (0, 0, 1))
 
+    @pytest.mark.parametrize("levels", [(0, 1.5), (False, True), (0, 2**53 + 1)],
+                             ids=["float-level", "bool-levels", "level-past-2**53"])
+    def test_library_levels_checked_as_the_file_reader_does(self, levels):
+        """A float level would be cut to an integer by the candidate rules; the check of
+        the schema file is this one."""
+        with pytest.raises(DataValidationError) as caught:
+            VariableSpec("a", "categorical", levels)
+        assert str(caught.value) == ("levels of 'a' are not integers of magnitude at most "
+                                     f"2**53: {levels!r}")
+
+    def test_numpy_integer_levels_accepted(self):
+        spec = VariableSpec("a", "categorical", tuple(np.arange(3, dtype=np.int64)))
+        assert spec.levels == (0, 1, 2) and all(type(x) is int for x in spec.levels)
+        assert Schema.from_json(Schema((spec,), "y").to_json()).variables == (spec,)
+
     def test_continuous_must_not_list_levels(self):
         with pytest.raises(DataValidationError, match="must not list levels"):
             VariableSpec("a", "continuous", (0, 1))
@@ -423,6 +438,14 @@ class TestAddNoise:
     def test_negative_intensity_rejected(self, small_data):
         with pytest.raises(DataValidationError, match="nonnegative"):
             add_noise(small_data, -0.1, seed=0)
+
+    @pytest.mark.parametrize("intensity", [1e308, 5e307])
+    def test_overflowing_intensity_rejected(self, small_data, intensity):
+        """Noise past the float range is refused as the intensity's fault, not the data's."""
+        with pytest.raises(DataValidationError) as caught:
+            add_noise(small_data, intensity, seed=0)
+        assert str(caught.value) == (f"noise intensity {intensity} takes values past the "
+                                     "float range")
 
     def test_deterministic(self, small_data):
         a = add_noise(small_data, 0.01, seed=4)

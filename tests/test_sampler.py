@@ -2,6 +2,7 @@
 import random
 from collections import Counter
 from dataclasses import replace
+from itertools import groupby
 from math import exp
 
 import numpy as np
@@ -405,7 +406,9 @@ class TestRunChain:
         assert a.logliks == b.logliks
 
     def test_repeats_share_objects_only_without_acceptance(self, small_data):
-        """A collected tree repeats the object before it iff no move was accepted in between."""
+        """A collection lengthens the run before it iff no move was accepted in between, so
+        the run lengths sum to the collection count, adjacent runs hold distinct tree
+        objects, and a collected tree repeats the object before it only within a run."""
         cfg = ChainConfig(burn_in_steps=200, collect_count=300, thin=2, min_leaf=5, seed=8)
         ens = run_chain(small_data, cfg)
         rng = np.random.default_rng(cfg.seed)
@@ -417,6 +420,9 @@ class TestRunChain:
             for _ in range(cfg.thin):
                 mh_step(state, rng)
             accepted.append(sum(state.accept_counts.values()))
+        assert [r.length for r in ens.runs] == [len(list(g)) for _, g in groupby(accepted)]
+        assert sum(r.length for r in ens.runs) == cfg.collect_count
+        assert all(a.tree is not b.tree for a, b in zip(ens.runs, ens.runs[1:]))
         shared = [a is b for a, b in zip(ens.trees[1:], ens.trees)]
         assert shared == [a == b for a, b in zip(accepted[1:], accepted)]
         assert 0 < sum(shared) < len(shared)
