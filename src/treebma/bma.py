@@ -30,7 +30,6 @@ import json
 from dataclasses import asdict, dataclass, fields
 from itertools import chain
 from math import inf, isfinite
-from numbers import Real
 from pathlib import Path
 from typing import NamedTuple
 
@@ -80,7 +79,7 @@ class ChainConfig:
             if not (type(value) is int and value >= low or name == "s_max" and value is None):
                 raise ValueError(f"{name} {value!r} is not an integer >= {low}")
         alpha = self.dirichlet_alpha
-        if isinstance(alpha, bool) or not isinstance(alpha, Real) or not 0 < alpha < inf:
+        if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 < alpha < inf:
             raise ValueError(f"dirichlet_alpha {alpha!r} is not a finite positive number")
 
 
@@ -95,6 +94,21 @@ class ChainRecord:
     proposed: dict[str, int]
     accepted: dict[str, int]
     duration_s: float
+
+    def __post_init__(self):  # types as the metadata.json reader requires them
+        if not (isinstance(self.config, ChainConfig) and type(self.config.s_max) is int):
+            raise ValueError(f"config {self.config!r} is not a ChainConfig with s_max resolved")
+        if type(self.provenance) is not str:
+            raise ValueError(f"provenance {self.provenance!r} is not a string")
+        for name in ("n", "m", "duration_s"):  # integers, and a number that may be a float
+            value, number = getattr(self, name), name == "duration_s"
+            if not (type(value) is int or number and type(value) is float and isfinite(value)):
+                raise ValueError(f"{name} {value!r} is not "
+                                 f"{'a finite number' if number else 'an integer'}")
+        if not all(type(d) is dict and d.keys() == self.proposed.keys()
+                   and all(type(k) is str and type(c) is int for k, c in d.items())
+                   for d in (self.proposed, self.accepted)):
+            raise ValueError("proposed and accepted are not integer counts of the same moves")
 
 
 class Run(NamedTuple):
@@ -333,9 +347,10 @@ def load_ensemble(path, meta_path=None, schema: Schema | None = None) -> Ensembl
     With a ``schema``, every split must fit it; each distinct rule of the
     file is built and checked once, and each distinct node text of a compact
     line decoded and checked once (see :func:`treebma.tree.deserialize`).
-    A malformed record raises TreeFormatError naming ``path:line``. A line
-    identical to the record before it is not parsed again: it lengthens that
-    record's run (identical text passes the same checks).
+    A malformed record raises TreeFormatError naming ``path:line``, a file with
+    no record one naming ``path``. A line identical to the record before it is
+    not parsed again: it lengthens that record's run (identical text passes the
+    same checks).
     """
     runs, prev, rules, nodes = [], None, {}, {}  # runs: [tree, loglik, length] lists
     with Path(path).open(encoding="utf-8") as fh:
@@ -353,6 +368,8 @@ def load_ensemble(path, meta_path=None, schema: Schema | None = None) -> Ensembl
                 raise TreeFormatError(f"{path}:{lineno}: tree record missing loglik")
             runs.append([tree, ll, 1])
             prev = line
+    if not runs:
+        raise TreeFormatError(f"{path}: no tree records")
     runs = [Run(*r) for r in runs]
     if meta_path is None:  # only the default sidecar may be absent
         meta_path = Path(path).with_name("metadata.json")
@@ -383,18 +400,11 @@ def _read_chain(path: Path) -> ChainRecord:
         if faults:
             raise bad(f"{where}: {', '.join(faults)}")
         obj, where = doc["config"], ": config"
-    config, proposed, accepted = doc["config"], doc["proposed"], doc["accepted"]
-    if type(doc["provenance"]) is not str:
-        raise bad(f": provenance {doc['provenance']!r} is not a string")
-    for key, value in [("n", doc["n"]), ("m", doc["m"]), ("duration_s", doc["duration_s"]),
-                       *config.items()]:  # integers, and two numbers that may be floats
-        number = key in ("duration_s", "dirichlet_alpha")
-        if not (type(value) is int or number and type(value) is float and isfinite(value)):
-            raise bad(f": {key} {value!r} is not {'a finite number' if number else 'an integer'}")
-    if not (type(proposed) is type(accepted) is dict and proposed.keys() == accepted.keys()
-            and all(type(c) is int for c in [*proposed.values(), *accepted.values()])):
-        raise bad(": proposed and accepted are not integer counts of the same moves")
     try:
-        return ChainRecord(**{**doc, "config": ChainConfig(**config)})
+        config = ChainConfig(**doc["config"])
     except ValueError as e:
         raise bad(f": config {e}") from None
+    try:
+        return ChainRecord(**{**doc, "config": config})
+    except ValueError as e:
+        raise bad(f": {e}") from None

@@ -50,6 +50,8 @@ class VariableSpec:
     levels: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if type(self.name) is not str:
+            raise DataValidationError(f"name {self.name!r} is not a string")
         if self.kind not in (CONTINUOUS, CATEGORICAL):
             raise DataValidationError(f"unknown variable kind {self.kind!r} for {self.name!r}")
         if self.kind == CATEGORICAL:
@@ -84,6 +86,8 @@ class Schema:
         object.__setattr__(self, "variables", tuple(self.variables))
         if len(self.variables) < 1:
             raise DataValidationError("schema needs at least one feature variable")
+        if type(self.outcome) is not str:
+            raise DataValidationError(f"name {self.outcome!r} is not a string")
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names):
             raise DataValidationError("variable names must be unique")
@@ -111,22 +115,17 @@ class Schema:
 
     @classmethod
     def from_json(cls, text: str) -> "Schema":
-        """The schema in JSON text. Names and the outcome must be strings; levels are
-        checked as every :class:`VariableSpec`'s are."""
+        """The schema in JSON text, checked as every :class:`Schema` is."""
         try:
             doc = json.loads(text)
         except (ValueError, RecursionError) as e:  # nested too deep; an integer too long
             raise DataValidationError(f"schema file is not valid JSON: {e}") from None
         try:
-            schema = cls(tuple(VariableSpec(v["name"], v["kind"],
-                                            tuple(v["levels"]) if "levels" in v else None)
-                               for v in doc["variables"]), doc["outcome"])
+            return cls(tuple(VariableSpec(v["name"], v["kind"],
+                                          tuple(v["levels"]) if "levels" in v else None)
+                             for v in doc["variables"]), doc["outcome"])
         except (KeyError, TypeError) as e:
             raise DataValidationError(f"malformed schema document: {e}") from e
-        for name in (*schema.names, schema.outcome):
-            if type(name) is not str:
-                raise DataValidationError(f"name {name!r} is not a string")
-        return schema
 
     @classmethod
     def from_file(cls, path) -> "Schema":
@@ -159,8 +158,10 @@ class Dataset:
     provenance: str = ""
 
     def __post_init__(self):
+        if type(self.provenance) is not str:  # a chain's record holds it, as a string
+            raise DataValidationError(f"provenance {self.provenance!r} is not a string")
         X = np.ascontiguousarray(np.asarray(self.X, dtype=np.float64))
-        y = np.asarray(self.y, dtype=np.int64)
+        y = np.asarray(self.y)  # checked before the int64 cast, which would cut 0.7 to 0
         if X.ndim != 2 or X.shape[1] != self.schema.m:
             raise DataValidationError(
                 f"feature matrix shape {X.shape} does not match schema m={self.schema.m}"
@@ -172,6 +173,7 @@ class Dataset:
         bad = np.flatnonzero((y != 0) & (y != 1))
         if bad.size:
             raise DataValidationError(f"label not in {{0,1}} at row {bad[0]}")
+        y = y.astype(np.int64, copy=False)
         ok = np.isfinite(X)
         for j, var in enumerate(self.schema.variables):
             if var.is_categorical:  # levels ascend: the first level >= a value is it or not
@@ -238,47 +240,38 @@ def _parse_cell(text: str, row: int, col: int, name: str) -> float:
 
 
 def load_csv(path, schema: Schema) -> Dataset:
-    """Load and validate a header-row CSV against a schema.
+    """Load a header-row CSV, checked as every :class:`Dataset` is.
 
-    The header must name the schema's variables in order, with the outcome
-    column wherever the schema's ``outcome`` name appears (conventionally last).
+    The header must name the schema's variables in order, then the outcome
+    column. A fault of its content is a DataValidationError starting with the path.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        m = schema.m
-        rows, labels = [], []
+        names = schema.names + [schema.outcome]
+        rows = []
         try:  # a csv.Error (a cell over the field size limit) names its file line
             header = next(reader, None)
             if header is None:
-                raise DataValidationError(f"{path}: empty file")
-            expected = schema.names + [schema.outcome]
-            if [h.strip() for h in header] != expected:
-                raise DataValidationError(
-                    f"{path}: header mismatch; expected {expected}, got {header}"
-                )
+                raise DataValidationError("empty file")
+            if [h.strip() for h in header] != names:
+                raise DataValidationError(f"header mismatch; expected {names}, got {header}")
             for r, rec in enumerate(reader):
-                if len(rec) != m + 1:
+                if len(rec) != len(names):
                     raise DataValidationError(
-                        f"{path}: row {r} has {len(rec)} cells, expected {m + 1}")
-                rows.append([_parse_cell(rec[j], r, j, schema.variables[j].name)
-                             for j in range(m)])
-                lab = _parse_cell(rec[m], r, m, schema.outcome)
-                if lab not in (0.0, 1.0):
-                    raise DataValidationError(
-                        f"{path}: label {rec[m]!r} not in {{0,1}} at row {r}, column {m}"
-                    )
-                labels.append(int(lab))
+                        f"row {r} has {len(rec)} cells, expected {len(names)}")
+                rows.append([_parse_cell(text, r, j, name)
+                             for j, (text, name) in enumerate(zip(rec, names))])
+            cells = np.array(rows, dtype=np.float64).reshape(-1, len(names))
+            return Dataset(schema, cells[:, :-1], cells[:, -1], provenance=str(path))
         except csv.Error as e:
             raise DataValidationError(f"{path}: line {reader.line_num}: {e}") from None
         except UnicodeDecodeError as e:
             raise DataValidationError(f"{path}: not UTF-8 text ({e.reason})") from None
-    if not rows:
-        raise DataValidationError(f"{path}: no data rows")
-    return Dataset(schema, np.array(rows, dtype=np.float64),
-                   np.array(labels, dtype=np.int64), provenance=str(path))
+        except DataValidationError as e:  # the header, a row or the Dataset's checks
+            raise DataValidationError(f"{path}: {e}") from None
 
 
 def _fmt(v: float) -> str:

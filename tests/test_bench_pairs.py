@@ -55,6 +55,41 @@ def test_pairs_matched_by_number(summarize):
     assert s["change"]["n"] == 2
 
 
+@pytest.mark.parametrize("changes, claimable", [
+    ([9.0] * 9 + [13.0], True),       # 9 of 10 pairs won, medians 9 against 11.5
+    ([9.0] * 8 + [13.0] * 2, False),  # 8 of 10 won
+    ([10.9] * 10, False),             # 10 of 10 won, but a gain of 0.6 < quartile distance 1
+], ids=["nine-of-ten", "eight-of-ten", "unresolved"])
+def test_claimable_needs_nine_of_ten_and_resolved(tool, summarize, changes, claimable):
+    parent = results([11.0, 11.5, 12.0, 11.5, 11.0, 12.0, 11.5, 11.0, 12.0, 11.5])
+    s = summarize(parent, results(changes), "wall_ref", "lower")
+    assert tool.verdict(s, 0.25) == {"claimable": claimable, "regressed": False}
+
+
+@pytest.mark.parametrize("better, change, regressed", [
+    ("lower", 12.4, False), ("lower", 12.6, True),     # parent median 10, bound 25 %
+    ("higher", 7.6, False), ("higher", 7.4, True),
+], ids=["lower-inside", "lower-past", "higher-inside", "higher-past"])
+def test_regressed_past_the_metric_bound(tool, summarize, better, change, regressed):
+    s = summarize(results([9.0, 10.0, 11.0]), results([change] * 3), "wall_ref", better)
+    assert tool.verdict(s, 0.25) == {"claimable": False, "regressed": regressed}
+
+
+def test_report_prints_both_rules_per_metric(tool, capsys):
+    """Each end-to-end metric of BENCHMARK.json is judged against its own bound: a 19 %
+    rise in peak_rss_mb (bound 10 %) regresses, the same rise in wall_ref (25 %) does not."""
+    def side(scale):
+        return [{"pair": p, "failed": 0, "metrics": {
+            m["name"]: {"value": (1.2 if m["name"] in ("wall_ref", "peak_rss_mb") else 1.0)
+                        * scale + 0.01 * p} for m in tool.SPEC["end_to_end"]}}
+            for p in range(1, 11)]
+    tool.report("train", {"parent": side(1.0 / 1.2), "change": side(1.0)})
+    lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()[1:-1]}
+    assert sorted(lines) == sorted(m["name"] for m in tool.SPEC["end_to_end"])
+    assert lines["peak_rss_mb"].endswith("claimable False  regressed True")
+    assert lines["wall_ref"].endswith("claimable False  regressed False")
+
+
 def test_workload_list_split(tool):
     args = tool.parse_args(["--workload", "train,compare, posthoc", "--seed", "3"])
     assert args.workload == ["train", "compare", "posthoc"]

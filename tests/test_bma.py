@@ -2,7 +2,8 @@
 import json
 import math
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
+from fractions import Fraction
 from itertools import groupby
 from pathlib import Path
 
@@ -24,8 +25,9 @@ from treebma import (
     predict_batch,
     save_ensemble,
 )
-from treebma.bma import PREDICT_CHUNK, Run, _stack, max_loglikelihood
+from treebma.bma import PREDICT_CHUNK, ChainConfig, ChainRecord, Run, _stack, max_loglikelihood
 from treebma.dataset import DataValidationError, Dataset, Schema, VariableSpec
+from treebma.sampler import MOVES
 from treebma.tree import (TreeFormatError, _compact, _proof, deserialize, leaf_predictive,
                           serialize)
 
@@ -347,6 +349,81 @@ def mutated_sidecars(draw):
             v for v in OTHER_VALUES if type(v) is not type(owner[key])
             and not (type(owner[key]) is float and type(v) is int)]))
     return doc
+
+
+CONFIG_KEYS = {f.name for f in fields(ChainConfig)}
+
+
+class TestChainRecord:
+    """A ChainRecord refuses at construction what the metadata.json reader refuses, and one
+    it accepts is read back equal from the sidecar."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n", 30.0, "n 30.0 is not an integer"),
+        ("m", True, "m True is not an integer"),
+        ("provenance", None, "provenance None is not a string"),
+        ("duration_s", math.nan, "duration_s nan is not a finite number"),
+        ("duration_s", "0.5", "duration_s '0.5' is not a finite number"),
+        ("proposed", {"birth": 1}, "proposed and accepted are not integer counts of the "
+                                   "same moves"),
+        ("accepted", dict.fromkeys(MOVES, 1.0),
+         "proposed and accepted are not integer counts of the same moves"),
+        ("config", ChainConfig(), f"config {ChainConfig()!r} is not a ChainConfig with s_max "
+                                  "resolved"),
+    ], ids=["float-n", "bool-m", "none-provenance", "nan-duration", "str-duration",
+            "other-moves", "float-counts", "unresolved-s-max"])
+    def test_field_refused(self, field, value, message):
+        """n=30.0 was once saved to a metadata.json that load_ensemble refused."""
+        with pytest.raises(ValueError) as caught:
+            replace(chain_record(), **{field: value})
+        assert str(caught.value) == message
+
+    @settings(max_examples=120, deadline=None)
+    @given(doc=mutated_sidecars())
+    def test_mutated_sidecar_is_refused_by_the_constructors(self, doc):
+        """Each mutant the reader refuses is refused by ChainConfig(...) and ChainRecord(...):
+        a retyped value as ValueError, a missing or unknown key as TypeError. A dropped
+        config key alone passes, since ChainConfig's default fills it: the reader's key
+        check is the one that refuses it."""
+        config = doc.get("config")
+        if type(config) is dict and config.keys() < CONFIG_KEYS:
+            return
+        keys_ok = doc.keys() == {f.name for f in fields(ChainRecord)} and (
+            type(config) is not dict or config.keys() == CONFIG_KEYS)
+        with pytest.raises(ValueError if keys_ok else TypeError):
+            ChainRecord(**{**doc, **({"config": ChainConfig(**config)}
+                                     if type(config) is dict else {})})
+
+    @settings(max_examples=150, deadline=None)
+    @given(config=st.fixed_dictionaries({
+               "burn_in_steps": st.integers(0), "collect_count": st.integers(1),
+               "thin": st.integers(1), "min_leaf": st.integers(1),
+               "s_max": st.integers(1), "seed": st.integers(0),
+               "dirichlet_alpha": st.floats(0.01, 1e300) | st.integers(1) | st.sampled_from(
+                   [np.float64(0.5), np.float32(0.5), np.int64(2), Fraction(1, 2)])}),
+           n=st.integers(), m=st.integers(), provenance=st.text(),
+           counts=st.dictionaries(st.text(max_size=3), st.tuples(st.integers(), st.integers())),
+           duration=st.floats(allow_nan=False, allow_infinity=False) | st.integers(),
+           fault=st.none() | st.sampled_from([("n", 30.0), ("m", True), ("provenance", None),
+                                              ("duration_s", np.float64(0.5)),
+                                              ("proposed", {1: 1}), ("config", ChainConfig())]))
+    def test_accepted_record_round_trips(self, config, n, m, provenance, counts, duration,
+                                         fault):
+        """Fields drawn from values the constructors accept, now and then with one that they
+        refuse (alphas JSON cannot hold; the one field of ``fault``); what is accepted is
+        saved and read back equal."""
+        kwargs = dict(n=n, m=m, provenance=provenance, duration_s=duration,
+                      proposed={k: p for k, (p, _) in counts.items()},
+                      accepted={k: a for k, (_, a) in counts.items()})
+        kwargs.update([fault] if fault else [])
+        try:
+            record = ChainRecord(**{"config": ChainConfig(**config), **kwargs})
+        except ValueError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            ens_path, meta_path = Path(tmp) / "e.jsonl", Path(tmp) / "m.json"
+            save_ensemble(ensemble([leaf_tree((1, 1))], [-1.0], record), ens_path, meta_path)
+            assert load_ensemble(ens_path, meta_path).chain == record
 
 
 class TestEnsembleIO:

@@ -356,6 +356,19 @@ class TestExitCodes:
             f"error: {ens}:2: leaf 2 counts None are not two non-negative integers\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("text", ["", "\n \n\n"], ids=["empty", "blank-lines"])
+    def test_ensemble_without_a_tree_names_the_file(self, tmp_path, capsys, text):
+        """A file with no tree line is a format error naming it, as every other fault of an
+        ensemble file is."""
+        ens = tmp_path / "e.jsonl"
+        ens.write_text(text)
+        rc = main(["importance", "--ensemble", str(ens), "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {ens}: no tree records\n"
+        assert not (tmp_path / "o").exists()
+        with pytest.raises(TreeFormatError):
+            load_ensemble(ens)
+
     @pytest.mark.parametrize("split", [{"var": 1.0, "thr": 0.5}, {"var": True, "level": 1}],
                              ids=["float-var", "bool-var"])
     def test_malformed_split_rule(self, synth_dir, tmp_path, split):

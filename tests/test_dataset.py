@@ -87,6 +87,17 @@ class TestSchema:
     def test_json_round_trip(self, tiny_schema):
         assert Schema.from_json(tiny_schema.to_json()) == tiny_schema
 
+    @pytest.mark.parametrize("name, outcome, message", [
+        (5, "y", "name 5 is not a string"), (None, "y", "name None is not a string"),
+        ("a", 7, "name 7 is not a string"), ("a", ["y"], "name ['y'] is not a string"),
+    ], ids=["integer-name", "none-name", "integer-outcome", "list-outcome"])
+    def test_library_names_checked_as_the_file_reader_does(self, name, outcome, message):
+        """A name or outcome that is not a string would be written to a schema file that
+        from_json refuses; the check of the schema file is this one."""
+        with pytest.raises(DataValidationError) as caught:
+            Schema((VariableSpec(name, "continuous"),), outcome)
+        assert str(caught.value) == message
+
     def test_deeply_nested_json_rejected(self):
         with pytest.raises(DataValidationError, match="not valid JSON"):
             Schema.from_json("[" * 100_000 + "]" * 100_000)
@@ -151,6 +162,26 @@ class TestDataset:
         X = np.zeros((3, 2))
         with pytest.raises(DataValidationError, match="row 1"):
             Dataset(tiny_schema, X, np.array([0, 2, 1]))
+
+    @pytest.mark.parametrize("labels, row", [([0.7, 1.9], 0), ([1, 0.5], 1), ([0, np.nan], 1),
+                                             ([0, None], 1), (["0", "1"], 0), ([2**70, 1], 0)])
+    def test_labels_checked_before_the_integer_cast(self, tiny_schema, labels, row):
+        """A label the int64 cast would cut (0.7 to 0, 1.9 to 1) or not take at all is a
+        label outside {0,1}, never a silently changed one."""
+        with pytest.raises(DataValidationError) as caught:
+            Dataset(tiny_schema, np.zeros((2, 2)), labels)
+        assert str(caught.value) == f"label not in {{0,1}} at row {row}"
+
+    def test_provenance_is_a_string(self, tiny_schema):
+        """run_chain passes it to the ChainRecord, which refuses anything else, so it is
+        refused here, before a chain has run."""
+        with pytest.raises(DataValidationError, match="^provenance 5 is not a string$"):
+            Dataset(tiny_schema, np.zeros((2, 2)), [0, 1], provenance=5)
+
+    def test_integer_valued_labels_accepted(self, tiny_schema):
+        for labels in ([0.0, 1.0], [False, True], np.array([0, 1], dtype=np.uint8)):
+            y = Dataset(tiny_schema, np.zeros((2, 2)), labels).y
+            assert y.dtype == np.int64 and y.tolist() == [0, 1]
 
     def test_non_finite_reports_position(self, tiny_schema):
         X = np.zeros((3, 2))
@@ -259,6 +290,26 @@ class TestCsv:
         with pytest.raises(DataValidationError, match="empty file"):
             load_csv(p, tiny_schema)
 
+    @pytest.mark.parametrize("body, fault", [
+        ("", "empty file"),
+        ("a,b,c\n1,0,0\n", "header mismatch; expected ['x0', 'x1', 'y'], got ['a', 'b', 'c']"),
+        ("x0,x1,y\n", "dataset needs at least one row"),
+        ("x0,x1,y\n1.0,0\n", "row 0 has 2 cells, expected 3"),
+        ("x0,x1,y\n1.0,oops,0\n", "non-numeric cell 'oops' at row 0, column 1 ('x1')"),
+        ("x0,x1,y\n1.0,0,0\n1.0,0,0.5\n", "label not in {0,1} at row 1"),
+        ("x0,x1,y\n1.0,0,0\ninf,1,1\n", "non-finite value at row 1, column 0 ('x0')"),
+        ("x0,x1,y\n1.0,7,0\n", "value 7 outside levels of 'x1' at row 0, column 1"),
+    ], ids=["empty", "header", "no-rows", "ragged", "non-numeric", "label", "non-finite",
+            "level"])
+    def test_every_fault_names_the_file(self, tiny_schema, tmp_path, body, fault):
+        """A fault of the file or of the Dataset it holds is one message starting with the
+        path; the Dataset's own checks are the ones a file's rows pass."""
+        p = tmp_path / "d.csv"
+        p.write_text(body)
+        with pytest.raises(DataValidationError) as caught:
+            load_csv(p, tiny_schema)
+        assert str(caught.value) == f"{p}: {fault}"
+
 
 # ---------------------------------------------------------------------------
 # Fuzzed schema text and CSV bytes
@@ -351,6 +402,64 @@ class TestFuzzedInputs:
                 assert (rc, err) == (1, message)
             else:  # rows that load may still admit no split (exit 1)
                 assert rc in (0, 1) and (rc == 0) != err.startswith("error: ")
+
+
+LEVEL = st.integers(-2**53, 2**53) | st.sampled_from(
+    [-2**53, 2**53, np.int64(7), np.int64(8), -2**53 - 1, True, 0.5])  # the last 3 refused
+
+
+@st.composite
+def schema_args(draw):
+    """The VariableSpec arguments and the outcome of a Schema: distinct names (one in ten
+    times, one that is not a string), each variable continuous or categorical with
+    ascending levels drawn from LEVEL."""
+    names = draw(st.lists(st.text(max_size=4), min_size=2, max_size=4, unique=True))
+    if draw(st.integers(0, 9)) == 5:
+        names[draw(st.integers(0, len(names) - 1))] = draw(st.sampled_from([5, None, ["y"]]))
+    variables = []
+    for name in names[1:]:
+        levels = draw(st.none() | st.lists(LEVEL, min_size=1, max_size=4, unique=True))
+        kind = "continuous" if levels is None else "categorical"
+        variables.append((name, kind, levels and tuple(sorted(levels))))
+    return variables, names[0]
+
+
+class TestLibraryRecordsRoundTrip:
+    """A schema or dataset that its constructor accepts is read back equal from its file:
+    the constructors make the checks that the readers' records pass."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(args=schema_args())
+    def test_schema_through_json(self, args):
+        variables, outcome = args
+        try:
+            schema = Schema(tuple(VariableSpec(*v) for v in variables), outcome)
+        except DataValidationError:
+            return
+        assert Schema.from_json(schema.to_json()) == schema
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.tuples(st.floats() | st.integers(-2**60, 2**60),
+                                   st.sampled_from([0, 1, 2, -0.0, 2.0, np.int64(1)]),
+                                   st.sampled_from([0, 1, 0.0, 1.0, True, False, np.int8(1)])),
+                         min_size=1, max_size=5),
+           fault=st.none() | st.sampled_from([(1, 1.5), (2, 0.5), (2, 2), (2, np.nan)]))
+    def test_dataset_through_csv(self, tiny_schema, rows, fault):
+        """Rows of any x0, an x1 level and a label; now and then one cell the
+        constructor refuses in the last row."""
+        if fault is not None:
+            rows[-1] = tuple(fault[1] if j == fault[0] else v for j, v in enumerate(rows[-1]))
+        try:
+            data = Dataset(tiny_schema, [row[:2] for row in rows], [row[2] for row in rows])
+        except DataValidationError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            save_csv(data, path)
+            back = load_csv(path, tiny_schema)
+        assert back.schema == data.schema and back.provenance == str(path)
+        assert back.X.tobytes() == data.X.tobytes()  # bit for bit, signs of zeros too
+        assert back.y.dtype == data.y.dtype and back.y.tolist() == data.y.tolist()
 
 
 # ---------------------------------------------------------------------------

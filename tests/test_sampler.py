@@ -2,6 +2,7 @@
 import random
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from itertools import groupby
 from math import exp
 
@@ -26,10 +27,12 @@ class TestChainConfig:
             with pytest.raises(ValueError):
                 ChainConfig(**kwargs)
 
-    @pytest.mark.parametrize("alpha", [float("inf"), True, float("nan"), "2"])
+    @pytest.mark.parametrize("alpha", [float("inf"), True, float("nan"), "2", Fraction(1, 2),
+                                       np.float32(0.5), np.int64(2)])
     def test_alpha_is_a_finite_number(self, alpha):
         """An alpha that the metadata.json reader refuses is refused here too: inf would
-        give a chain of nan logliks, and True would run as 1."""
+        give a chain of nan logliks, True would run as 1, and a fraction or a numpy scalar
+        other than float64 would stop save_ensemble, as JSON holds no such number."""
         with pytest.raises(ValueError, match="is not a finite positive number"):
             ChainConfig(dirichlet_alpha=alpha)
 

@@ -14,7 +14,9 @@ workload runs its pairs in turn against the same two copies.
         --out BENCH.json
 
 Per workload, each side's median, quartiles and the pair wins of every
-end-to-end metric of ``BENCHMARK.json`` are printed; ``--out`` merges the runs
+end-to-end metric of ``BENCHMARK.json`` are printed, with the two rules a
+result is judged by (see :func:`verdict`): ``claimable`` and ``regressed``.
+``--out`` merges the runs
 into that file's ``runs`` block under ``<workload>/seed<seed>``, as
 ``{"parent": [...], "change": [...]}`` lists of the benchmark's result objects
 with their pair number.
@@ -61,6 +63,15 @@ def summarize(parent: list[dict], change: list[dict], metric: str, better: str) 
     return {**sides, "wins": wins, "pairs": len(matched),
             "gain_pct": 100.0 * gain / sides["parent"]["median"],
             "resolved": gain > iqr}
+
+
+def verdict(summary: dict, bound: float) -> dict:
+    """The two rules applied to one metric's :func:`summarize` result: ``claimable`` when
+    the change won at least 9 of 10 pairs and its gain is ``resolved``; ``regressed`` when
+    its median is worse than the parent's by more than ``bound``, the metric's fraction of
+    the parent's median in ``BENCHMARK.json``."""
+    return {"claimable": summary["resolved"] and 10 * summary["wins"] >= 9 * summary["pairs"],
+            "regressed": summary["gain_pct"] < -100.0 * bound}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -133,12 +144,14 @@ def report(workload: str, runs: dict[str, list[dict]]) -> None:
     print(f"{workload}:")
     for m in SPEC["end_to_end"]:
         s = summarize(runs["parent"], runs["change"], m["name"], m["better"])
+        v = verdict(s, m["bound"])
         print(f"  {m['name']:14s} parent {s['parent']['median']:.4g} "
               f"[{s['parent']['q1']:.4g}, {s['parent']['q3']:.4g}]  "
               f"change {s['change']['median']:.4g} "
               f"[{s['change']['q1']:.4g}, {s['change']['q3']:.4g}]  "
               f"wins {s['wins']}/{s['pairs']}  gain {s['gain_pct']:+.1f} %  "
-              f"resolved {s['resolved']}")
+              f"resolved {s['resolved']}  claimable {v['claimable']}  "
+              f"regressed {v['regressed']}")
     print(f"  failed: parent {sum(r['failed'] for r in runs['parent'])}, "
           f"change {sum(r['failed'] for r in runs['change'])}")
 
