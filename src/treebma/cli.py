@@ -48,10 +48,7 @@ from .reports import (
 )
 from .sampler import chain_diagnostics, run_chain
 
-DESK_BURN_IN = 20_000
-DESK_COLLECT = 1_000
-PAPER_BURN_IN = 200_000
-PAPER_COLLECT = 10_000
+DESK_SCHEDULE = {"burn_in_steps": 20_000, "collect_count": 1_000}  # eval, compare by default
 
 
 def _sha256(path: Path) -> str:
@@ -129,23 +126,13 @@ def _load(args) -> tuple:
     return schema, data, ensemble
 
 
-def _chain_config(args, desk_default: bool = False) -> ChainConfig:
-    if desk_default and not getattr(args, "paper_scale", False):
-        burn, collect = DESK_BURN_IN, DESK_COLLECT
-    else:
-        burn, collect = PAPER_BURN_IN, PAPER_COLLECT
-    if args.burn_in is not None:
-        burn = args.burn_in
-    if args.collect is not None:
-        collect = args.collect
-    return ChainConfig(
-        burn_in_steps=burn,
-        collect_count=collect,
-        thin=args.thin,
-        min_leaf=args.min_leaf,
-        s_max=args.s_max,
-        seed=args.seed,
-    )
+def _chain_config(args) -> ChainConfig:
+    """ChainConfig's defaults (the full-scale recipe), DESK_SCHEDULE where the command has
+    ``--paper-scale`` (eval, compare) but not given, then ``--burn-in``/``--collect``."""
+    schedule = {} if getattr(args, "paper_scale", True) else DESK_SCHEDULE
+    given = {"burn_in_steps": args.burn_in, "collect_count": args.collect}
+    return ChainConfig(**schedule | {k: v for k, v in given.items() if v is not None},
+                       thin=args.thin, min_leaf=args.min_leaf, s_max=args.s_max, seed=args.seed)
 
 
 def _diagnostics_text(ensemble) -> str:
@@ -184,7 +171,7 @@ def cmd_train(args) -> _Result:
 
 def cmd_eval(args) -> _Result:
     _, data, _ = _load(args)
-    config = _chain_config(args, desk_default=True)
+    config = _chain_config(args)
     folds = make_folds(data, args.folds, seed=args.seed)
     reports = [evaluate(ens, test) for ens, test in fold_chains(data, folds, config, 0)]
     text = eval_reports_table(reports, title=f"{args.folds}-fold cross-validation")
@@ -212,7 +199,7 @@ def cmd_filter(args) -> _Result:
 
 def cmd_compare(args) -> _Result:
     schema, data, _ = _load(args)  # checks --variable before any chain runs
-    config = _chain_config(args, desk_default=True)
+    config = _chain_config(args)
     report = run_comparison(data, config, weakest=args.variable,
                             noise_intensity=args.noise, k=args.folds)
     text = comparison_table(report, schema.names)
@@ -224,8 +211,9 @@ def cmd_compare(args) -> _Result:
 def _add_chain_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--burn-in", type=int, default=None, help="burn-in step count")
     p.add_argument("--collect", type=int, default=None, help="trees to collect")
-    p.add_argument("--thin", type=int, default=7, help="record every Nth step")
-    p.add_argument("--min-leaf", type=int, default=3, help="minimal rows per leaf")
+    p.add_argument("--thin", type=int, default=ChainConfig.thin, help="record every Nth step")
+    p.add_argument("--min-leaf", type=int, default=ChainConfig.min_leaf,
+                   help="minimal rows per leaf")
     p.add_argument("--s-max", type=int, default=None, help="maximal split count")
 
 
@@ -264,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     _add_chain_flags(p)
     p.add_argument("--paper-scale", action="store_true",
-                   help="use the full-scale chain schedule (200k burn-in, 10k trees)")
+                   help="use the full-scale chain schedule, ChainConfig's defaults")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_eval)
 

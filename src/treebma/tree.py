@@ -280,27 +280,26 @@ def candidate_splits(data: Dataset) -> list[tuple[list, list[int]]]:
 # One-line JSON serialization (ensemble file format)
 # ---------------------------------------------------------------------------
 
-def serialize(tree: DecisionTree, loglik: float | None = None) -> str:
-    """Encode a tree as a single JSON line, optionally with its train loglik.
+_HEAD, _NEXT, _TAIL = '{"nodes":[{"id":', '},{"id":', '}],"root":'  # the line layout
+# (value, end) of the JSON value at an index; StopIteration where no value starts
+_scan = json.JSONDecoder().scan_once
 
-    The line is what ``json.dumps`` with compact separators gives for
-    ``{"nodes": [...], "root": id, "loglik": x}``, nodes in ascending id order.
-    """
+
+def serialize(tree: DecisionTree, loglik: float | None = None) -> str:
+    """Encode a tree as a single JSON line, optionally with its train loglik: what
+    ``json.dumps`` with compact separators gives for ``{"nodes": [...], "root": id,
+    "loglik": x}``, nodes in ascending id order, laid out as ``_HEAD``, the node texts
+    joined by ``_NEXT``, ``_TAIL``, the root id, the loglik member and ``}``."""
     ids, parts = tree.ids, []
     for nid, rule, left, right, counts in zip(ids, tree.rules, tree.left, tree.right,
                                               tree.counts):
         if rule is not None:
-            parts.append(f'{{"id":{nid},"split":{rule.json_text},"left":{ids[left]},'
-                         f'"right":{ids[right]}}}')
+            parts.append(f'{nid},"split":{rule.json_text},"left":{ids[left]},'
+                         f'"right":{ids[right]}')
         else:
-            parts.append(f'{{"id":{nid},"leaf":[{counts[0]},{counts[1]}]}}')
+            parts.append(f'{nid},"leaf":[{counts[0]},{counts[1]}]')
     tail = "" if loglik is None else f',"loglik":{json.dumps(loglik)}'
-    return f'{{"nodes":[{",".join(parts)}],"root":{ids[tree.root]}{tail}}}'
-
-
-_HEAD, _NEXT, _TAIL = '{"nodes":[{"id":', '},{"id":', '}],"root":'  # serialize's layout
-# (value, end) of the JSON value at an index; StopIteration where no value starts
-_scan = json.JSONDecoder().scan_once
+    return f'{_HEAD}{_NEXT.join(parts)}{_TAIL}{ids[tree.root]}{tail}}}'
 
 
 def _compact(line: str, schema: Schema | None, rules: dict, nodes: dict) -> tuple | None:
@@ -309,10 +308,10 @@ def _compact(line: str, schema: Schema | None, rules: dict, nodes: dict) -> tupl
     table of checked node records, and decoded and checked (:func:`_node`) only when
     missing. None when a piece or the tail does not decode or the tail repeats ``"nodes"``.
 
-    Sound: ``},{"id":`` cannot lie inside a JSON string, and where it lies inside a
+    Sound: ``_NEXT`` cannot lie inside a JSON string, and where it lies inside a
     node, the text before it has an unclosed bracket and does not decode. So when
-    every piece and the tail decode, the line is ``{"nodes":[`` the pieces ``],``
-    the tail's members ``}``, and the whole-line decoder reads the same values,
+    every piece and the tail decode, the line is ``_HEAD``, the pieces joined by
+    ``_NEXT``, ``_TAIL`` and the tail, and the whole-line decoder reads the same values,
     unless the tail repeats ``"nodes"``. Pieces are checked only once all decode."""
     body, cut, tail = line.rpartition(_TAIL)
     if not cut:
