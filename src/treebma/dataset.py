@@ -40,6 +40,15 @@ class DataValidationError(ValueError):
     """Raised when a dataset, schema, CSV or metadata file violates its contract."""
 
 
+def _check_name(name) -> None:
+    """A variable or outcome name is a string without leading or trailing whitespace, so
+    the header cells that :func:`load_csv` strips give it back."""
+    if type(name) is not str:
+        raise DataValidationError(f"name {name!r} is not a string")
+    if name != name.strip():
+        raise DataValidationError(f"name {name!r} has leading or trailing whitespace")
+
+
 @dataclass(frozen=True)
 class VariableSpec:
     """One feature column: a name, a kind, and (if categorical) its level codes, distinct
@@ -50,14 +59,17 @@ class VariableSpec:
     levels: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if type(self.name) is not str:
-            raise DataValidationError(f"name {self.name!r} is not a string")
+        _check_name(self.name)
         if self.kind not in (CONTINUOUS, CATEGORICAL):
             raise DataValidationError(f"unknown variable kind {self.kind!r} for {self.name!r}")
         if self.kind == CATEGORICAL:
-            if not self.levels:
+            try:
+                lv = () if self.levels is None else tuple(self.levels)
+            except TypeError:
+                raise DataValidationError(f"levels of {self.name!r} are not a sequence: "
+                                          f"{self.levels!r}") from None
+            if not lv:
                 raise DataValidationError(f"categorical variable {self.name!r} needs levels")
-            lv = tuple(self.levels)  # integers a float64 column holds exactly
             if not all(isinstance(x, Integral) and not isinstance(x, bool) and abs(x) <= 2**53
                        for x in lv):
                 raise DataValidationError(f"levels of {self.name!r} are not integers of "
@@ -86,8 +98,7 @@ class Schema:
         object.__setattr__(self, "variables", tuple(self.variables))
         if len(self.variables) < 1:
             raise DataValidationError("schema needs at least one feature variable")
-        if type(self.outcome) is not str:
-            raise DataValidationError(f"name {self.outcome!r} is not a string")
+        _check_name(self.outcome)
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names):
             raise DataValidationError("variable names must be unique")
@@ -121,8 +132,7 @@ class Schema:
         except (ValueError, RecursionError) as e:  # nested too deep; an integer too long
             raise DataValidationError(f"schema file is not valid JSON: {e}") from None
         try:
-            return cls(tuple(VariableSpec(v["name"], v["kind"],
-                                          tuple(v["levels"]) if "levels" in v else None)
+            return cls(tuple(VariableSpec(v["name"], v["kind"], v.get("levels"))
                              for v in doc["variables"]), doc["outcome"])
         except (KeyError, TypeError) as e:
             raise DataValidationError(f"malformed schema document: {e}") from e
@@ -170,7 +180,9 @@ class Dataset:
             raise DataValidationError("dataset needs at least one row")
         if y.shape != (X.shape[0],):
             raise DataValidationError("label vector length does not match row count")
-        bad = np.flatnonzero((y != 0) & (y != 1))
+        cplx = (np.fromiter(map(np.iscomplexobj, y), bool, y.size) if y.dtype == object
+                else y.dtype.kind == "c")  # 1 + 0j == 1, but is no 0/1 label
+        bad = np.flatnonzero((y != 0) & (y != 1) | cplx)
         if bad.size:
             raise DataValidationError(f"label not in {{0,1}} at row {bad[0]}")
         y = y.astype(np.int64, copy=False)

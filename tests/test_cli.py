@@ -24,7 +24,7 @@ from treebma import (
     save_ensemble,
     trauma_schema,
 )
-from treebma.cli import main
+from treebma.cli import _chain_config, build_parser, main
 from treebma.tree import TreeFormatError
 
 from helpers import chain_record, mutated_records
@@ -108,6 +108,46 @@ class TestTrain:
         assert rc == 0
         assert (out2 / "ensemble.jsonl").read_bytes() == \
             (trained_dir / "ensemble.jsonl").read_bytes()
+
+
+class TestChainSchedule:
+    """The chain schedule each command resolves through build_parser and _chain_config,
+    no chain run: ChainConfig's defaults are the full-scale recipe; eval and compare
+    default to the desk schedule unless --paper-scale; --burn-in and --collect win."""
+
+    FULL = (ChainConfig.burn_in_steps, ChainConfig.collect_count)
+
+    @staticmethod
+    def config(*argv) -> ChainConfig:
+        cmd, *flags = argv
+        return _chain_config(build_parser().parse_args(
+            [cmd, "--data", "d.csv", "--out-dir", "o", *flags]))
+
+    @pytest.mark.parametrize("argv, schedule", [
+        (["train"], FULL),
+        (["eval"], (20_000, 1_000)),
+        (["compare"], (20_000, 1_000)),
+        (["eval", "--paper-scale"], FULL),
+        (["compare", "--paper-scale"], FULL),
+    ], ids=["train", "eval", "compare", "eval-paper-scale", "compare-paper-scale"])
+    def test_default_schedule(self, argv, schedule):
+        config = self.config(*argv)
+        assert (config.burn_in_steps, config.collect_count) == schedule
+        assert (config.thin, config.min_leaf) == (ChainConfig.thin, ChainConfig.min_leaf)
+
+    @pytest.mark.parametrize("argv", [["train"], ["eval"], ["compare"],
+                                      ["eval", "--paper-scale"], ["compare", "--paper-scale"]],
+                             ids=["train", "eval", "compare", "eval-paper-scale",
+                                  "compare-paper-scale"])
+    def test_burn_in_and_collect_override(self, argv):
+        default = self.config(*argv)
+        burn = self.config(*argv, "--burn-in", "5")
+        collect = self.config(*argv, "--collect", "6")
+        assert (burn.burn_in_steps, burn.collect_count) == (5, default.collect_count)
+        assert (collect.burn_in_steps, collect.collect_count) == (default.burn_in_steps, 6)
+        both = self.config(*argv, "--burn-in", "0", "--collect", "1", "--thin", "2",
+                           "--min-leaf", "4", "--s-max", "9", "--seed", "3")
+        assert both == ChainConfig(0, 1, thin=2, min_leaf=4, s_max=9, seed=3)
 
 
 class TestEvalImportanceFilterCompare:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,11 @@ class TestVariableSpec:
         assert str(caught.value) == ("levels of 'a' are not integers of magnitude at most "
                                      f"2**53: {levels!r}")
 
+    def test_levels_not_a_sequence_refused(self):
+        with pytest.raises(DataValidationError) as caught:
+            VariableSpec("a", "categorical", 5)
+        assert str(caught.value) == "levels of 'a' are not a sequence: 5"
+
     def test_numpy_integer_levels_accepted(self):
         spec = VariableSpec("a", "categorical", tuple(np.arange(3, dtype=np.int64)))
         assert spec.levels == (0, 1, 2) and all(type(x) is int for x in spec.levels)
@@ -97,6 +103,36 @@ class TestSchema:
         with pytest.raises(DataValidationError) as caught:
             Schema((VariableSpec(name, "continuous"),), outcome)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("name, outcome", [
+        (" a", "y"), ("a\t", "y"), (" ", "y"), ("a", "y\n"), ("a", "\u00a0y"),
+    ], ids=["leading-space", "trailing-tab", "blank", "outcome-newline", "outcome-nbsp"])
+    def test_padded_names_refused(self, name, outcome):
+        """load_csv strips the header cells, so a padded name would be written to a CSV
+        header that its own schema refuses."""
+        padded = name if name != name.strip() else outcome
+        with pytest.raises(DataValidationError) as caught:
+            Schema((VariableSpec(name, "continuous"),), outcome)
+        assert str(caught.value) == f"name {padded!r} has leading or trailing whitespace"
+
+    @pytest.mark.parametrize("kind, levels, message", [
+        ("continuous", "null", None),
+        ("categorical", "null", "categorical variable 'a' needs levels"),
+        ("categorical", "5", "levels of 'a' are not a sequence: 5"),
+        ("categorical", "[0, 2]", None),
+    ], ids=["continuous-null", "categorical-null", "number", "list"])
+    def test_levels_handed_to_variable_spec_unchanged(self, kind, levels, message):
+        """VariableSpec is the one converter of levels: from_json passes the document's
+        value as it is, so a continuous variable's ``null`` reads as no levels."""
+        text = (f'{{"variables": [{{"name": "a", "kind": "{kind}", "levels": {levels}}}], '
+                '"outcome": "y"}')
+        if message is None:
+            spec = Schema.from_json(text).variables[0]
+            assert spec == VariableSpec("a", kind, json.loads(levels))
+        else:
+            with pytest.raises(DataValidationError) as caught:
+                Schema.from_json(text)
+            assert str(caught.value) == message
 
     def test_deeply_nested_json_rejected(self):
         with pytest.raises(DataValidationError, match="not valid JSON"):
@@ -168,6 +204,17 @@ class TestDataset:
     def test_labels_checked_before_the_integer_cast(self, tiny_schema, labels, row):
         """A label the int64 cast would cut (0.7 to 0, 1.9 to 1) or not take at all is a
         label outside {0,1}, never a silently changed one."""
+        with pytest.raises(DataValidationError) as caught:
+            Dataset(tiny_schema, np.zeros((2, 2)), labels)
+        assert str(caught.value) == f"label not in {{0,1}} at row {row}"
+
+    @pytest.mark.filterwarnings("error")  # a ComplexWarning of the int64 cast fails it
+    @pytest.mark.parametrize("labels, row", [([1 + 0j, 0], 0), ([0, np.complex64(1)], 0),
+                                             ([Fraction(1), 1 + 0j], 1)],
+                             ids=["complex", "complex64", "complex-in-object-array"])
+    def test_complex_labels_refused(self, tiny_schema, labels, row):
+        """1 + 0j equals 1, but the int64 cast would drop its imaginary part with a
+        ComplexWarning (or raise a TypeError from an object array)."""
         with pytest.raises(DataValidationError) as caught:
             Dataset(tiny_schema, np.zeros((2, 2)), labels)
         assert str(caught.value) == f"label not in {{0,1}} at row {row}"
@@ -437,6 +484,26 @@ class TestLibraryRecordsRoundTrip:
         except DataValidationError:
             return
         assert Schema.from_json(schema.to_json()) == schema
+
+    @settings(max_examples=150, deadline=None)
+    @given(args=schema_args())
+    def test_schema_header_through_csv(self, args):
+        """Any names the constructors accept come back from the CSV header: a two-row
+        dataset over the schema is read back equal."""
+        variables, outcome = args
+        try:
+            schema = Schema(tuple(VariableSpec(*v) for v in variables), outcome)
+        except DataValidationError:
+            return
+        X = [[v.levels[-r] if v.is_categorical else r - 0.5 for v in schema.variables]
+             for r in (0, 1)]
+        data = Dataset(schema, X, [0, 1])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            save_csv(data, path)
+            back = load_csv(path, schema)
+        assert back.schema == schema and back.X.tobytes() == data.X.tobytes()
+        assert back.y.tolist() == [0, 1]
 
     @settings(max_examples=150, deadline=None)
     @given(rows=st.lists(st.tuples(st.floats() | st.integers(-2**60, 2**60),
