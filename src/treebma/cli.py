@@ -127,8 +127,8 @@ def _load(args) -> tuple:
 
 
 def _chain_config(args) -> ChainConfig:
-    """ChainConfig's defaults (the full-scale recipe), DESK_SCHEDULE where the command has
-    ``--paper-scale`` (eval, compare) but not given, then ``--burn-in``/``--collect``."""
+    """ChainConfig's defaults (the full-scale recipe), DESK_SCHEDULE for eval and compare
+    (the commands offering ``--paper-scale``) without it, then ``--burn-in``/``--collect``."""
     schedule = {} if getattr(args, "paper_scale", True) else DESK_SCHEDULE
     given = {"burn_in_steps": args.burn_in, "collect_count": args.collect}
     return ChainConfig(**schedule | {k: v for k, v in given.items() if v is not None},

@@ -96,43 +96,26 @@ class TestSchema:
     @pytest.mark.parametrize("name, outcome, message", [
         (5, "y", "name 5 is not a string"), (None, "y", "name None is not a string"),
         ("a", 7, "name 7 is not a string"), ("a", ["y"], "name ['y'] is not a string"),
-    ], ids=["integer-name", "none-name", "integer-outcome", "list-outcome"])
+        (" a", "y", "name ' a' has leading or trailing whitespace"),
+        ("a\t", "y", "name 'a\\t' has leading or trailing whitespace"),
+        (" ", "y", "name ' ' has leading or trailing whitespace"),
+        ("a", "y\n", "name 'y\\n' has leading or trailing whitespace"),
+        ("a", "\u00a0y", "name '\\xa0y' has leading or trailing whitespace"),
+    ], ids=["integer-name", "none-name", "integer-outcome", "list-outcome", "leading-space",
+            "trailing-tab", "blank-name", "outcome-newline", "outcome-nbsp"])
     def test_library_names_checked_as_the_file_reader_does(self, name, outcome, message):
         """A name or outcome that is not a string would be written to a schema file that
-        from_json refuses; the check of the schema file is this one."""
+        from_json refuses, and a padded one to a CSV header that load_csv, which strips
+        the header cells, refuses; the check of both files is this one."""
         with pytest.raises(DataValidationError) as caught:
             Schema((VariableSpec(name, "continuous"),), outcome)
         assert str(caught.value) == message
 
-    @pytest.mark.parametrize("name, outcome", [
-        (" a", "y"), ("a\t", "y"), (" ", "y"), ("a", "y\n"), ("a", "\u00a0y"),
-    ], ids=["leading-space", "trailing-tab", "blank", "outcome-newline", "outcome-nbsp"])
-    def test_padded_names_refused(self, name, outcome):
-        """load_csv strips the header cells, so a padded name would be written to a CSV
-        header that its own schema refuses."""
-        padded = name if name != name.strip() else outcome
-        with pytest.raises(DataValidationError) as caught:
-            Schema((VariableSpec(name, "continuous"),), outcome)
-        assert str(caught.value) == f"name {padded!r} has leading or trailing whitespace"
-
-    @pytest.mark.parametrize("kind, levels, message", [
-        ("continuous", "null", None),
-        ("categorical", "null", "categorical variable 'a' needs levels"),
-        ("categorical", "5", "levels of 'a' are not a sequence: 5"),
-        ("categorical", "[0, 2]", None),
-    ], ids=["continuous-null", "categorical-null", "number", "list"])
-    def test_levels_handed_to_variable_spec_unchanged(self, kind, levels, message):
-        """VariableSpec is the one converter of levels: from_json passes the document's
-        value as it is, so a continuous variable's ``null`` reads as no levels."""
-        text = (f'{{"variables": [{{"name": "a", "kind": "{kind}", "levels": {levels}}}], '
-                '"outcome": "y"}')
-        if message is None:
-            spec = Schema.from_json(text).variables[0]
-            assert spec == VariableSpec("a", kind, json.loads(levels))
-        else:
-            with pytest.raises(DataValidationError) as caught:
-                Schema.from_json(text)
-            assert str(caught.value) == message
+    def test_continuous_null_levels_read_as_none(self):
+        """from_json hands levels to VariableSpec as they are, so ``null`` is no levels."""
+        schema = Schema.from_json('{"variables": [{"name": "a", "kind": "continuous", '
+                                  '"levels": null}], "outcome": "y"}')
+        assert schema.variables == (VariableSpec("a", "continuous"),)
 
     def test_deeply_nested_json_rejected(self):
         with pytest.raises(DataValidationError, match="not valid JSON"):
@@ -155,10 +138,16 @@ class TestSchema:
          "levels of 'a' are not integers of magnitude at most 2**53: (False, True)"),
         ('{"name": "a", "kind": "categorical", "levels": "ab"}', '"y"',
          "levels of 'a' are not integers of magnitude at most 2**53: ('a', 'b')"),
+        ('{"name": "a", "kind": "categorical", "levels": 5}', '"y"',
+         "levels of 'a' are not a sequence: 5"),
+        ('{"name": "a", "kind": "categorical", "levels": null}', '"y"',
+         "categorical variable 'a' needs levels"),
         ('{"name": 5, "kind": "continuous"}', '"y"', "name 5 is not a string"),
         ('{"name": "a", "kind": "continuous"}', "7", "name 7 is not a string"),
+        ('{"name": " a", "kind": "continuous"}', '"y"',
+         "name ' a' has leading or trailing whitespace"),
     ], ids=["float-level", "huge-level", "level-past-2**53", "bool-levels", "string-levels",
-            "integer-name", "integer-outcome"])
+            "number-levels", "null-levels", "integer-name", "integer-outcome", "padded-name"])
     def test_field_types_checked_naming_file(self, tmp_path, variable, outcome, message):
         """Names are strings and levels integers a float64 column holds exactly; a fault
         is refused where the schema is read, naming the file."""
@@ -200,21 +189,13 @@ class TestDataset:
             Dataset(tiny_schema, X, np.array([0, 2, 1]))
 
     @pytest.mark.parametrize("labels, row", [([0.7, 1.9], 0), ([1, 0.5], 1), ([0, np.nan], 1),
-                                             ([0, None], 1), (["0", "1"], 0), ([2**70, 1], 0)])
+                                             ([0, None], 1), (["0", "1"], 0), ([2**70, 1], 0),
+                                             ([1 + 0j, 0], 0), ([0, np.complex64(1)], 0),
+                                             ([Fraction(1), 1 + 0j], 1)])
     def test_labels_checked_before_the_integer_cast(self, tiny_schema, labels, row):
-        """A label the int64 cast would cut (0.7 to 0, 1.9 to 1) or not take at all is a
-        label outside {0,1}, never a silently changed one."""
-        with pytest.raises(DataValidationError) as caught:
-            Dataset(tiny_schema, np.zeros((2, 2)), labels)
-        assert str(caught.value) == f"label not in {{0,1}} at row {row}"
-
-    @pytest.mark.filterwarnings("error")  # a ComplexWarning of the int64 cast fails it
-    @pytest.mark.parametrize("labels, row", [([1 + 0j, 0], 0), ([0, np.complex64(1)], 0),
-                                             ([Fraction(1), 1 + 0j], 1)],
-                             ids=["complex", "complex64", "complex-in-object-array"])
-    def test_complex_labels_refused(self, tiny_schema, labels, row):
-        """1 + 0j equals 1, but the int64 cast would drop its imaginary part with a
-        ComplexWarning (or raise a TypeError from an object array)."""
+        """A label the int64 cast would cut (0.7 to 0, 1.9 to 1, 1 + 0j to 1 with a
+        ComplexWarning) or not take at all is a label outside {0,1}, never a silently
+        changed one."""
         with pytest.raises(DataValidationError) as caught:
             Dataset(tiny_schema, np.zeros((2, 2)), labels)
         assert str(caught.value) == f"label not in {{0,1}} at row {row}"
