@@ -208,80 +208,64 @@ def cmd_compare(args) -> _Result:
                    config, text)
 
 
-def _add_chain_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--burn-in", type=int, default=None, help="burn-in step count")
-    p.add_argument("--collect", type=int, default=None, help="trees to collect")
-    p.add_argument("--thin", type=int, default=ChainConfig.thin, help="record every Nth step")
-    p.add_argument("--min-leaf", type=int, default=ChainConfig.min_leaf,
-                   help="minimal rows per leaf")
-    p.add_argument("--s-max", type=int, default=None, help="maximal split count")
+_SCHEDULE = "(default: {}; {} for eval and compare without --paper-scale)"
+_OPTIONS = {  # each option's keyword arguments, once; --variable is each command's own
+    "--rows": dict(type=int, required=True, help="number of rows to generate"),
+    "--irrelevant": dict(default="", help="comma-separated variable indices carrying no "
+                         "label signal (default: none)"),
+    "--data": dict(required=True, help="CSV dataset path"),
+    "--schema": dict(help="schema JSON path (default: bundled trauma schema)"),
+    "--ensemble": dict(required=True, help="ensemble JSONL path"),
+    "--seed": dict(type=int, default=0, help="seed of every random draw (default: %(default)s)"),
+    "--folds": dict(type=int, default=5, help="cross-validation folds (default: %(default)s)"),
+    "--noise": dict(type=float, default=0.01, help="arm (d)'s noise (default: %(default)s)"),
+    "--per-tree": dict(action="store_true", help="report each variable's share of trees instead"),
+    "--burn-in": dict(type=int, help="burn-in step count " + _SCHEDULE.format(
+        ChainConfig.burn_in_steps, DESK_SCHEDULE["burn_in_steps"])),
+    "--collect": dict(type=int, help="trees to collect " + _SCHEDULE.format(
+        ChainConfig.collect_count, DESK_SCHEDULE["collect_count"])),
+    "--thin": dict(type=int, default=ChainConfig.thin,
+                   help="record every Nth step (default: %(default)s)"),
+    "--min-leaf": dict(type=int, default=ChainConfig.min_leaf,
+                       help="minimal rows per leaf (default: %(default)s)"),
+    "--s-max": dict(type=int, help="maximal split count (default: rows // min-leaf - 1)"),
+    "--paper-scale": dict(action="store_true",
+                          help="use the full-scale chain schedule, ChainConfig's defaults"),
+    "--out-dir": dict(required=True, help="directory of the outputs and manifest.json"),
+}
+_CHAIN = ("--burn-in", "--collect", "--thin", "--min-leaf", "--s-max")
 
 
-def _add_data_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", required=True, help="CSV dataset path")
-    p.add_argument("--schema", default=None,
-                   help="schema JSON path (default: bundled trauma schema)")
+def _add_command(sub, func, help: str, *options) -> None:
+    """The subcommand ``func`` names (``cmd_<name>``), taking ``options`` then ``--out-dir``:
+    each a flag of :data:`_OPTIONS` or a (flag, keyword arguments) pair of its own."""
+    p = sub.add_parser(func.__name__.removeprefix("cmd_"), help=help)
+    for option in (*options, "--out-dir"):
+        flag, kwargs = (option, _OPTIONS[option]) if isinstance(option, str) else option
+        p.add_argument(flag, **kwargs)
+    p.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="treebma",
-        description="Bayesian model averaging over RJ-MCMC-sampled classification trees",
-    )
+    ap = argparse.ArgumentParser(prog="treebma", description="Bayesian model averaging over "
+                                 "RJ-MCMC-sampled classification trees")
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic trauma-schema dataset")
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--irrelevant", default="",
-                   help="comma-separated variable indices carrying no label signal")
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("train", help="run one chain and write the tree ensemble")
-    _add_data_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    _add_chain_flags(p)
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="k-fold cross-validated performance report")
-    _add_data_flags(p)
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    _add_chain_flags(p)
-    p.add_argument("--paper-scale", action="store_true",
-                   help="use the full-scale chain schedule, ChainConfig's defaults")
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("importance", help="posterior variable-importance report")
-    p.add_argument("--ensemble", required=True, help="ensemble JSONL path")
-    p.add_argument("--schema", default=None)
-    p.add_argument("--per-tree", action="store_true",
-                   help="report fraction of trees using each variable instead")
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_importance)
-
-    p = sub.add_parser("filter", help="drop trees using one variable, report before/after")
-    p.add_argument("--ensemble", required=True)
-    p.add_argument("--variable", type=int, required=True)
-    _add_data_flags(p)
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_filter)
-
-    p = sub.add_parser("compare", help="four-arm drop/filter/noise comparison experiment")
-    _add_data_flags(p)
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--variable", type=int, default=None,
-                   help="weakest variable index (default: argmin importance)")
-    p.add_argument("--noise", type=float, default=0.01)
-    _add_chain_flags(p)
-    p.add_argument("--paper-scale", action="store_true")
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_compare)
+    _add_command(sub, cmd_synth, "generate a synthetic trauma-schema dataset",
+                 "--rows", "--seed", "--irrelevant")
+    _add_command(sub, cmd_train, "run one chain and write the tree ensemble",
+                 "--data", "--schema", "--seed", *_CHAIN)
+    _add_command(sub, cmd_eval, "k-fold cross-validated performance report",
+                 "--data", "--schema", "--folds", "--seed", *_CHAIN, "--paper-scale")
+    _add_command(sub, cmd_importance, "posterior variable-importance report",
+                 "--ensemble", "--schema", "--per-tree")
+    _add_command(sub, cmd_filter, "drop trees using one variable, report before/after",
+                 "--ensemble", "--data", "--schema",
+                 ("--variable", dict(type=int, required=True, help="variable index to exclude")))
+    _add_command(sub, cmd_compare, "four-arm drop/filter/noise comparison experiment",
+                 "--data", "--schema", "--folds", "--seed", "--noise", *_CHAIN, "--paper-scale",
+                 ("--variable", dict(type=int, help="weakest variable index "
+                                     "(default: argmin importance)")))
     return ap
 
 
@@ -291,7 +275,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed {args.seed}: expected a non-negative integer")
         return _finish(args, args.func(args))
-    except (DataValidationError, ValueError) as e:
+    except ValueError as e:  # a DataValidationError too
         print(f"error: {e}", file=sys.stderr)
         return 1
     except OSError as e:
