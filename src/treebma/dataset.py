@@ -49,6 +49,14 @@ def _check_name(name) -> None:
         raise DataValidationError(f"name {name!r} has leading or trailing whitespace")
 
 
+def _known_keys(obj, known: set, where: str) -> None:
+    """Refuse a JSON object holding a key outside ``known``, naming ``where`` and each such
+    key; any other value is left to the checks that follow."""
+    unknown = sorted(obj.keys() - known) if type(obj) is dict else []
+    if unknown:
+        raise DataValidationError(f"{where}: " + ", ".join(f"unknown key {k!r}" for k in unknown))
+
+
 @dataclass(frozen=True)
 class VariableSpec:
     """One feature column: a name, a kind, and (if categorical) its level codes, distinct
@@ -126,12 +134,17 @@ class Schema:
 
     @classmethod
     def from_json(cls, text: str) -> "Schema":
-        """The schema in JSON text, checked as every :class:`Schema` is."""
+        """The schema in JSON text, checked as every :class:`Schema` is. A key that is
+        neither the document's nor a variable's is refused, so a misspelt one is not
+        dropped."""
         try:
             doc = json.loads(text)
         except (ValueError, RecursionError) as e:  # nested too deep; an integer too long
             raise DataValidationError(f"schema file is not valid JSON: {e}") from None
         try:
+            _known_keys(doc, {"variables", "outcome"}, "schema document")
+            for i, v in enumerate(doc["variables"]):
+                _known_keys(v, {"name", "kind", "levels"}, f"variable {i}")
             return cls(tuple(VariableSpec(v["name"], v["kind"], v.get("levels"))
                              for v in doc["variables"]), doc["outcome"])
         except (KeyError, TypeError) as e:
@@ -260,7 +273,7 @@ def load_csv(path, schema: Schema) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
         reader = csv.reader(fh)
         names = schema.names + [schema.outcome]
         rows = []

@@ -1,4 +1,5 @@
 """End-to-end command-line runs in a temp directory with small chain budgets."""
+import argparse
 import contextlib
 import csv
 import io
@@ -148,6 +149,30 @@ class TestChainSchedule:
         both = self.config(*argv, "--burn-in", "0", "--collect", "1", "--thin", "2",
                            "--min-leaf", "4", "--s-max", "9", "--seed", "3")
         assert both == ChainConfig(0, 1, thin=2, min_leaf=4, s_max=9, seed=3)
+
+
+class TestHelp:
+    """Each of the six commands says what every option does, and its --help exits 0."""
+
+    COMMANDS = ["synth", "train", "eval", "importance", "filter", "compare"]
+
+    @staticmethod
+    def parsers() -> dict:
+        """Each command's parser, by name, as build_parser makes them."""
+        sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        return sub.choices
+
+    def test_commands(self):
+        assert list(self.parsers()) == self.COMMANDS
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_option_has_help(self, command, capsys):
+        options = self.parsers()[command]._actions[1:]  # after -h
+        assert options and [a.option_strings for a in options if not a.help] == []
+        with pytest.raises(SystemExit) as caught:
+            build_parser().parse_args([command, "--help"])
+        assert caught.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: treebma {command} ")
 
 
 class TestEvalImportanceFilterCompare:

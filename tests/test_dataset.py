@@ -1,4 +1,5 @@
 """Schema/dataset validation, CSV round-trips, folds, noise, and synthesis."""
+import codecs
 import contextlib
 import io
 import json
@@ -146,11 +147,21 @@ class TestSchema:
         ('{"name": "a", "kind": "continuous"}', "7", "name 7 is not a string"),
         ('{"name": " a", "kind": "continuous"}', '"y"',
          "name ' a' has leading or trailing whitespace"),
+        ('{"name": "a", "kind": "continuous", "levles": [1, 2]}', '"y"',
+         "variable 0: unknown key 'levles'"),
+        ('{"name": "a", "kind": "continuous"}', '"y", "extra": 1',
+         "schema document: unknown key 'extra'"),
+        ('{"name": "a", "kind": "continuous", "levles": [1, 2]}', '"y", "extra": 1, "Outcome": 2',
+         "schema document: unknown key 'Outcome', unknown key 'extra'"),
+        ('{"name": "a", "kind": "continuous"}, {"name": "b", "kind": "categorical", '
+         '"levels": [0, 1], "level": [0, 1]}', '"y"', "variable 1: unknown key 'level'"),
     ], ids=["float-level", "huge-level", "level-past-2**53", "bool-levels", "string-levels",
-            "number-levels", "null-levels", "integer-name", "integer-outcome", "padded-name"])
+            "number-levels", "null-levels", "integer-name", "integer-outcome", "padded-name",
+            "variable-key", "document-key", "document-keys-first", "second-variable-key"])
     def test_field_types_checked_naming_file(self, tmp_path, variable, outcome, message):
-        """Names are strings and levels integers a float64 column holds exactly; a fault
-        is refused where the schema is read, naming the file."""
+        """Names are strings and levels integers a float64 column holds exactly, and no key
+        is unknown, so a misspelt one is not dropped (the document's are named before its
+        variables'); a fault is refused where the schema is read, naming the file."""
         path = tmp_path / "schema.json"
         path.write_text(f'{{"variables": [{variable}], "outcome": {outcome}}}')
         with pytest.raises(DataValidationError) as caught:
@@ -270,6 +281,16 @@ class TestCsv:
         back = load_csv(path, tiny_schema)
         assert back.X.tobytes() == X.tobytes()  # bit for bit: the zeros keep their signs
         assert np.signbit(back.X[:, 0]).tolist() == [True, False, True, False, True]
+
+    def test_byte_order_mark_dropped(self, tmp_path, small_data):
+        """A CSV saved as UTF-8 with a byte-order mark, as spreadsheets save it, loads equal
+        to the one without."""
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        save_csv(small_data, plain)
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        back, marked_back = load_csv(plain, small_data.schema), load_csv(marked, small_data.schema)
+        assert marked_back.X.tobytes() == back.X.tobytes()
+        np.testing.assert_array_equal(marked_back.y, back.y)
 
     def test_cell_over_field_limit_names_line(self, tiny_schema, tmp_path):
         p = tmp_path / "d.csv"
