@@ -10,9 +10,10 @@ where it enters the program (:func:`deserialize`); the sampler builds its
 snapshots valid by construction.
 
 One check reads a record: each node passes :func:`_node` in file order, then the
-tree passes :func:`_tree`, which proves a chain's ordering (ids ascending from the
-root, each child's above its parent's) by a few set operations and sorts and walks
-any other. Two sources supply the node records: a line in :func:`serialize`'s layout
+tree passes :func:`_tree`, which sorts the nodes only when their ids do not ascend,
+proves a chain's ordering (ids ascending from the root, each child's above its
+parent's) by a few set operations and walks only a tree that ordering does not
+prove. Two sources supply the node records: a line in :func:`serialize`'s layout
 is cut into node texts, each decoded and checked once per file and then found in a
 table of checked node records (a chain's trees differ by one move, so they share
 almost all of them); any other line is decoded whole.
@@ -126,38 +127,31 @@ def _node(rec: dict, schema: Schema | None, rules: dict) -> tuple:
     raise TreeFormatError(f"node {nid} is neither split nor leaf")
 
 
-def _proof(recs: list, root) -> DecisionTree | None:
-    """The tree of checked node records when a few set operations prove it, else None.
-    Ids ascending from the root, each below its children's, and (n - 1) / 2 splits
-    naming n - 1 distinct ids as children give each node but the root one parent, of a
-    smaller id: each is reached exactly once. Every line a chain writes passes."""
-    ids, node_rules, left, right, counts, ordered = zip(*recs)
-    if all(ordered) and all(map(lt, ids, ids[1:])) and type(root) is int and root == ids[0]:
-        slot = dict(zip(ids, range(len(ids))))  # a leaf's and a dangling child's slot: -1
-        left, right = (tuple(map(slot.get, side, repeat(-1))) for side in (left, right))
-        if 2 * counts.count(None) + 1 == len(ids) == len({*left, *right}):
-            return DecisionTree(ids, node_rules, left, right, counts, 0)
-    return None
-
-
 def _tree(recs: list, root) -> DecisionTree:
-    """The per-tree check of node records (:func:`_node`) and a root id, set proof
-    (:func:`_proof`) first: ids must be distinct integers, a split's children and the
-    root must name nodes, and every node must be reachable from the root exactly once."""
-    if recs and (tree := _proof(recs, root)) is not None:
-        return tree
-    ids = [rec[0] for rec in recs]
-    if set(map(type, ids)) != {int}:
-        raise TreeFormatError(f"node ids {ids!r} are not a non-empty list of integers")
-    ids, node_rules, left, right, counts, _ = zip(*sorted(recs, key=itemgetter(0)))
-    dup = next((a for a, b in zip(ids, ids[1:]) if a == b), None)
-    if dup is not None:
-        raise TreeFormatError(f"duplicate node id {dup}")
-    slot = dict(zip(ids, range(len(ids))))
-    for rule, kid_l, kid_r in zip(node_rules, left, right):
-        if rule is not None and not (kid_l in slot and kid_r in slot):
-            raise TreeFormatError(f"dangling child id {kid_r if kid_l in slot else kid_l}")
-    left, right = (tuple(map(slot.get, kids, repeat(-1))) for kids in (left, right))
+    """The per-tree check of node records (:func:`_node`) and a root id: ids must be
+    distinct integers, a split's children and the root must name nodes, and every node
+    must be reachable from the root exactly once. The records are sorted only when their
+    ids do not ascend. A set proof then gives the tree without a walk: ids ascending from
+    the root, each below its children's, and (n - 1) / 2 splits naming n - 1 distinct ids
+    as children give each node but the root one parent, of a smaller id, so each is
+    reached exactly once. Every line a chain writes passes; any other is diagnosed from
+    the same slot map and walked."""
+    ids, node_rules, kids_l, kids_r, counts, ordered = tuple(zip(*recs)) or ((),) * 6
+    if not (ids and all(ordered)) and set(map(type, ids)) != {int}:  # ordered ids are ints
+        raise TreeFormatError(f"node ids {list(ids)!r} are not a non-empty list of integers")
+    if not all(map(lt, ids, ids[1:])):  # ascending ids are distinct
+        ids, node_rules, kids_l, kids_r, counts, ordered = zip(*sorted(recs, key=itemgetter(0)))
+        dup = next((a for a, b in zip(ids, ids[1:]) if a == b), None)
+        if dup is not None:
+            raise TreeFormatError(f"duplicate node id {dup}")
+    slot = dict(zip(ids, range(len(ids))))  # a leaf's and a dangling child's slot: -1
+    left, right = (tuple(map(slot.get, kids, repeat(-1))) for kids in (kids_l, kids_r))
+    if (all(ordered) and type(root) is int and root == ids[0]
+            and 2 * counts.count(None) + 1 == len(ids) == len({*left, *right})):
+        return DecisionTree(ids, node_rules, left, right, counts, 0)
+    for rule, s_l, s_r, kid_l, kid_r in zip(node_rules, left, right, kids_l, kids_r):
+        if rule is not None and min(s_l, s_r) < 0:
+            raise TreeFormatError(f"dangling child id {kid_l if s_l < 0 else kid_r}")
     if type(root) is not int or root not in slot:
         raise TreeFormatError(f"root id {root!r} is not a node")
     root = slot[root]

@@ -28,7 +28,7 @@ from treebma import (
 from treebma.bma import PREDICT_CHUNK, ChainConfig, ChainRecord, Run, _stack, max_loglikelihood
 from treebma.dataset import DataValidationError, Dataset, Schema, VariableSpec
 from treebma.sampler import MOVES
-from treebma.tree import (TreeFormatError, _compact, _proof, deserialize, leaf_predictive,
+from treebma.tree import (TreeFormatError, _compact, _tree, deserialize, leaf_predictive,
                           serialize)
 
 from helpers import chain_record, ensemble, make_tree, mutated_records, route, valid_trees
@@ -616,23 +616,29 @@ class TestReadRoutes:
         assert set(table) == node_texts and not whole
 
     def test_chain_lines_read_by_set_checks(self, tmp_path, small_ensemble):
-        """Every line a chain writes is read from the node table and passes the tree
-        check's set proof, which gives back the tree it was written from."""
+        """Every line a chain writes is read from the node table and meets the premises of
+        the tree check's set proof (every node ordered, ids ascending from the root); the
+        check gives back the tree it was written from."""
         path = tmp_path / "e.jsonl"
         save_ensemble(small_ensemble, path)
         rules, nodes = {}, {}
         found = [_compact(line, None, rules, nodes) for line in path.read_text().splitlines()]
         assert None not in found
-        trees = [_proof(recs, root) for recs, root, _ in found]
-        assert None not in trees and max(tree.n_splits for tree in trees) > 1
+        for recs, root, _ in found:
+            ids = [rec[0] for rec in recs]
+            assert all(rec[-1] for rec in recs) and ids == sorted(ids) and root == ids[0]
+        trees = [_tree(recs, root) for recs, root, _ in found]
+        assert max(tree.n_splits for tree in trees) > 1
         assert list(map(repr, trees)) == list(map(repr, small_ensemble.trees))
         assert [tail["loglik"] for _, _, tail in found] == small_ensemble.logliks
 
     def test_unordered_compact_line_read_from_table(self):
-        """A compact line whose children sit below their parents fails the set proof, yet
-        its node records come from the node table."""
+        """A compact line whose children sit below their parents fails the set proof's
+        premise, yet its node records come from the node table, and the tree check reads
+        them as the whole-line decoder does."""
         recs, root, _ = _compact(BELOW, None, {}, table := {})
-        assert _proof(recs, root) is None and len(table) == len(recs) == 5
+        assert not all(rec[-1] for rec in recs) and len(table) == len(recs) == 5
+        assert repr(_tree(recs, root)) == repr(deserialize(spaced(BELOW))[0])
 
     @pytest.mark.parametrize("line, expected", [
         ('{"nodes":[{"id":0,"leaf":[1]},{"id":1,"leaf":[1,1}],"root":0,"loglik":-1.0}',
