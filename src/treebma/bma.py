@@ -348,26 +348,29 @@ def load_ensemble(path, meta_path=None, schema: Schema | None = None) -> Ensembl
     file is built and checked once, and each distinct node text of a compact
     line decoded and checked once (see :func:`treebma.tree.deserialize`).
     A malformed record raises TreeFormatError naming ``path:line``, a file with
-    no record one naming ``path``. A line identical to the record before it is
-    not parsed again: it lengthens that record's run (identical text passes the
-    same checks).
+    no record or not in UTF-8 one naming ``path``. A line identical to the record
+    before it is not parsed again: it lengthens that record's run (identical text
+    passes the same checks).
     """
     runs, prev, rules, nodes = [], None, {}, {}  # runs: [tree, loglik, length] lists
     with Path(path).open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line == prev:
-                runs[-1][2] += 1
-                continue
-            if not line.strip():
-                continue
-            try:
-                tree, ll = deserialize(line, schema, rules, nodes)
-            except ValueError as e:
-                raise TreeFormatError(f"{path}:{lineno}: {e}") from e
-            if ll is None:
-                raise TreeFormatError(f"{path}:{lineno}: tree record missing loglik")
-            runs.append([tree, ll, 1])
-            prev = line
+        try:  # the file is decoded in blocks, so a decode error knows no line
+            for lineno, line in enumerate(fh, start=1):
+                if line == prev:
+                    runs[-1][2] += 1
+                    continue
+                if not line.strip():
+                    continue
+                try:
+                    tree, ll = deserialize(line, schema, rules, nodes)
+                except ValueError as e:
+                    raise TreeFormatError(f"{path}:{lineno}: {e}") from e
+                if ll is None:
+                    raise TreeFormatError(f"{path}:{lineno}: tree record missing loglik")
+                runs.append([tree, ll, 1])
+                prev = line
+        except UnicodeDecodeError as e:
+            raise TreeFormatError(f"{path}: not UTF-8 text ({e.reason})") from None
     if not runs:
         raise TreeFormatError(f"{path}: no tree records")
     runs = [Run(*r) for r in runs]

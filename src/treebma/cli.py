@@ -228,7 +228,9 @@ _OPTIONS = {  # each option's keyword arguments, once; --variable is each comman
                    help="record every Nth step (default: %(default)s)"),
     "--min-leaf": dict(type=int, default=ChainConfig.min_leaf,
                        help="minimal rows per leaf (default: %(default)s)"),
-    "--s-max": dict(type=int, help="maximal split count (default: rows // min-leaf - 1)"),
+    "--s-max": dict(type=int, help="maximal split count (default: max(1, n // min-leaf - 1), "
+                                   "n the chain's training rows, which for eval and compare "
+                                   "are each fold's)"),
     "--paper-scale": dict(action="store_true",
                           help="use the full-scale chain schedule, ChainConfig's defaults"),
     "--out-dir": dict(required=True, help="directory of the outputs and manifest.json"),

@@ -29,7 +29,7 @@ from operator import itemgetter, lt, or_, xor
 
 import numpy as np
 
-from .dataset import Dataset, Schema
+from .dataset import Dataset, Schema, _known_keys
 
 __all__ = [
     "TreeFormatError",
@@ -46,6 +46,12 @@ __all__ = [
 
 class TreeFormatError(ValueError):
     """Raised when a tree record is malformed."""
+
+
+# the keys a record, a leaf node, a split node and a split rule may hold; each object is
+# tested with issuperset, and named by _known_keys only when it fails
+_RECORD, _LEAF, _SPLIT, _RULE = (set(keys.split()) for keys in (
+    "nodes root loglik", "id leaf", "id split left right", "var thr level"))
 
 
 @dataclass(frozen=True)
@@ -109,8 +115,10 @@ def _node(rec: dict, schema: Schema | None, rules: dict) -> tuple:
     valid rule and both children as integer ids."""
     nid = rec["id"]
     if "leaf" in rec:
-        if len(rec) > 2 and ("left" in rec or "right" in rec):
-            raise TreeFormatError(f"leaf node {nid} may not have children")
+        if len(rec) > 2:  # more than its id and counts
+            if "left" in rec or "right" in rec:
+                raise TreeFormatError(f"leaf node {nid} may not have children")
+            _known_keys(rec, _LEAF, f"leaf {nid}")
         c = rec["leaf"]
         if not (type(c) is list and len(c) == 2 and type(c[0]) is int
                 and type(c[1]) is int and c[0] >= 0 and c[1] >= 0):
@@ -118,6 +126,8 @@ def _node(rec: dict, schema: Schema | None, rules: dict) -> tuple:
                                   "non-negative integers")
         return nid, None, None, None, (c[0], c[1]), type(nid) is int
     if "split" in rec:
+        if not _SPLIT.issuperset(rec):
+            _known_keys(rec, _SPLIT, f"split node {nid}")
         rule = _rule(rec["split"], nid, schema, rules)
         kid_l, kid_r = rec.get("left"), rec.get("right")
         if type(kid_l) is not int or type(kid_r) is not int:
@@ -173,7 +183,9 @@ def _tree(recs: list, root) -> DecisionTree:
 
 
 def _loglik(doc: dict) -> float | None:
-    """A record's ``loglik``: None or a finite number."""
+    """A record's ``loglik``, None or a finite number, once its keys are checked."""
+    if not _RECORD.issuperset(doc):
+        _known_keys(doc, _RECORD, "top level")
     loglik = doc.get("loglik")
     if loglik is not None and not (type(loglik) in (int, float) and isfinite(loglik)):
         raise TreeFormatError(f"loglik {loglik!r} is not a finite number")
@@ -183,6 +195,8 @@ def _loglik(doc: dict) -> float | None:
 def _rule(doc: dict, nid: int, schema: Schema | None, rules: dict) -> SplitRule:
     """The split rule of a decoded record, type-checked, then looked up in ``rules`` or
     built, checked against ``schema`` (its variables and declared levels) and added."""
+    if type(doc) is dict and not _RULE.issuperset(doc):
+        _known_keys(doc, _RULE, f"split {nid} rule")
     var, thr, level = doc["var"], doc.get("thr"), doc.get("level")
     if "thr" in doc and "level" in doc:
         raise TreeFormatError(f"split {nid} rule {doc!r} has both thr and level")

@@ -208,17 +208,22 @@ BAD = {  # values of the wrong type (or range) for each kind of field
     "split": [None, [1], "x", 5],
     "nodes": [None, {}, "x", 5, []],
 }
+EXTRA = ["lvl", "lefft", "weight", "note", "id", "leaf", "split", "left", "var", "thr",
+         "level", "nodes", "root", "loglik"]  # keys added to a record, a node or a rule
 
 
 @st.composite
 def mutated_records(draw):
-    """A valid record with one fault: a key dropped, a type swapped, a dangling or repeated
-    child, a cycle or a duplicate id."""
+    """A valid record with one fault: a key dropped, a type swapped, a key added that its
+    object does not hold (unknown there, or one that makes a leaf a split too, or a rule
+    both continuous and categorical), a dangling or repeated child, a cycle or a duplicate
+    id."""
     doc = json.loads(serialize(draw(valid_trees(min_splits=1, max_splits=4,
                                                 chain_ids=draw(st.booleans()))), loglik=-1.5))
     nodes = doc["nodes"]
     splits = [rec for rec in nodes if "split" in rec]
-    kind = draw(st.sampled_from(["drop", "type", "dangling", "repeated", "cycle", "duplicate"]))
+    kind = draw(st.sampled_from(["drop", "type", "extra", "dangling", "repeated", "cycle",
+                                 "duplicate"]))
     if kind == "drop":
         owner, key = draw(st.sampled_from(
             [(doc, key) for key in doc] + [(rec, key) for rec in nodes for key in rec]
@@ -238,6 +243,10 @@ def mutated_records(draw):
                            else (sp, "level", "int")]
         owner, key, field = draw(st.sampled_from(fields))
         owner[key] = draw(st.sampled_from(BAD[field]))
+    elif kind == "extra":
+        owner = draw(st.sampled_from([doc, *nodes, *(rec["split"] for rec in splits)]))
+        key = draw(st.sampled_from([key for key in EXTRA if key not in owner]))
+        owner[key] = draw(st.sampled_from([2, 0.5, None, [1, 0], {}]))
     else:
         rec = draw(st.sampled_from(splits))
         side, other = draw(st.permutations(["left", "right"]))

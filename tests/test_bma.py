@@ -677,7 +677,8 @@ class TestReadRoutes:
         (STUMP.replace('"root":0', '"root":true'), "e.jsonl:2: root id True is not a node"),
         ('{"nodes":[{"id":2,"leaf":[0,1]},{"id":0,"split":{"var":1,"level":1},"left":1,'
          '"right":2},{"id":1,"leaf":[1,0]}],"root":0,"loglik":-1.0}', None),
-        (STUMP.replace('"level":1}', '"level":1,"note":[{},{"id":5}]}'), None),
+        (STUMP.replace('"level":1}', '"level":1,"note":[{},{"id":5}]}'),
+         "e.jsonl:2: malformed tree record: split 0 rule: unknown key 'note'"),
         (STUMP.replace("-1.0}", "NaN}"), "e.jsonl:2: loglik nan is not a finite number"),
         (STUMP.replace('"level":1', '"level":7'), "e.jsonl:2: split on level 7 of variable 1 "
          "('x1'), which the schema does not declare"),
@@ -707,11 +708,24 @@ class TestReadRoutes:
          "e.jsonl:2: leaf 2 counts [1] are not two non-negative integers"),
         ('{"nodes":[],"root":0,"loglik":-1.0}',
          "e.jsonl:2: node ids [] are not a non-empty list of integers"),
+        (STUMP.replace('"level":1}', '"level":1,"lvl":2}'),
+         "e.jsonl:2: malformed tree record: split 0 rule: unknown key 'lvl'"),
+        (STUMP.replace('{"id":1,"leaf":[1,0]}',
+                       '{"id":1,"leaf":[1,0],"split":{"var":0,"thr":1.0},"lefft":2}'),
+         "e.jsonl:2: malformed tree record: leaf 1: unknown key 'lefft', unknown key "
+         "'split'"),
+        (STUMP.replace('"left":1', '"lefft":1,"left":1'),
+         "e.jsonl:2: malformed tree record: split node 0: unknown key 'lefft'"),
+        (STUMP.replace("-1.0}", '-1.0,"weight":2}'),
+         "e.jsonl:2: malformed tree record: top level: unknown key 'weight'"),
+        (STUMP.replace('"var":1', '"var":-1'),
+         "e.jsonl:2: malformed tree record: negative variable index -1"),
     ], ids=["tail-repeats-nodes", "bool-root", "ids-out-of-order", "nested-node-separator",
             "nan-loglik", "rule-outside-schema-on-line-2", "leaf-without-counts",
             "child-below-parent", "root-not-smallest", "self-loop-unreachable",
             "root-first-ids-out-of-order", "child-of-two-splits", "root-is-a-child",
-            "false-root", "float-leaf-id", "two-faults-first-in-file-order", "no-nodes"])
+            "false-root", "float-leaf-id", "two-faults-first-in-file-order", "no-nodes",
+            "rule-key", "leaf-keys", "split-key", "record-key", "negative-var"])
     def test_explicit_lines(self, tiny_schema, line, expected):
         """Each line after a valid one; a read line means what the whole-line decoder
         reads (a repeated key keeps its last value)."""

@@ -421,15 +421,19 @@ class TestExitCodes:
             f"error: {ens}:2: leaf 2 counts None are not two non-negative integers\n"
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("text", ["", "\n \n\n"], ids=["empty", "blank-lines"])
-    def test_ensemble_without_a_tree_names_the_file(self, tmp_path, capsys, text):
-        """A file with no tree line is a format error naming it, as every other fault of an
-        ensemble file is."""
+    @pytest.mark.parametrize("text, message", [
+        (b"", "no tree records"),
+        (b"\n \n\n", "no tree records"),
+        (b"\xff\xfe{}\n", "not UTF-8 text (invalid start byte)"),
+    ], ids=["empty", "blank-lines", "not-utf8"])
+    def test_ensemble_without_a_tree_names_the_file(self, tmp_path, capsys, text, message):
+        """A file with no tree line, or one that is not UTF-8 text, is a format error naming
+        it, as every other fault of an ensemble file is."""
         ens = tmp_path / "e.jsonl"
-        ens.write_text(text)
+        ens.write_bytes(text)
         rc = main(["importance", "--ensemble", str(ens), "--out-dir", str(tmp_path / "o")])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: {ens}: no tree records\n"
+        assert capsys.readouterr().err == f"error: {ens}: {message}\n"
         assert not (tmp_path / "o").exists()
         with pytest.raises(TreeFormatError):
             load_ensemble(ens)

@@ -2,7 +2,8 @@
 
 On the 12 oracle rows with row 12's v0 set to 5.0 (so v0 has 4 candidate values and v1
 has 3: with equal counts a wrong prior ratio of a change move cancels out of sight),
-``min_leaf`` 1 and ``s_max`` 3, every reachable tree's row of the kernel K is built from
+``min_leaf`` 1 and ``s_max`` 3 (and ``min_leaf`` 2 and 3 at ``s_max`` 3 and 2, where
+``min_leaf`` refuses proposals), every reachable tree's row of the kernel K is built from
 every draw path of every move: a path is one outcome of each ``integers(k)`` call that
 ``propose`` makes, weighing 1/4 x prod(1/k), and its proposal, if it passes ``min_leaf``,
 moves with probability min(1, exp(log alpha)) to the tree that ``_apply`` makes of a copy
@@ -73,10 +74,10 @@ def _log_alpha(state, prop):
     return (prop.loglik - state.current_loglik) + prop.log_ratio
 
 
-def build_kernel(data, s_max):
+def build_kernel(data, s_max, min_leaf=1):
     """{shape: Counter({next shape: probability})} over every tree reachable from the
     chain's start, and one chain state per shape."""
-    start = init_chain(data, ChainConfig(min_leaf=1, s_max=s_max, seed=0))
+    start = init_chain(data, ChainConfig(min_leaf=min_leaf, s_max=s_max, seed=0))
     states, todo, kernel = {_shape(start.nodes): start}, [start], {}
     while todo:
         state = todo.pop()
@@ -112,12 +113,15 @@ def kernel(data):
     return build_kernel(data, S_MAX)
 
 
-def test_kernel_is_exact(data, kernel):
+@pytest.mark.parametrize("min_leaf, s_max, n_legal", [(1, S_MAX, 494), (2, 3, 186), (3, 2, 28)],
+                         ids=["min-leaf-1", "min-leaf-2", "min-leaf-3"])
+def test_kernel_is_exact(data, kernel, min_leaf, s_max, n_legal):
     """Rows sum to 1; pi(T) K(T, T') = pi(T') K(T', T) for every pair, to 1e-12 relative,
-    with pi the stated posterior; the reachable trees are the 494 legal ones."""
-    K, _ = kernel
-    log_pi = legal_trees(data, S_MAX)
-    assert len(log_pi) == 494
+    with pi the stated posterior; the reachable trees are the n_legal legal ones (those
+    with at most s_max splits and min_leaf rows in every leaf)."""
+    K, _ = kernel if (min_leaf, s_max) == (1, S_MAX) else build_kernel(data, s_max, min_leaf)
+    log_pi = legal_trees(data, s_max, min_leaf)
+    assert len(log_pi) == n_legal
     assert set(K) == set(log_pi)  # irreducible: every legal tree is reached, nothing else
     top = max(log_pi.values())
     pi = {shape: exp(w - top) for shape, w in log_pi.items()}
