@@ -48,8 +48,8 @@ class TreeFormatError(ValueError):
     """Raised when a tree record is malformed."""
 
 
-# the keys a record, a leaf node, a split node and a split rule may hold; each object is
-# tested with issuperset, and named by _known_keys only when it fails
+# the keys a record, a leaf node, a split node and a split rule may hold; an object is
+# tested with issuperset first, so _known_keys (which names the keys) runs only on a fault
 _RECORD, _LEAF, _SPLIT, _RULE = (set(keys.split()) for keys in (
     "nodes root loglik", "id leaf", "id split left right", "var thr level"))
 
@@ -112,7 +112,8 @@ def _node(rec: dict, schema: Schema | None, rules: dict) -> tuple:
     """The per-node check: one decoded node record to ``(id, rule, left id, right id,
     counts, ordered)``, a leaf's child ids None, ``ordered`` whether the id is an integer
     below its child ids. Leaf counts must be two non-negative integers; a split needs a
-    valid rule and both children as integer ids."""
+    valid rule and both children as integer ids; a leaf holds no key outside ``_LEAF``,
+    a split none outside ``_SPLIT``."""
     nid = rec["id"]
     if "leaf" in rec:
         if len(rec) > 2:  # more than its id and counts
