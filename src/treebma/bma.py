@@ -8,7 +8,9 @@ indexed by label value: p[0] is the probability of class 0.
 A chain that rejects a move keeps its tree, so an :class:`Ensemble` holds :class:`Run`
 records: a tree, its loglik and its count of consecutive draws, built by
 :func:`~treebma.sampler.run_chain` and :func:`load_ensemble`. Every consumer works once per
-run; :func:`save_ensemble` serializes a run once. A prediction stacks the flat records of
+run. A run read from a file keeps its record line as read (``Run.line``), so
+:func:`save_ensemble` copies it byte for byte (``filter`` keeps its input's layout); a
+chain's run has no line and is serialized once. A prediction stacks the flat records of
 each run's tree into one set of slot arrays (each tree's child slots shifted by the slots of
 the trees before it), builds one boolean row mask per distinct split rule with
 :meth:`~treebma.tree.SplitRule.goes_left` and routes all (tree, row) pairs of
@@ -35,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import DataValidationError, Dataset, Schema
+from .dataset import DataValidationError, Dataset, Schema, _known_keys
 from .tree import (
     DecisionTree,
     TreeFormatError,
@@ -112,11 +114,13 @@ class ChainRecord:
 
 
 class Run(NamedTuple):
-    """``length`` consecutive draws of one tree, and its training log marginal likelihood."""
+    """``length`` consecutive draws of one tree, and its training log marginal likelihood;
+    ``line`` is its record as read from a file, newline-terminated (None for a chain's)."""
 
     tree: DecisionTree
     loglik: float
     length: int
+    line: str | None = None
 
 
 @dataclass(frozen=True)
@@ -328,15 +332,16 @@ def max_loglikelihood(ensemble: Ensemble) -> float:
 # ---------------------------------------------------------------------------
 
 def save_ensemble(ensemble: Ensemble, path, meta_path=None) -> None:
-    """Write trees as JSON lines, and the chain record (ValueError if none) to ``meta_path``."""
+    """Write trees as JSON lines, a run's line as read where it has one (see :class:`Run`),
+    and the chain record (ValueError if none) to ``meta_path``."""
     if meta_path is not None:  # first: without a record nothing is written
         if ensemble.chain is None:
             raise ValueError(f"the ensemble has no chain record to write to {meta_path}")
         Path(meta_path).write_text(
             json.dumps(asdict(ensemble.chain), indent=2, sort_keys=True), encoding="utf-8")
     with Path(path).open("w", encoding="utf-8") as fh:
-        for tree, ll, length in ensemble.runs:  # a run is serialized once
-            fh.write((serialize(tree, loglik=ll) + "\n") * length)
+        for tree, ll, length, line in ensemble.runs:  # a chain's run is serialized once
+            fh.write((line or serialize(tree, loglik=ll) + "\n") * length)
 
 
 def load_ensemble(path, meta_path=None, schema: Schema | None = None) -> Ensemble:
@@ -350,9 +355,10 @@ def load_ensemble(path, meta_path=None, schema: Schema | None = None) -> Ensembl
     A malformed record raises TreeFormatError naming ``path:line``, a file with
     no record or not in UTF-8 one naming ``path``. A line identical to the record
     before it is not parsed again: it lengthens that record's run (identical text
-    passes the same checks).
+    passes the same checks). Each run keeps its line as read, a newline added to a
+    last line without one, for :func:`save_ensemble` to copy.
     """
-    runs, prev, rules, nodes = [], None, {}, {}  # runs: [tree, loglik, length] lists
+    runs, prev, rules, nodes = [], None, {}, {}  # runs: [tree, loglik, length, line] lists
     with Path(path).open(encoding="utf-8") as fh:
         try:  # the file is decoded in blocks, so a decode error knows no line
             for lineno, line in enumerate(fh, start=1):
@@ -367,7 +373,7 @@ def load_ensemble(path, meta_path=None, schema: Schema | None = None) -> Ensembl
                     raise TreeFormatError(f"{path}:{lineno}: {e}") from e
                 if ll is None:
                     raise TreeFormatError(f"{path}:{lineno}: tree record missing loglik")
-                runs.append([tree, ll, 1])
+                runs.append([tree, ll, 1, line if line.endswith("\n") else line + "\n"])
                 prev = line
         except UnicodeDecodeError as e:
             raise TreeFormatError(f"{path}: not UTF-8 text ({e.reason})") from None
@@ -398,10 +404,7 @@ def _read_chain(path: Path) -> ChainRecord:
         if type(obj) is not dict:
             raise bad(f"{where} holds a {type(obj).__name__}, not a JSON object")
         names = [f.name for f in fields(cls)]
-        faults = [f"missing key {k!r}" for k in names if k not in obj] \
-            + [f"unknown key {k!r}" for k in sorted(obj.keys() - set(names))]
-        if faults:
-            raise bad(f"{where}: {', '.join(faults)}")
+        _known_keys(obj, set(names), f"metadata file {path}{where}", names)
         obj, where = doc["config"], ": config"
     try:
         config = ChainConfig(**doc["config"])

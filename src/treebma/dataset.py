@@ -49,12 +49,15 @@ def _check_name(name) -> None:
         raise DataValidationError(f"name {name!r} has leading or trailing whitespace")
 
 
-def _known_keys(obj, known: set, where: str) -> None:
-    """Refuse a JSON object holding a key outside ``known``, naming ``where`` and each such
-    key; any other value is left to the checks that follow."""
-    unknown = sorted(obj.keys() - known) if type(obj) is dict else []
-    if unknown:
-        raise DataValidationError(f"{where}: " + ", ".join(f"unknown key {k!r}" for k in unknown))
+def _known_keys(obj, known: set, where: str, required=()) -> None:
+    """Refuse a JSON object that lacks a key of ``required`` or holds a key outside
+    ``known``, naming ``where`` and each such key, the missing ones first; any other
+    value is left to the checks that follow."""
+    if type(obj) is dict:
+        faults = [f"missing key {k!r}" for k in required if k not in obj] \
+            + [f"unknown key {k!r}" for k in sorted(obj.keys() - known)]
+        if faults:
+            raise DataValidationError(f"{where}: {', '.join(faults)}")
 
 
 @dataclass(frozen=True)
@@ -136,15 +139,15 @@ class Schema:
     def from_json(cls, text: str) -> "Schema":
         """The schema in JSON text, checked as every :class:`Schema` is. A key that is
         neither the document's nor a variable's is refused, so a misspelt one is not
-        dropped."""
+        dropped, and a missing one is named with its object."""
         try:
             doc = json.loads(text)
         except (ValueError, RecursionError) as e:  # nested too deep; an integer too long
             raise DataValidationError(f"schema file is not valid JSON: {e}") from None
         try:
-            _known_keys(doc, {"variables", "outcome"}, "schema document")
+            _known_keys(doc, {"variables", "outcome"}, "schema document", ("variables", "outcome"))
             for i, v in enumerate(doc["variables"]):
-                _known_keys(v, {"name", "kind", "levels"}, f"variable {i}")
+                _known_keys(v, {"name", "kind", "levels"}, f"variable {i}", ("name", "kind"))
             return cls(tuple(VariableSpec(v["name"], v["kind"], v.get("levels"))
                              for v in doc["variables"]), doc["outcome"])
         except (KeyError, TypeError) as e:

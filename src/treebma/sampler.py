@@ -28,8 +28,11 @@ from the tree after each accepted move (``tests/helpers.py``).
 
 :func:`propose` dispatches through one move table. A change move first splits
 the picked node's rows by the new rule and rejects if either child is below
-``min_leaf`` (where most of them fail); only then does it walk the subtree
-below, counting each node's rows once. Leaf terms are plain lookups in a
+``min_leaf`` (where most of them fail). A rule that sends the same rows left as
+the current one keeps the partition: nothing below the split changes, so the
+move reads the subtree's leaf counts from the state and its delta rewrites only
+the split. Any other rule walks the subtree below, counting each node's rows
+once. Leaf terms are plain lookups in a
 per-chain memo (:class:`_Terms`) that calls :func:`leaf_log_marginal` on a
 miss, once per distinct leaf counts. :func:`run_chain` returns the collected trees, in
 runs, with the chain's :class:`~treebma.bma.ChainRecord` (its move counts give the rates).
@@ -206,7 +209,8 @@ class Proposal(NamedTuple):
     """A move's log ratio (prior times proposal), candidate loglik and committing delta.
 
     ``delta`` is (node id, new rule, its left-row mask, new (id, rows) pairs,
-    new leaf (id, counts) pairs), with no rule or mask for a death. It fits
+    new leaf (id, counts) pairs), with no rule or mask for a death and no pairs for a
+    change that keeps the split's partition. It fits
     only the unchanged state that it was drawn from.
     """
 
@@ -352,6 +356,19 @@ def _propose_change(state: ChainState, rng, redraw_variable: bool) -> Proposal |
     n_left, n_right = left.bit_count(), right.bit_count()
     if n_left < min_leaf or n_right < min_leaf:
         return _REJECTED[kind]
+    if left == state.rows[node.left]:
+        # The rule keeps the partition, so nothing below the split changes: the loglik
+        # takes off and adds back the subtree's leaf terms, in the walk's order below,
+        # and the delta rewrites only the split.
+        stack, old = [node.left, node.right], []
+        while stack:
+            node = nodes[stack.pop()]
+            if node.split is None:
+                old.append(node.counts)
+            else:
+                stack += (node.left, node.right)
+        return Proposal(kind, 0.0, _loglik(state, old, old), True,
+                        (pick, _rule(state, var, i), mask, (), ()))
     # Then the subtree below them, depth-first, right child first, as leaf_rows walks it;
     # the loglik takes off the old leaf terms, then adds the new ones, in that order.
     ones = state.ones

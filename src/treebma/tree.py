@@ -49,7 +49,8 @@ class TreeFormatError(ValueError):
 
 
 # the keys a record, a leaf node, a split node and a split rule may hold; an object is
-# tested with issuperset first, so _known_keys (which names the keys) runs only on a fault
+# tested with issuperset first, and a missing key is met as a KeyError, so _known_keys
+# (which names the keys) runs only on a fault
 _RECORD, _LEAF, _SPLIT, _RULE = (set(keys.split()) for keys in (
     "nodes root loglik", "id leaf", "id split left right", "var thr level"))
 
@@ -114,7 +115,11 @@ def _node(rec: dict, schema: Schema | None, rules: dict) -> tuple:
     below its child ids. Leaf counts must be two non-negative integers; a split needs a
     valid rule and both children as integer ids; a leaf holds no key outside ``_LEAF``,
     a split none outside ``_SPLIT``."""
-    nid = rec["id"]
+    try:
+        nid = rec["id"]
+    except KeyError:
+        _known_keys(rec, _LEAF | _SPLIT, "node", ("id",))
+        raise
     if "leaf" in rec:
         if len(rec) > 2:  # more than its id and counts
             if "left" in rec or "right" in rec:
@@ -198,7 +203,11 @@ def _rule(doc: dict, nid: int, schema: Schema | None, rules: dict) -> SplitRule:
     built, checked against ``schema`` (its variables and declared levels) and added."""
     if type(doc) is dict and not _RULE.issuperset(doc):
         _known_keys(doc, _RULE, f"split {nid} rule")
-    var, thr, level = doc["var"], doc.get("thr"), doc.get("level")
+    try:
+        var, thr, level = doc["var"], doc.get("thr"), doc.get("level")
+    except KeyError:
+        _known_keys(doc, _RULE, f"split {nid} rule", ("var",))
+        raise
     if "thr" in doc and "level" in doc:
         raise TreeFormatError(f"split {nid} rule {doc!r} has both thr and level")
     if not (type(var) is int and (type(level) is int if thr is None
@@ -364,7 +373,11 @@ def deserialize(line: str, schema: Schema | None = None, rules: dict | None = No
                 raise TreeFormatError(f"invalid JSON at position {e.pos}: {e.msg}") from e
             except (RecursionError, ValueError) as e:  # nested too deep; an integer too long
                 raise TreeFormatError(f"invalid JSON: {e}") from None
-            found = [_node(rec, schema, rules) for rec in doc["nodes"]], doc["root"], doc
+            try:
+                found = [_node(rec, schema, rules) for rec in doc["nodes"]], doc["root"], doc
+            except KeyError:  # _node and _rule name the keys their records miss
+                _known_keys(doc, _RECORD, "top level", ("nodes", "root"))
+                raise
         recs, root, doc = found
         return _tree(recs, root), _loglik(doc)
     except TreeFormatError:

@@ -551,6 +551,30 @@ class TestEnsembleIO:
         p.write_text('{"nodes":[{"id":0,"leaf":[1,1]}],"root":0,"loglik":-1.0}\n\n')
         assert len(load_ensemble(p)) == 1
 
+    def test_chain_file_saved_again_unchanged(self, small_ensemble, tmp_path):
+        """A chain's runs hold no line and are serialized; read back, each run holds its
+        line as written, so saving the loaded ensemble gives the chain's bytes."""
+        p, q = tmp_path / "e.jsonl", tmp_path / "f.jsonl"
+        assert {r.line for r in small_ensemble.runs} == {None}
+        save_ensemble(small_ensemble, p)
+        ens = load_ensemble(p)
+        assert [r.line for r in ens.runs] == \
+            [line for line, _ in groupby(p.read_text().splitlines(keepends=True))]
+        save_ensemble(ens, q)
+        assert q.read_bytes() == p.read_bytes()
+
+    def test_lines_copied_as_read(self, tmp_path):
+        """Saving a loaded ensemble copies each record line as read, in any layout: a
+        last line without a newline gets one, and blank lines are dropped."""
+        a = '{"nodes": [{"id": 0, "leaf": [1, 1]}], "root": 0, "loglik": -1.0}\n'
+        b = ' {"loglik":-2.5,"root":0,"nodes":[{"leaf":[3,0],"id":0}]}\t'
+        p = tmp_path / "e.jsonl"
+        p.write_text(a + "\n" + a + "  \n" + b)
+        ens = load_ensemble(p)
+        assert [(r.line, r.length) for r in ens.runs] == [(a, 2), (b + "\n", 1)]
+        save_ensemble(ens, p)
+        assert p.read_text() == a + a + b + "\n"
+
 
 def compact(line: str) -> str:
     """A record in serialize's layout (compact separators): the node-by-node route."""
@@ -720,12 +744,24 @@ class TestReadRoutes:
          "e.jsonl:2: malformed tree record: top level: unknown key 'weight'"),
         (STUMP.replace('"var":1', '"var":-1'),
          "e.jsonl:2: malformed tree record: negative variable index -1"),
+        (STUMP.replace('"var":1,', ''),
+         "e.jsonl:2: malformed tree record: split 0 rule: missing key 'var'"),
+        (STUMP.replace('{"id":1,"leaf"', '{"leaf"'),
+         "e.jsonl:2: malformed tree record: node: missing key 'id'"),
+        (STUMP.replace('"root":0,', ''),
+         "e.jsonl:2: malformed tree record: top level: missing key 'root'"),
+        ('{"root":0,"loglik":-1.0}',
+         "e.jsonl:2: malformed tree record: top level: missing key 'nodes'"),
+        ('{"loglik":-1.0,"weight":2}', "e.jsonl:2: malformed tree record: top level: "
+         "missing key 'nodes', missing key 'root', unknown key 'weight'"),
     ], ids=["tail-repeats-nodes", "bool-root", "ids-out-of-order", "nested-node-separator",
             "nan-loglik", "rule-outside-schema-on-line-2", "leaf-without-counts",
             "child-below-parent", "root-not-smallest", "self-loop-unreachable",
             "root-first-ids-out-of-order", "child-of-two-splits", "root-is-a-child",
             "false-root", "float-leaf-id", "two-faults-first-in-file-order", "no-nodes",
-            "rule-key", "leaf-keys", "split-key", "record-key", "negative-var"])
+            "rule-key", "leaf-keys", "split-key", "record-key", "negative-var",
+            "missing-var", "missing-id", "missing-root", "missing-nodes",
+            "missing-and-unknown-keys"])
     def test_explicit_lines(self, tiny_schema, line, expected):
         """Each line after a valid one; a read line means what the whole-line decoder
         reads (a repeated key keeps its last value)."""

@@ -207,6 +207,27 @@ class TestEvalImportanceFilterCompare:
         assert "excluded variable: 8" in (out / "report.txt").read_text()
         assert capsys.readouterr().out == (out / "report.txt").read_text() + "\n"
 
+    def test_filter_copies_kept_lines(self, synth_dir, tmp_path):
+        """filter copies each kept line as read, so a file re-indented into the whole-line
+        layout keeps it: the output is the input's lines whose tree has no split on the
+        variable, in order, byte for byte."""
+        model = tmp_path / "model"
+        assert main(["train", "--data", str(synth_dir / "data.csv"), "--seed", "1",
+                     "--burn-in", "400", "--collect", "40", "--thin", "10", "--min-leaf", "8",
+                     "--out-dir", str(model)]) == 0
+        lines = [json.dumps(json.loads(line)) + "\n"
+                 for line in (model / "ensemble.jsonl").read_text().splitlines()]
+        (model / "ensemble.jsonl").write_text("".join(lines))
+        used = [{node["split"]["var"] for node in json.loads(line)["nodes"] if "split" in node}
+                for line in lines]
+        var = min(set.union(*used) - set.intersection(*used))  # some trees split on it
+        kept = [line for line, vs in zip(lines, used) if var not in vs]
+        out = tmp_path / "filt"
+        rc = main(["filter", "--ensemble", str(model / "ensemble.jsonl"), "--variable", str(var),
+                   "--data", str(synth_dir / "data.csv"), "--out-dir", str(out)])
+        assert rc == 0
+        assert (out / "filtered_ensemble.jsonl").read_text() == "".join(kept)
+
     def test_filter_stacks_once(self, synth_dir, trained_dir, tmp_path, monkeypatch):
         """filter scores the original and the selected ensemble from one routing pass."""
         import treebma.bma
@@ -548,7 +569,7 @@ class TestExitCodes:
                      "--out-dir", str(out)]) == 0
 
     @pytest.mark.parametrize("text, message", [
-        (b'{"variables": []}', "error: malformed schema document: 'outcome' (in {path})"),
+        (b'{"variables": []}', "error: schema document: missing key 'outcome' (in {path})"),
         (b'{"variables": [{"name": "a", "kind": "ordinal"}], "outcome": "y"}',
          "error: unknown variable kind 'ordinal' for 'a' (in {path})"),
         (b"\xff\xfe{}", "error: schema file {path} is not UTF-8 text: 'utf-8' codec can't "

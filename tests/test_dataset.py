@@ -125,7 +125,7 @@ class TestSchema:
     def test_malformed_json_rejected(self):
         with pytest.raises(DataValidationError, match="not valid JSON"):
             Schema.from_json("{nope")
-        with pytest.raises(DataValidationError, match="malformed schema"):
+        with pytest.raises(DataValidationError, match="^variable 0: missing key 'name'$"):
             Schema.from_json('{"variables": [{"kind": "continuous"}], "outcome": "y"}')
 
     @pytest.mark.parametrize("variable, outcome, message", [
@@ -155,15 +155,24 @@ class TestSchema:
          "schema document: unknown key 'Outcome', unknown key 'extra'"),
         ('{"name": "a", "kind": "continuous"}, {"name": "b", "kind": "categorical", '
          '"levels": [0, 1], "level": [0, 1]}', '"y"', "variable 1: unknown key 'level'"),
+        ('{"name": "a"}', '"y"', "variable 0: missing key 'kind'"),
+        (None, '"y"', "schema document: missing key 'variables'"),
+        ('{"kind": "continuous"}', '"y"', "variable 0: missing key 'name'"),
+        (None, '"y", "extra": 1', "schema document: missing key 'variables', unknown key "
+         "'extra'"),
     ], ids=["float-level", "huge-level", "level-past-2**53", "bool-levels", "string-levels",
             "number-levels", "null-levels", "integer-name", "integer-outcome", "padded-name",
-            "variable-key", "document-key", "document-keys-first", "second-variable-key"])
+            "variable-key", "document-key", "document-keys-first", "second-variable-key",
+            "missing-kind", "missing-variables", "missing-name", "missing-and-unknown"])
     def test_field_types_checked_naming_file(self, tmp_path, variable, outcome, message):
-        """Names are strings and levels integers a float64 column holds exactly, and no key
-        is unknown, so a misspelt one is not dropped (the document's are named before its
-        variables'); a fault is refused where the schema is read, naming the file."""
+        """Names are strings and levels integers a float64 column holds exactly, no key
+        is unknown, so a misspelt one is not dropped, and none is missing (the document's
+        are named before its variables', an object's missing keys before its unknown
+        ones); a fault is refused where the schema is read, naming the file. A variable
+        of None writes a document without "variables"."""
         path = tmp_path / "schema.json"
-        path.write_text(f'{{"variables": [{variable}], "outcome": {outcome}}}')
+        variables = "" if variable is None else f'"variables": [{variable}], '
+        path.write_text(f'{{{variables}"outcome": {outcome}}}')
         with pytest.raises(DataValidationError) as caught:
             Schema.from_file(path)
         assert str(caught.value) == f"{message} (in {path})"

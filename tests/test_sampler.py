@@ -1,6 +1,7 @@
 """Chain mechanics: configuration, proposals, MH stepping, collection, diagnostics."""
 import random
 from collections import Counter
+from copy import deepcopy
 from dataclasses import replace
 from fractions import Fraction
 from itertools import groupby
@@ -15,7 +16,7 @@ from treebma import ChainConfig, SplitRule, chain_diagnostics, run_chain, synth_
 from treebma.dataset import Dataset, Schema, VariableSpec
 from treebma import sampler
 from treebma.sampler import MOVES, _apply, _Draws, default_s_max, init_chain, mh_step, propose
-from treebma.tree import candidate_splits, leaf_rows, serialize
+from treebma.tree import candidate_splits, leaf_log_marginal, leaf_rows, serialize
 
 from helpers import (Script, bits, check_state, legal_trees, oracle_data, split_rules,
                      tree_loglik)
@@ -128,8 +129,10 @@ class TestChangeOracle:
     @pytest.mark.parametrize("min_leaf", [1, 3, 25])
     def test_change_matches_leaf_rows(self, data, min_leaf):
         """For every split of seeded chain states and several (variable, value) draws, a
-        change proposal's min_leaf verdict, new leaf rows and counts and its loglik equal
-        a recomputation by leaf_rows on a copy of the tree with the rule replaced."""
+        change proposal's min_leaf verdict, the leaf rows and counts in force after its
+        delta (which names only leaves under the pick, and none where the rule keeps the
+        partition) and its loglik equal a recomputation by leaf_rows on a copy of the
+        tree with the rule replaced."""
         draws = random.Random(min_leaf)
         rules = split_rules(data)
         deep_only = proposed = 0  # deep_only: violations only below the picked node's children
@@ -168,8 +171,11 @@ class TestChangeOracle:
                         continue
                     counts = {nid: (idx.size - int(data.y[idx].sum()), int(data.y[idx].sum()))
                               for nid, idx in parts.items()}
-                    assert dict(prop.delta[4]) == {nid: counts[nid] for nid in under}
-                    rows = dict(prop.delta[3])
+                    # the rows and counts in force once the delta is laid over the state
+                    rows = state.rows | dict(prop.delta[3])
+                    now = {nid: state.nodes[nid].counts for nid in under} | dict(prop.delta[4])
+                    assert dict(prop.delta[4]).keys() <= set(under)
+                    assert {nid: now[nid] for nid in under} == {nid: counts[nid] for nid in under}
                     assert {nid: rows[nid] for nid in under} == \
                         {nid: sum(1 << int(r) for r in parts[nid]) for nid in under}
                     new = replace(new, counts=tuple(counts.get(nid, c)
@@ -178,6 +184,57 @@ class TestChangeOracle:
                                                         rel=1e-12, abs=1e-9)
         assert proposed > 100
         assert deep_only > 0
+
+    @pytest.mark.parametrize("kind", ["change_split", "change_rule"])
+    def test_change_keeping_the_partition(self, data, kind):
+        """A change to the picked split's own value, or to another value of its variable
+        that sends the same rows left, passes min_leaf with no rows or counts in its
+        delta, and its loglik is bitwise the full walk's: the current loglik less the
+        subtree's leaf terms, then plus them, in leaf_rows's order. Applied, it leaves a
+        consistent state."""
+        own = other = 0
+        for seed in range(4):
+            cfg = ChainConfig(seed=seed, min_leaf=3)
+            rng = np.random.default_rng(seed)
+            state = init_chain(data, cfg, rng)
+            for _ in range(1500):
+                mh_step(state, rng)
+            order = list(leaf_rows(state.current, data.X))  # right child first
+            for p, pick in enumerate(state.splits):
+                node = state.nodes[pick]
+                var, rows = node.split.variable, state.rows[pick]
+                same = [i for i, mask in enumerate(state.masks[var])
+                        if rows & mask == state.rows[node.left]]
+                mine = state.rules[var].index(node.split)
+                others = [i for i in same if i != mine]
+                under = {nid for nid in order if _under(state, pick, nid)}
+                terms = [leaf_log_marginal(*state.nodes[nid].counts, cfg.dirichlet_alpha)
+                         for nid in order if nid in under]
+                walk = state.current_loglik
+                for term in terms:
+                    walk -= term
+                for term in terms:
+                    walk += term
+                for i in [mine] + others[:1]:
+                    script = Script(p, var, i) if kind == "change_split" else Script(p, i)
+                    prop = propose(state, kind, script)
+                    assert not script.values
+                    assert prop.min_leaf_ok and prop.delta[3:] == ((), ())
+                    assert prop.loglik == walk  # bitwise
+                    moved = deepcopy(state)
+                    _apply(moved, prop)
+                    check_state(moved)
+                    assert moved.nodes[pick].split is state.rules[var][i]
+                own += 1
+                other += bool(others)
+        assert own > 20 and other > 5
+
+
+def _under(state, pick, nid) -> bool:
+    """Whether node nid lies in the subtree of node pick."""
+    while nid != pick and nid in state.parent:
+        nid = state.parent[nid]
+    return nid == pick
 
 
 def test_leaf_terms_memo(small_data, monkeypatch):
