@@ -32,9 +32,8 @@ the picked node's rows by the new rule and rejects if either child is below
 the current one keeps the partition: nothing below the split changes, so the
 move reads the subtree's leaf counts from the state and its delta rewrites only
 the split. Any other rule walks the subtree below, counting each node's rows
-once. Leaf terms are plain lookups in a
-per-chain memo (:class:`_Terms`) that calls :func:`leaf_log_marginal` on a
-miss, once per distinct leaf counts. :func:`run_chain` returns the collected trees, in
+once. Leaf terms are plain lookups in a per-chain memo (:class:`_Terms`) that
+calls :func:`leaf_log_marginal` on a miss, once per distinct leaf counts. :func:`run_chain` returns the collected trees, in
 runs, with the chain's :class:`~treebma.bma.ChainRecord` (its move counts give the rates).
 
 The chain's draws are exactly numpy's ``default_rng(seed)`` sequence of
@@ -209,9 +208,9 @@ class Proposal(NamedTuple):
     """A move's log ratio (prior times proposal), candidate loglik and committing delta.
 
     ``delta`` is (node id, new rule, its left-row mask, new (id, rows) pairs,
-    new leaf (id, counts) pairs), with no rule or mask for a death and no pairs for a
-    change that keeps the split's partition. It fits
-    only the unchanged state that it was drawn from.
+    new leaf (id, counts) pairs), with no rule or mask for a death and no pairs for
+    a change that keeps the split's partition. It fits only the unchanged state that
+    it was drawn from.
     """
 
     kind: str
