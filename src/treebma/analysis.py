@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from .bma import ChainConfig, Ensemble, EvalReport, evaluate, evaluate_selection
-from .dataset import Dataset, FoldPlan, add_noise, drop_variable, make_folds
+from .dataset import DataValidationError, Dataset, FoldPlan, add_noise, drop_variable, make_folds
 from .sampler import run_chain
 
 __all__ = [
@@ -127,8 +127,11 @@ def run_comparison(data: Dataset, config: ChainConfig, weakest: int | None = Non
     the report metadata. When ``weakest`` is None it defaults to the argmin of
     arm (a)'s pooled variable importance. A fold whose arm-(a) trees all split on
     the weakest variable leaves arm (c) empty: that is a ValueError naming the fold
-    and the variable, raised before any arm-(b) or arm-(d) chain runs.
+    and the variable, raised before any arm-(b) or arm-(d) chain runs. A ``weakest``
+    outside the data's variables is refused before any chain runs.
     """
+    if weakest is not None and not 0 <= weakest < data.m:
+        raise DataValidationError(f"variable index {weakest} out of range [0, {data.m})")
     folds = make_folds(data, k, seed=config.seed)
     noised = add_noise(data, noise_intensity, seed=derive_seed(config.seed, 0, 99))
 

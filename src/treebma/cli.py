@@ -68,11 +68,11 @@ class _Result(NamedTuple):
     text: str
 
 
-def _finish(args, result: _Result) -> int:
+def _finish(args, command: list[str], result: _Result) -> int:
     """Make ``--out-dir``, write the artifacts in order (a Dataset by ``save_csv``, an
     Ensemble by ``save_ensemble``, which writes its ``metadata.json`` too) and
-    ``manifest.json`` last, then print the text. The manifest's inputs are the files
-    that ``--ensemble``, ``--data`` and ``--schema`` name."""
+    ``manifest.json`` last, then print the text. The manifest's command is ``command``;
+    its inputs are the files that ``--ensemble``, ``--data`` and ``--schema`` name."""
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -89,7 +89,7 @@ def _finish(args, result: _Result) -> int:
     inputs = [Path(getattr(args, k)) for k in ("ensemble", "data", "schema")
               if getattr(args, k, None)]
     manifest = {
-        "command": sys.argv,
+        "command": command,
         "subcommand": args.cmd,
         "args": {k: v for k, v in vars(args).items() if k not in ("func", "cmd")},
         "seed": getattr(args, "seed", None),
@@ -272,11 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed {args.seed}: expected a non-negative integer")
-        return _finish(args, args.func(args))
+        return _finish(args, ["treebma", *argv], args.func(args))
     except ValueError as e:  # a DataValidationError too
         print(f"error: {e}", file=sys.stderr)
         return 1

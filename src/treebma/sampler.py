@@ -16,7 +16,7 @@ ratio is the likelihood ratio times k/d (birth), d/k (death) or 1 (changes), wit
 smaller tree's leaves and d the larger one's prunable splits. The chain starts with a
 birth from the single-leaf tree. Its candidate values and their row bitsets come from one
 sort per column (:func:`~treebma.tree.candidate_splits`); a rule object is built when
-first drawn.
+a move that uses it is applied.
 
 Proposals that are inapplicable (death on a single leaf, birth past s_max,
 empty candidate list) or that produce a leaf below ``min_leaf`` count as
@@ -28,12 +28,12 @@ from the tree after each accepted move (``tests/helpers.py``).
 
 :func:`propose` dispatches through one move table. A change move first splits
 the picked node's rows by the new rule and rejects if either child is below
-``min_leaf`` (where most of them fail). A rule that sends the same rows left as
-the current one keeps the partition: nothing below the split changes, so the
-move reads the subtree's leaf counts from the state and its delta rewrites only
-the split. Any other rule walks the subtree below, counting each node's rows
-once. Leaf terms are plain lookups in a per-chain memo (:class:`_Terms`) that
-calls :func:`leaf_log_marginal` on a miss, once per distinct leaf counts. :func:`run_chain` returns the collected trees, in
+``min_leaf`` (where most of them fail), then walks the subtree below once. A
+node whose rows the rule leaves as they are heads an unchanged subtree, whose
+leaf counts are read, not recounted, and whose splits are not re-checked; the
+delta names only nodes whose rows change. Leaf terms are plain lookups in a
+per-chain memo (:class:`_Terms`) that calls :func:`leaf_log_marginal` on a miss,
+once per distinct leaf counts. :func:`run_chain` returns the collected trees, in
 runs, with the chain's :class:`~treebma.bma.ChainRecord` (its move counts give the rates).
 
 The chain's draws are exactly numpy's ``default_rng(seed)`` sequence of
@@ -169,9 +169,9 @@ class ChainState:
     to its parent; a birth's children take the two ids after the largest.
     ``values[j]`` are variable j's candidate thresholds or levels, and
     ``rules[j][i]`` is the one :class:`SplitRule` of ``values[j][i]``, shared by
-    the chain's trees (None until first drawn). Row sets are bitsets (bit i is
-    row i): ``rows`` holds every node's, ``masks[j][i]`` the rows that
-    ``values[j][i]`` sends left (a split's node holds its rule's beside the
+    the chain's trees (None until a move that uses it is applied). Row sets are
+    bitsets (bit i is row i): ``rows`` holds every node's, ``masks[j][i]`` the rows
+    that ``values[j][i]`` sends left (a split's node holds its rule's beside the
     rule), ``ones`` the rows with y = 1.
     ``terms`` memoises :func:`leaf_log_marginal` by leaf counts (n0, n1) (see :class:`_Terms`).
     ``config`` has ``s_max`` resolved; ``current_loglik`` is the current tree's loglik.
@@ -207,10 +207,10 @@ class ChainState:
 class Proposal(NamedTuple):
     """A move's log ratio (prior times proposal), candidate loglik and committing delta.
 
-    ``delta`` is (node id, new rule, its left-row mask, new (id, rows) pairs,
-    new leaf (id, counts) pairs), with no rule or mask for a death and no pairs for
-    a change that keeps the split's partition. It fits only the unchanged state that
-    it was drawn from.
+    ``delta`` is (node id, the new rule's (variable, value index) or None, its left-row
+    mask, changed (id, rows) pairs, changed leaf (id, counts) pairs); a death has no rule
+    or mask. It fits only the unchanged state it was drawn from, and drawing it writes
+    nothing to the state but leaf terms to the memo.
     """
 
     kind: str
@@ -222,15 +222,6 @@ class Proposal(NamedTuple):
 
 # Returned as soon as a child falls below min_leaf, before any count or marginal.
 _REJECTED = {mv: Proposal(mv, 0.0, 0.0, False, None) for mv in MOVES}
-
-
-def _rule(state: ChainState, var: int, i: int) -> SplitRule:
-    """The chain's rule for value i of variable var, built the first time it is drawn."""
-    rule = state.rules[var][i]
-    if rule is None:
-        kind = "level" if state.data.schema.variables[var].is_categorical else "threshold"
-        rule = state.rules[var][i] = SplitRule(var, **{kind: state.values[var][i]})
-    return rule
 
 
 def _loglik(state: ChainState, old: list, new: list) -> float:
@@ -314,7 +305,7 @@ def _propose_birth(state: ChainState, rng) -> Proposal | None:
     l_id = next(reversed(state.nodes)) + 1  # nodes are in ascending id order
     r_id = l_id + 1
     return Proposal("birth", log(k) - log(d_after), loglik, True,
-                    (pick, _rule(state, var, i), mask,
+                    (pick, (var, i), mask,
                      ((l_id, left), (r_id, rows ^ left)), ((l_id, lc), (r_id, rc))))
 
 
@@ -355,28 +346,24 @@ def _propose_change(state: ChainState, rng, redraw_variable: bool) -> Proposal |
     n_left, n_right = left.bit_count(), right.bit_count()
     if n_left < min_leaf or n_right < min_leaf:
         return _REJECTED[kind]
-    if left == state.rows[node.left]:
-        # The rule keeps the partition, so nothing below the split changes: the loglik
-        # takes off and adds back the subtree's leaf terms, in the walk's order below,
-        # and the delta rewrites only the split.
-        stack, old = [node.left, node.right], []
-        while stack:
-            node = nodes[stack.pop()]
-            if node.split is None:
-                old.append(node.counts)
-            else:
-                stack += (node.left, node.right)
-        return Proposal(kind, 0.0, _loglik(state, old, old), True,
-                        (pick, _rule(state, var, i), mask, (), ()))
     # Then the subtree below them, depth-first, right child first, as leaf_rows walks it;
-    # the loglik takes off the old leaf terms, then adds the new ones, in that order.
-    ones = state.ones
+    # the loglik takes off the old leaf terms, then adds the new ones, in that order. An
+    # entry whose rows are the node's own (None below it) heads an unchanged subtree: its
+    # leaves keep their counts, and its splits passed min_leaf when they were accepted.
+    ones, old_rows = state.ones, state.rows
     stack = [(node.left, left, n_left), (node.right, right, n_right)]
     sub_rows, old, new, leaf_counts = [], [], [], []
     while stack:
         nid, rows, n = stack.pop()
-        sub_rows.append((nid, rows))
         node = nodes[nid]
+        if rows is None or rows == old_rows[nid]:
+            if node.split is None:
+                old.append(node.counts)
+                new.append(node.counts)
+            else:
+                stack += ((node.left, None, 0), (node.right, None, 0))
+            continue
+        sub_rows.append((nid, rows))
         if node.split is None:
             n1 = (rows & ones).bit_count()
             counts = (n - n1, n1)
@@ -392,7 +379,7 @@ def _propose_change(state: ChainState, rng, redraw_variable: bool) -> Proposal |
 
     # the old and new splits' priors cancel the draws that propose each from the other
     return Proposal(kind, 0.0, _loglik(state, old, new), True,
-                    (pick, _rule(state, var, i), mask, sub_rows, leaf_counts))
+                    (pick, (var, i), mask, sub_rows, leaf_counts))
 
 
 _PROPOSALS = {
@@ -406,7 +393,7 @@ _PROPOSALS = {
 def _apply(state: ChainState, prop: Proposal) -> None:
     """Commit an accepted proposal's delta to the state, in place."""
     nodes = state.nodes
-    pick, rule, mask, sub_rows, leaf_counts = prop.delta
+    pick, value, mask, sub_rows, leaf_counts = prop.delta
     if prop.kind == "death":
         node, up = nodes[pick], nodes.get(state.parent.get(pick))
         for child in (node.left, node.right):
@@ -428,7 +415,12 @@ def _apply(state: ChainState, prop: Proposal) -> None:
         insort(state.prunable, pick)
     else:
         left, right = nodes[pick].left, nodes[pick].right
-    if rule is not None:
+    if value is not None:  # the chain's one rule object for (variable, value index)
+        var, i = value
+        rule = state.rules[var][i]
+        if rule is None:
+            kind = "level" if state.data.schema.variables[var].is_categorical else "threshold"
+            rule = state.rules[var][i] = SplitRule(var, **{kind: state.values[var][i]})
         nodes[pick] = _Node(rule, mask, left, right, None)
     state.rows.update(sub_rows)
     for nid, counts in leaf_counts:

@@ -12,6 +12,7 @@ from treebma import (
     variable_importance,
 )
 from treebma.analysis import ARMS, derive_seed
+from treebma.dataset import DataValidationError
 
 from helpers import chain_record, ensemble, make_tree
 
@@ -131,6 +132,18 @@ class TestRunComparison:
                           min_leaf=8, s_max=8, seed=21)
         rep = run_comparison(small_data, cfg, weakest=None, k=3)
         assert rep.weakest == int(np.argmin(rep.importance))
+
+    @pytest.mark.parametrize("weakest", [16, -1])
+    def test_weakest_out_of_range_refused_before_any_chain(self, small_data, monkeypatch,
+                                                          weakest):
+        """A ``weakest`` outside the 16 variables is refused with drop_variable's message
+        before any chain runs."""
+        import treebma.analysis
+        monkeypatch.setattr(treebma.analysis, "run_chain",
+                            lambda *a: pytest.fail("a chain ran"))
+        with pytest.raises(DataValidationError,
+                           match=rf"^variable index {weakest} out of range \[0, 16\)$"):
+            run_comparison(small_data, ChainConfig(seed=1), weakest=weakest, k=2)
 
     def test_arm_a_and_filtered_arm_routed_once(self, small_data, monkeypatch):
         """Per fold, arm (a) and its filtered subset come from one routing pass, so a

@@ -87,6 +87,18 @@ class TestSynth:
         assert manifest["seed"] == 5
         assert str(synth_dir / "data.csv") in manifest["artifacts"]
 
+    def test_manifest_command_is_the_run(self, tmp_path, monkeypatch):
+        """The manifest's command is ``treebma`` and the arguments main was given (from
+        sys.argv when given none), not the host process's own command line."""
+        argv = ["synth", "--rows", "40", "--out-dir", str(tmp_path / "a")]
+        monkeypatch.setattr("sys.argv", ["-c", "-x", "foo"])
+        assert main(argv) == 0
+        monkeypatch.setattr("sys.argv", ["/bin/treebma", *argv[:-1], str(tmp_path / "b")])
+        assert main() == 0
+        for out in ("a", "b"):
+            manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+            assert manifest["command"] == ["treebma", *argv[:-1], str(tmp_path / out)]
+
 
 class TestTrain:
     def test_ensemble_file_and_metadata(self, trained_dir):

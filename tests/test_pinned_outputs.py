@@ -9,8 +9,8 @@ and ``filter`` on the trained ensembles, and compares the sha256 of their
 outputs with constants recorded from an earlier commit. A change that alters
 the chain's output on purpose updates the constants below and says so in
 CHANGES.md; any other mismatch is a regression. What each command (``synth``
-too) prints, and its ``manifest.json`` but for the test runner's own command
-line, are pinned the same way, with the temporary directory written ``<root>``.
+too) prints, and its ``manifest.json`` but for its command line, are pinned the
+same way, with the temporary directory written ``<root>``.
 
 These constants pin bytes, not the posterior: a re-record would pin a wrong
 kernel as readily as a right one. The net under a re-record is
@@ -147,5 +147,5 @@ def test_printout_pinned(outputs, name):
 @pytest.mark.parametrize("name", sorted(MANIFESTS))
 def test_manifest_pinned(outputs, name):
     manifest = json.loads((outputs / name / "manifest.json").read_text(encoding="utf-8"))
-    del manifest["command"]  # the test runner's own argv
+    del manifest["command"]  # treebma and the argv, temporary paths and all: not pinned
     assert _digest(json.dumps(manifest, sort_keys=True), outputs) == MANIFESTS[name]

@@ -2,7 +2,7 @@
 import random
 from collections import Counter
 from copy import deepcopy
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import groupby
 from math import exp
@@ -121,6 +121,13 @@ def _leaf_slots(tree, s):
     return _leaf_slots(tree, tree.left[s]) + _leaf_slots(tree, tree.right[s])
 
 
+def _slots(tree, s):
+    """Slot s and the slots of every node under it."""
+    if tree.rules[s] is None:
+        return [s]
+    return [s] + _slots(tree, tree.left[s]) + _slots(tree, tree.right[s])
+
+
 class TestChangeOracle:
     @pytest.fixture(scope="class")
     def data(self):
@@ -130,12 +137,14 @@ class TestChangeOracle:
     def test_change_matches_leaf_rows(self, data, min_leaf):
         """For every split of seeded chain states and several (variable, value) draws, a
         change proposal's min_leaf verdict, the leaf rows and counts in force after its
-        delta (which names only leaves under the pick, and none where the rule keeps the
-        partition) and its loglik equal a recomputation by leaf_rows on a copy of the
-        tree with the rule replaced."""
+        delta and its loglik equal a recomputation by leaf_rows on a copy of the tree with
+        the rule replaced. The delta's rows are exactly those of the nodes under the pick
+        whose rows change, and its counts those of such leaves: an unchanged subtree, at
+        the children or deeper, is named nowhere."""
         draws = random.Random(min_leaf)
         rules = split_rules(data)
         deep_only = proposed = 0  # deep_only: violations only below the picked node's children
+        deep_skip = 0  # proposals with an unchanged subtree below a changed child
         for seed in range(4):
             cfg = ChainConfig(seed=seed, min_leaf=min_leaf)
             rng = np.random.default_rng(seed)
@@ -178,12 +187,24 @@ class TestChangeOracle:
                     assert {nid: now[nid] for nid in under} == {nid: counts[nid] for nid in under}
                     assert {nid: rows[nid] for nid in under} == \
                         {nid: sum(1 << int(r) for r in parts[nid]) for nid in under}
+                    # every node under the pick: its new rows are its leaves' new rows
+                    below = {new.ids[c]: sum(1 << int(r) for leaf in _leaf_slots(new, c)
+                                             for r in parts[new.ids[leaf]])
+                             for c in _slots(new, s)[1:]}
+                    changed = {nid: r for nid, r in below.items() if r != state.rows[nid]}
+                    assert len(prop.delta[3]) == len(changed)
+                    assert dict(prop.delta[3]) == changed
+                    assert dict(prop.delta[4]) == {nid: counts[nid] for nid in under
+                                                   if nid in changed}
+                    deep_skip += any(nid not in changed and state.parent[nid] in changed
+                                     for nid in below)
                     new = replace(new, counts=tuple(counts.get(nid, c)
                                                     for nid, c in zip(tree.ids, tree.counts)))
                     assert prop.loglik == pytest.approx(tree_loglik(new, alpha),
                                                         rel=1e-12, abs=1e-9)
         assert proposed > 100
         assert deep_only > 0
+        assert deep_skip > 0 or min_leaf == 25  # trees too shallow at min_leaf 25
 
     @pytest.mark.parametrize("kind", ["change_split", "change_rule"])
     def test_change_keeping_the_partition(self, data, kind):
@@ -219,15 +240,39 @@ class TestChangeOracle:
                     script = Script(p, var, i) if kind == "change_split" else Script(p, i)
                     prop = propose(state, kind, script)
                     assert not script.values
-                    assert prop.min_leaf_ok and prop.delta[3:] == ((), ())
+                    assert prop.min_leaf_ok and not prop.delta[3] and not prop.delta[4]
                     assert prop.loglik == walk  # bitwise
                     moved = deepcopy(state)
                     _apply(moved, prop)
                     check_state(moved)
-                    assert moved.nodes[pick].split is state.rules[var][i]
+                    assert moved.nodes[pick].split is moved.rules[var][i]
                 own += 1
                 other += bool(others)
         assert own > 20 and other > 5
+
+
+@pytest.mark.parametrize("kind", MOVES)
+def test_propose_writes_nothing(kind):
+    """A proposal, whatever its verdict, leaves the chain state as it found it, field for
+    field; only the leaf-term memo may gain entries. Rule objects are built when a move
+    is applied, not when it is drawn."""
+    data = synth_trauma(316, 1, frozenset({8}))
+    passed = 0
+    for seed in range(3):
+        cfg = ChainConfig(seed=seed, min_leaf=3)
+        rng = np.random.default_rng(seed)
+        state = init_chain(data, cfg, rng)
+        for _ in range(1000):
+            mh_step(state, rng)
+        before = deepcopy(state)
+        for _ in range(300):
+            prop = propose(state, kind, rng)
+            passed += prop is not None and prop.min_leaf_ok
+        for f in fields(state):
+            if f.name not in ("data", "terms"):
+                assert getattr(state, f.name) == getattr(before, f.name), f.name
+        assert state.data is data and before.terms.items() <= state.terms.items()
+    assert passed > 100
 
 
 def _under(state, pick, nid) -> bool:
